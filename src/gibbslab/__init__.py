@@ -21,7 +21,6 @@ from .funcmodel import (
     fhat_deriv0,
     halfline_integral,
     inner_product,
-    moment,
 )
 from .sequences import MatrixSeq, SignLikeSeq, convolve, fourier_deriv, tail_convolve_sums
 from .quasiproj import (
@@ -71,7 +70,6 @@ __all__ = [
     "FunctionHandle",
     "bspline",
     "cascade",
-    "moment",
     "fhat_deriv0",
     "halfline_integral",
     "inner_product",

@@ -37,7 +37,7 @@ from .framelet import (
     symbol_deviation_slope,
     truncated_expansion,
 )
-from .funcmodel import SampledFunction, bspline, function_from_json_dict
+from .funcmodel import SampledFunction, bspline, check_level, function_from_json_dict
 from .gibbs import (
     bracket_second_deriv,
     gibbs_at_point,
@@ -105,8 +105,6 @@ def _pair_from_args(args) -> QuasiProjectionPair:
 
 
 def _grid_from_args(args) -> GridSpec:
-    if not 1 <= args.level <= 16:
-        raise PreconditionError(f"grid level must satisfy 1 <= level <= 16, got {args.level}")
     lo = hi = None
     window = getattr(args, "window", None)
     if window:
@@ -184,8 +182,6 @@ def _cmd_gibbs_point(args) -> None:
 
 
 def _cmd_construct_dual(args) -> None:
-    if not 1 <= args.level <= 16:
-        raise PreconditionError(f"grid level must satisfy 1 <= level <= 16, got {args.level}")
     phi = _function_from_spec(args.phi, args.level)
     knot_rule = None
     if args.knots:
@@ -280,8 +276,6 @@ def _cmd_overshoot_curve(args) -> None:
 
 
 def _cmd_bspline_table(args) -> None:
-    if not 1 <= args.level <= 16:
-        raise PreconditionError(f"grid level must satisfy 1 <= level <= 16, got {args.level}")
     rows = []
     for m in range(1, args.max_order + 1):
         pair = QuasiProjectionPair(bspline(m), bspline(m))
@@ -377,6 +371,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        check_level(args.level)
         _HANDLERS[args.command](args)
     except (PreconditionError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .errors import ConvergenceError, PreconditionError
 from .funcmodel import (
     FunctionHandle,
     PiecewisePoly,
+    _grid_min,
     fhat_deriv0,
     function_to_json_dict,
 )
@@ -109,10 +110,7 @@ def build_dual(phi: FunctionHandle, m: int, knot_rule=None) -> DualConstruction:
     strictly increasing knots.
     """
     d = reciprocal_moments(phi, m)
-    lo, hi = phi.support
-    h = 2.0**-10
-    xs = np.arange(int(math.floor(lo / h)), int(math.ceil(hi / h)) + 1) * h
-    if float(np.min(phi.evaluate(xs))) < -1e-10:
+    if _grid_min(phi) < -1e-10:
         raise PreconditionError("construction needs a nonnegative primal function")
 
     N = int(math.floor(d[1] + 0.5)) if m >= 2 else 1

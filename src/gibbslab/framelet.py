@@ -36,13 +36,13 @@ from .funcmodel import (
     PiecewisePoly,
     RefinableFunction,
     SampledFunction,
+    _continuity_defect,
+    _grid_min,
+    dyadic_grid,
     fhat_deriv0,
-    inner_product,
-    moment,
-    piecewise_quadrature,
     simpson_sum,
 )
-from .quasiproj import GridSpec, QuasiProjectionPair, apply
+from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
 from .sequences import MatrixSeq, convolve, fourier_deriv
 
 __all__ = [
@@ -151,12 +151,7 @@ def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, facto
         )
     level = getattr(f, "level", 12)
     flo, fhi = f.support
-    lo = (flo + klo) / dilate
-    hi = (fhi + klo + n - 1) / dilate
-    h = 2.0**-level
-    i0 = int(math.floor(lo / h))
-    i1 = int(math.ceil(hi / h))
-    xs = np.arange(i0, i1 + 1) * h
+    i0, xs = dyadic_grid((flo + klo) / dilate, (fhi + klo + n - 1) / dilate, level)
     out = np.zeros((xs.size, coeffs.shape[0]))
     for i, k in enumerate(ks):
         out += f.evaluate(dilate * xs - k) @ mats[i].T
@@ -226,7 +221,7 @@ def derive_wavelets(bank: FilterBank, phi: FunctionHandle, phi_tilde: FunctionHa
 def vanishing_moments(psi: FunctionHandle, j_max: int = 6) -> int:
     """Smallest j with a moment above tolerance, minimized over components."""
     for j in range(j_max + 1):
-        if np.any(np.abs(moment(psi, j)) > VMO_TOL):
+        if np.any(np.abs(psi.moment(j)) > VMO_TOL):
             return j
     return j_max + 1
 
@@ -236,7 +231,7 @@ def filter_moments(coeffs: MatrixSeq, phi: FunctionHandle, j: int) -> np.ndarray
     moments of phi (no quadrature, hence no cascade error)."""
     out = np.zeros(coeffs.shape[0], dtype=np.complex128)
     for i in range(j + 1):
-        mi = moment(phi, i).astype(np.complex128)
+        mi = phi.moment(i).astype(np.complex128)
         ksum = fourier_deriv(coeffs, j - i)  # sum_k (-ik)^(j-i) coeffs(k)
         ksum = ksum * (1j ** (j - i))  # strip the (-i)^power to get k^(j-i)
         out += math.comb(j, i) * (ksum @ mi)
@@ -306,44 +301,10 @@ def _support_of(f) -> tuple[float, float]:
 
 def _dilated_ip(f, g: FunctionHandle, j: int, k: int, level: int) -> np.ndarray:
     """<f, 2^{j/2} g(2^j . - k)> as a row vector."""
-    if isinstance(f, PiecewisePoly) and isinstance(g, PiecewisePoly):
-        gd = g.compose_affine(2.0**j, float(-k))
-        return 2.0 ** (j / 2.0) * inner_product(f, gd)[0]
-    if isinstance(g, PiecewisePoly):
-        us, wvals = piecewise_quadrature(g, level)
-        fv = _scalar_values(f, (us + k) * 2.0**-j)
-        return 2.0 ** (j / 2.0) * 2.0**-j * (fv @ np.conj(wvals))
-    lo, hi = g.support
-    h = 2.0**-level
-    us = np.arange(int(math.floor(lo / h)), int(math.ceil(hi / h)) + 1) * h
-    gv = np.conj(g.evaluate(us))
-    fv = _scalar_values(f, (us + k) * 2.0**-j)
-    return 2.0 ** (j / 2.0) * 2.0**-j * simpson_sum(fv[:, None] * gv, h, axis=0)
-
-
-def _scalar_values(f, xs: np.ndarray) -> np.ndarray:
-    fv = f.evaluate(xs) if hasattr(f, "evaluate") else np.asarray(f(xs), dtype=np.float64)
-    fv = np.asarray(fv)
-    if fv.ndim == 2:
-        fv = fv[:, 0]
-    return fv
+    return 2.0 ** (j / 2.0) * 2.0**-j * _dual_pairings(f, g, j, 0.0, np.array([k]), level)[0]
 
 
 # -- verdicts ---------------------------------------------------------------------
-
-
-def _grid_min(f: FunctionHandle, level: int = 10) -> float:
-    lo, hi = f.support
-    h = 2.0**-level
-    xs = np.arange(int(math.floor(lo / h)), int(math.ceil(hi / h)) + 1) * h
-    return float(np.min(f.evaluate(xs)))
-
-
-def _continuity_defect(f: FunctionHandle, level: int = 10) -> float:
-    lo, hi = f.support
-    h = 2.0**-level
-    xs = np.arange(int(math.floor(lo / h)) - 1, int(math.ceil(hi / h)) + 2) * h
-    return float(np.max(np.abs(np.diff(f.evaluate(xs), axis=0))))
 
 
 def framelet_gibbs_verdict(df: DualFramelet) -> dict:

@@ -1,7 +1,7 @@
 """Models of compactly supported functions on the real line.
 
 Three representations share one informal interface (``support``,
-``ncomponents``, ``evaluate``, ``moment``, ``tail_left``/``tail_right``):
+``ncomponents``, ``evaluate``, ``moment``, ``cumulative``):
 
 - :class:`PiecewisePoly` — exact piecewise polynomials (B-splines, constructed
   duals, wavelets built from them).  All integrals, moments, products and
@@ -20,9 +20,8 @@ returns arrays of shape ``(npoints, r)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 from typing import Union
 
 import numpy as np
@@ -38,7 +37,8 @@ __all__ = [
     "bspline",
     "cascade",
     "refinement_residual",
-    "moment",
+    "check_level",
+    "dyadic_grid",
     "fhat_deriv0",
     "halfline_integral",
     "inner_product",
@@ -129,6 +129,26 @@ def simpson_sum(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     shape = [1] * y.ndim
     shape[axis] = -1
     return np.sum(y * w.reshape(shape), axis=axis)
+
+
+# ---------------------------------------------------------------------------
+# dyadic grids
+# ---------------------------------------------------------------------------
+
+
+def check_level(level: int) -> None:
+    """Reject a dyadic level outside ``1..MAX_LEVEL``."""
+    if not 1 <= level <= MAX_LEVEL:
+        raise PreconditionError(f"grid level must satisfy 1 <= level <= {MAX_LEVEL}, got {level}")
+
+
+def dyadic_grid(lo: float, hi: float, level: int, pad: int = 0) -> tuple[int, np.ndarray]:
+    """Points ``i 2^-level`` covering ``[lo, hi]``, extended by ``pad`` points
+    at each end; returns the first index ``i0`` and the points."""
+    h = 2.0**-level
+    i0 = floor(lo / h) - pad
+    i1 = ceil(hi / h) + pad
+    return i0, np.arange(i0, i1 + 1) * h
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +244,8 @@ class PiecewisePoly:
         self.__dict__["_cum"] = cum
         return cum
 
-    def tail_left(self, s: float) -> np.ndarray:
-        """Integral of f over (-inf, s], componentwise."""
-        bp = self.breakpoints
-        cum = self._cumulative_at_breaks
-        if s <= bp[0]:
-            return np.zeros(self.ncomponents)
-        if s >= bp[-1]:
-            return cum[-1].copy()
-        i = int(np.searchsorted(bp, s, side="right") - 1)
-        anti = _polyint_asc(self.coeffs[i])
-        return cum[i] + _polyval_asc(anti, np.array([s - bp[i]]))[:, 0]
-
-    def tail_right(self, s: float) -> np.ndarray:
-        return self._cumulative_at_breaks[-1] - self.tail_left(s)
-
     def cumulative(self, s) -> np.ndarray:
-        """Vectorized tail_left: integral over (-inf, s_i], shape (n, r)."""
+        """Integral of f over (-inf, s_i] for each s_i, exactly; shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         bp = self.breakpoints
         cum = self._cumulative_at_breaks
@@ -264,7 +269,8 @@ class PiecewisePoly:
             return self._cumulative_at_breaks[-1].copy()
         a = self.breakpoints[0] if a is None else a
         b = self.breakpoints[-1] if b is None else b
-        return self.tail_left(b) - self.tail_left(a)
+        left, right = self.cumulative([a, b])
+        return right - left
 
     def moment(self, j: int) -> np.ndarray:
         """Exact j-th moment ``integral x^j f(x) dx`` per component."""
@@ -471,18 +477,8 @@ class SampledFunction:
         self.__dict__["_cum"] = cum
         return cum
 
-    def tail_left(self, s: float) -> np.ndarray:
-        grid = self.xs()
-        cum = self._cumulative
-        return np.array(
-            [np.interp(s, grid, cum[:, c], left=0.0, right=cum[-1, c]) for c in range(self.ncomponents)]
-        )
-
-    def tail_right(self, s: float) -> np.ndarray:
-        return self._cumulative[-1] - self.tail_left(s)
-
     def cumulative(self, s) -> np.ndarray:
-        """Vectorized tail_left (trapezoid on the carried grid); shape (n, r)."""
+        """Integral over (-inf, s_i] (trapezoid on the carried grid); shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         grid = self.xs()
         cum = self._cumulative
@@ -551,8 +547,7 @@ def cascade(
     :class:`ConvergenceError` (carrying the last sup-norm step) if the
     iteration does not settle below ``tol`` within ``max_iter`` rounds.
     """
-    if not 1 <= level <= MAX_LEVEL:
-        raise PreconditionError(f"dyadic level must satisfy 1 <= level <= {MAX_LEVEL}")
+    check_level(level)
     kmin, kmax, norm = _check_mask(mask, normalization)
     r = mask.shape[0]
     npts = (kmax - kmin) * 2**level + 1
@@ -620,8 +615,7 @@ class RefinableFunction:
 
     def __post_init__(self):
         kmin, kmax, norm = _check_mask(self.mask, self.normalization)
-        if not 1 <= self.level <= MAX_LEVEL:
-            raise PreconditionError(f"dyadic level must satisfy 1 <= level <= {MAX_LEVEL}")
+        check_level(self.level)
         norm = np.ascontiguousarray(norm)
         norm.flags.writeable = False
         object.__setattr__(self, "normalization", norm)
@@ -745,20 +739,8 @@ class RefinableFunction:
         self._cache[key] = F
         return F
 
-    def tail_left(self, s: float) -> np.ndarray:
-        kmin, kmax = self._cache["ksupport"]
-        F = self.cumulative_samples()
-        grid = kmin + np.arange(F.shape[0]) * 2.0**-self.level
-        return np.array(
-            [np.interp(s, grid, F[:, c], left=0.0, right=F[-1, c]) for c in range(self.ncomponents)]
-        )
-
-    def tail_right(self, s: float) -> np.ndarray:
-        m0 = np.asarray(self.moment(0), dtype=np.float64).reshape(self.ncomponents)
-        return m0 - self.tail_left(s)
-
     def cumulative(self, s) -> np.ndarray:
-        """Vectorized tail_left on the carried grid; shape (n, r)."""
+        """Integral over (-inf, s_i], interpolating the exact F on the carried grid; shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         kmin, _ = self._cache["ksupport"]
         F = self.cumulative_samples()
@@ -835,23 +817,30 @@ def bspline(m: int) -> PiecewisePoly:
     return pp
 
 
-def moment(f: FunctionHandle, j: int) -> np.ndarray:
-    """j-th moment of f, by the representation's best route (exact where possible)."""
-    return f.moment(j)
-
-
 def fhat_deriv0(f: FunctionHandle, j: int) -> np.ndarray:
-    """fhat^(j)(0) = (-i)^j * moment(f, j), componentwise."""
+    """fhat^(j)(0) = (-i)^j * f.moment(j), componentwise."""
     return (-1j) ** j * np.asarray(f.moment(j), dtype=np.complex128)
 
 
 def halfline_integral(f: FunctionHandle, k: float, side: str) -> np.ndarray:
     """integral of f over (-inf, k] (side='left') or [k, inf) (side='right')."""
-    if side == "left":
-        return f.tail_left(k)
-    if side == "right":
-        return f.tail_right(k)
-    raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    left, total = f.cumulative([k, f.support[1]])
+    return left if side == "left" else total - left
+
+
+def _grid_min(f: FunctionHandle, level: int = 10) -> float:
+    """Smallest sample of any component on the dyadic grid over the support."""
+    _, xs = dyadic_grid(*f.support, level)
+    return float(np.min(f.evaluate(xs)))
+
+
+def _continuity_defect(f: FunctionHandle, level: int = 10) -> float:
+    """Largest jump between adjacent grid samples of any component, including
+    the steps onto and off the support."""
+    _, xs = dyadic_grid(*f.support, level, pad=1)
+    return float(np.max(np.abs(np.diff(f.evaluate(xs), axis=0))))
 
 
 def _grid_level(*fs) -> int:
@@ -876,12 +865,10 @@ def inner_product(
     lo, hi = max(flo, glo + shift), min(fhi, ghi + shift)
     if lo >= hi:
         return np.zeros((f.ncomponents, g.ncomponents))
-    h = 2.0**-level
-    i0, i1 = int(np.floor(lo / h)), int(np.ceil(hi / h))
-    xs = np.arange(i0, i1 + 1) * h
+    _, xs = dyadic_grid(lo, hi, level)
     fv = f.evaluate(xs)
     gv = g.evaluate(xs - shift)
-    return simpson_sum(np.einsum("na,nb->nab", fv, gv), h, axis=0)
+    return simpson_sum(np.einsum("na,nb->nab", fv, gv), 2.0**-level, axis=0)
 
 
 def _pp_inner(f: PiecewisePoly, g: PiecewisePoly, shift: float) -> np.ndarray:

@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PreconditionError
-from .funcmodel import FunctionHandle, halfline_integral, simpson_sum
+from .funcmodel import FunctionHandle, _continuity_defect, _grid_min, halfline_integral, simpson_sum
 from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, check_qp1, poly_reproduction
 
 __all__ = [
@@ -51,14 +51,13 @@ __all__ = [
 FULL_INTERVAL = "full-interval"
 
 
-def _max_workers() -> int:
-    env = os.environ.get("GIBBSLAB_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise PreconditionError(f"GIBBSLAB_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+def _require_qp1(pair: QuasiProjectionPair) -> None:
+    """Raise unless the pair reproduces constants (Q1 = 1)."""
+    rep = check_qp1(pair)
+    if not rep["ok"]:
+        raise PreconditionError(
+            f"pair does not reproduce constants; residuals {rep['residuals']}"
+        )
 
 
 # -- moment functionals --------------------------------------------------------
@@ -91,11 +90,7 @@ def identity_rhs(pair: QuasiProjectionPair) -> complex:
     Requires the pair to reproduce constants (checked); the identity is an
     exact statement under that hypothesis.
     """
-    rep = check_qp1(pair)
-    if not rep["ok"]:
-        raise PreconditionError(
-            f"pair does not reproduce constants; residuals {rep['residuals']}"
-        )
+    _require_qp1(pair)
     k1 = kappa(pair.phi_tilde, 1).astype(np.complex128)
     k2 = kappa(pair.phi_tilde, 2).astype(np.complex128)
     p0 = pair.fhat0("phi", 0)
@@ -119,9 +114,7 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
     once constants are reproduced, so the integral over the window is the
     whole integral.
     """
-    N = pair.support_bound
-    W = 2 * N + 3 + int(math.ceil(abs(t)))
-    sf = apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
+    sf = _sgn_expansion(pair, t, level)
     xs = sf.xs()
     integrand = xs * (np.sign(xs) + (xs == 0.0) - sf.values[:, 0])
     return float(simpson_sum(integrand[:, None], 2.0**-level, axis=0)[0])
@@ -157,12 +150,16 @@ def bracket_second_deriv(pair: QuasiProjectionPair, tol: float = 1e-8) -> Bracke
 # -- overshoot functions ---------------------------------------------------------
 
 
+def _sgn_expansion(pair: QuasiProjectionPair, t: float, level: int):
+    """[Q_{0,t} sgn] sampled at ``level`` on a window holding its whole
+    interaction zone."""
+    W = 2 * pair.support_bound + 3 + int(math.ceil(abs(t)))
+    return apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
+
+
 def _overshoot_both(pair: QuasiProjectionPair, t: float, grid: GridSpec | None) -> tuple[float, float]:
     """(R(t), L(t)) from one expansion of sgn."""
-    N = pair.support_bound
-    W = 2 * N + 3 + int(math.ceil(abs(t)))
-    grid = grid or GridSpec(12)
-    sf = apply(pair, Sgn(0.0), 0, t, GridSpec(grid.level, -W, W))
+    sf = _sgn_expansion(pair, t, (grid or GridSpec()).level)
     xs = sf.xs()
     v = sf.values[:, 0]
     right = float(max(np.max(v[xs > 0]), 1.0))
@@ -185,6 +182,13 @@ def overshoot(
     return right if side == "right" else left
 
 
+def _sweep(pair: QuasiProjectionPair, shifts, grid: GridSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """(R, L) at each shift, the shifts spread over a thread pool."""
+    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+        both = list(pool.map(lambda t: _overshoot_both(pair, t, grid), shifts))
+    return np.array([b[0] for b in both]), np.array([b[1] for b in both])
+
+
 def overshoot_curve(
     pair: QuasiProjectionPair,
     num_t: int = 64,
@@ -192,10 +196,7 @@ def overshoot_curve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample t -> (R(t), L(t)) on a uniform grid of [0, 1)."""
     ts = np.arange(num_t) / num_t
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        both = list(pool.map(lambda t: _overshoot_both(pair, t, grid), ts))
-    R = np.array([b[0] for b in both])
-    L = np.array([b[1] for b in both])
+    R, L = _sweep(pair, ts, grid)
     return ts, R, L
 
 
@@ -275,15 +276,6 @@ class GibbsReport:
         }
 
 
-def _continuity_defect(f: FunctionHandle, level: int = 10) -> float:
-    """Largest jump between adjacent grid samples of any component."""
-    lo, hi = f.support
-    h = 2.0**-level
-    xs = np.arange(int(math.floor(lo / h)) - 1, int(math.ceil(hi / h)) + 2) * h
-    vals = f.evaluate(xs)
-    return float(np.max(np.abs(np.diff(vals, axis=0))))
-
-
 def gibbs_at_point(
     pair: QuasiProjectionPair,
     x0,
@@ -299,11 +291,7 @@ def gibbs_at_point(
     cluster set is the whole interval and is swept on a uniform grid, which
     can certify overshoot but never its absence (verdict stays one-sided).
     """
-    rep = check_qp1(pair)
-    if not rep["ok"]:
-        raise PreconditionError(
-            f"pair does not reproduce constants; residuals {rep['residuals']}"
-        )
+    _require_qp1(pair)
     irrational = isinstance(x0, str) and x0.strip().lower() == "irrational"
     if irrational:
         shifts = [i / irrational_density for i in range(irrational_density)]
@@ -322,10 +310,7 @@ def gibbs_at_point(
                 f"primal function; sample jump {defect:.3g} found"
             )
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        both = list(pool.map(lambda c: _overshoot_both(pair, c, grid), shifts))
-    Rs = [b[0] for b in both]
-    Ls = [b[1] for b in both]
+    Rs, Ls = _sweep(pair, shifts, grid)
     iR = int(np.argmax(Rs))
     iL = int(np.argmin(Ls))
     R, L = float(Rs[iR]), float(Ls[iL])
@@ -355,13 +340,7 @@ def nonneg_sufficient(pair: QuasiProjectionPair, tol: float = 1e-9) -> dict:
              the dual nonnegative (both sides, all integer split points);
     item_ii: both functions nonnegative pointwise.
     """
-    def grid_min(f: FunctionHandle) -> float:
-        lo, hi = f.support
-        h = 2.0**-10
-        xs = np.arange(int(math.floor(lo / h)), int(math.ceil(hi / h)) + 1) * h
-        return float(np.min(f.evaluate(xs)))
-
-    phi_nonneg = grid_min(pair.phi) >= -tol
+    phi_nonneg = _grid_min(pair.phi) >= -tol
     tlo, thi = pair.phi_tilde.support
     splits = range(int(math.floor(tlo)), int(math.ceil(thi)) + 1)
     halves_ok = all(
@@ -370,5 +349,5 @@ def nonneg_sufficient(pair: QuasiProjectionPair, tol: float = 1e-9) -> dict:
         for side in ("left", "right")
     )
     item_i = phi_nonneg and halves_ok
-    item_ii = phi_nonneg and grid_min(pair.phi_tilde) >= -tol
+    item_ii = phi_nonneg and _grid_min(pair.phi_tilde) >= -tol
     return {"item_i": bool(item_i), "item_ii": bool(item_ii)}

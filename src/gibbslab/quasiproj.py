@@ -32,6 +32,8 @@ from .funcmodel import (
     FunctionHandle,
     PiecewisePoly,
     SampledFunction,
+    check_level,
+    dyadic_grid,
     function_from_json_dict,
     function_to_json_dict,
     inner_product,
@@ -81,17 +83,15 @@ class GridSpec:
     lo: float | None = None
     hi: float | None = None
 
+    def __post_init__(self):
+        check_level(self.level)
+
     def resolve(self, lo_default: float, hi_default: float) -> tuple[int, np.ndarray]:
-        if not 1 <= self.level <= 16:
-            raise PreconditionError(f"grid level must satisfy 1 <= level <= 16, got {self.level}")
         lo = lo_default if self.lo is None else float(self.lo)
         hi = hi_default if self.hi is None else float(self.hi)
         if lo >= hi:
             raise PreconditionError(f"empty grid window [{lo}, {hi}]")
-        h = 2.0**-self.level
-        i0 = int(math.floor(lo / h))
-        i1 = int(math.ceil(hi / h))
-        return i0, np.arange(i0, i1 + 1) * h
+        return dyadic_grid(lo, hi, self.level)
 
 
 class QuasiProjectionPair:
@@ -153,27 +153,22 @@ class QuasiProjectionPair:
         )
 
 
-def _tilde_grid_level(f, fallback: int) -> int:
-    return f.level if hasattr(f, "level") else fallback
-
-
 def _signal_values(f, xs: np.ndarray) -> np.ndarray:
-    """Scalar signal values on xs, shape (n,)."""
-    if isinstance(f, (PiecewisePoly, SampledFunction)) or hasattr(f, "evaluate"):
-        vals = f.evaluate(xs)
-        vals = np.asarray(vals)
-        if vals.ndim == 2:
-            if vals.shape[1] != 1:
-                raise DimensionMismatchError("signals must be scalar (one component)")
-            vals = vals[:, 0]
-        return vals
-    return np.asarray(f(xs), dtype=np.float64)
+    """Scalar signal values on xs, shape (n,): function handles are evaluated,
+    plain callables called."""
+    if not hasattr(f, "evaluate"):
+        return np.asarray(f(xs), dtype=np.float64)
+    vals = np.asarray(f.evaluate(xs))
+    if vals.ndim == 2:
+        if vals.shape[1] != 1:
+            raise DimensionMismatchError("signals must be scalar (one component)")
+        vals = vals[:, 0]
+    return vals
 
 
 def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray) -> np.ndarray:
     """Rows <f, 2^n phi_tilde(2^n . - k + t)> for each k; shape (len(ks), r)."""
     pt = pair.phi_tilde
-    r = pair.ncomponents
     if isinstance(f, Sgn):
         s = (2.0**n) * f.x0 + t - ks
         mass = pair.moment("tilde", 0)
@@ -183,39 +178,46 @@ def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray
         j = f.degree
         if j < 0:
             raise PreconditionError("monomial degree must be nonnegative")
-        out = np.zeros((ks.size, r), dtype=np.complex128)
+        out = np.zeros((ks.size, pair.ncomponents), dtype=np.complex128)
         base = ks.astype(np.float64) - t
         for i in range(j + 1):
             mi = np.conj(pair.moment("tilde", i).astype(np.complex128))
             out += math.comb(j, i) * (base ** (j - i))[:, None] * mi[None, :]
         return out * 2.0 ** (-n * j)
+    return _dual_pairings(f, pt, n, t, ks)
+
+
+def _dual_pairings(
+    f, pt: FunctionHandle, n: int, t: float, ks: np.ndarray, level: int | None = None
+) -> np.ndarray:
+    """Rows <f, 2^n pt(2^n . - k + t)> for a general scalar signal f.
+
+    Exact when f and pt are both piecewise polynomials; otherwise Simpson
+    quadrature over the support of pt in the substituted variable, on the
+    dyadic grid at ``level`` (default: the level pt carries, else 12).
+    """
+    out = np.zeros((ks.size, pt.ncomponents), dtype=np.complex128)
     if isinstance(f, PiecewisePoly) and isinstance(pt, PiecewisePoly):
         if f.ncomponents != 1:
             raise DimensionMismatchError("signals must be scalar (one component)")
-        out = np.zeros((ks.size, r), dtype=np.complex128)
         for i, k in enumerate(ks):
             g = pt.compose_affine(2.0**n, t - k)
             out[i] = (2.0**n) * inner_product(f, g)[0]
         return out
-    # generic route: quadrature over the dual support in the substituted variable
-    level = _tilde_grid_level(pt, 12)
+    level = getattr(pt, "level", 12) if level is None else level
     if isinstance(pt, PiecewisePoly):
         # piece-aligned panels: no panel straddles a breakpoint of the dual,
         # so smooth signals keep the full Simpson order
         us, wvals = piecewise_quadrature(pt, level)
         tw = np.conj(wvals)
-        out = np.zeros((ks.size, r), dtype=np.complex128)
         for i, k in enumerate(ks):
             out[i] = _signal_values(f, (us + k - t) * 2.0**-n) @ tw
         return out
-    lo, hi = pt.support
-    h = 2.0**-level
-    us = np.arange(int(math.floor(lo / h)), int(math.ceil(hi / h)) + 1) * h
+    _, us = dyadic_grid(*pt.support, level)
     tvals = np.conj(pt.evaluate(us))
-    out = np.zeros((ks.size, r), dtype=np.complex128)
     for i, k in enumerate(ks):
         fv = _signal_values(f, (us + k - t) * 2.0**-n)
-        out[i] = simpson_sum(fv[:, None] * tvals, h, axis=0)
+        out[i] = simpson_sum(fv[:, None] * tvals, 2.0**-level, axis=0)
     return out
 
 

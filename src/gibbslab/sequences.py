@@ -15,9 +15,8 @@ routes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -204,13 +203,6 @@ class MatrixSeq:
         if not mats:
             return cls.zero(r, s)
         return cls(int(d["offset"]), np.stack(mats))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MatrixSeq":
-        return cls.from_json_dict(json.loads(text))
 
 
 def convolve(u: MatrixSeq, d: MatrixSeq) -> MatrixSeq:

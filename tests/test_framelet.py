@@ -33,7 +33,7 @@ from gibbslab.framelet import (
     truncated_expansion,
     vanishing_moments,
 )
-from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, moment
+from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline
 from gibbslab.quasiproj import GridSpec, Monomial, QuasiProjectionPair, apply
 from gibbslab.sequences import MatrixSeq
 
@@ -195,7 +195,7 @@ def test_haar_wavelet_moments(haar_framelet, haar_bank):
     assert vanishing_moments(psi) == 1
     # the filter route must agree with exact piecewise integration
     for j in range(4):
-        direct = moment(psi, j)
+        direct = psi.moment(j)
         via_filters = filter_moments(haar_bank.b, haar_framelet.phi, j)
         assert np.allclose(via_filters, direct, atol=1e-12)
     assert filter_moments(haar_bank.b, haar_framelet.phi, 1)[0] == pytest.approx(-0.25)
@@ -212,7 +212,7 @@ def test_mixed_bank_moment_split(mixed_framelet):
 
 def test_tight_frame_single_vanishing_moment(tight_framelet):
     assert vanishing_moments(tight_framelet.psi) == 1
-    m1 = moment(tight_framelet.psi, 1)
+    m1 = tight_framelet.psi.moment(1)
     # the even generator has two vanishing moments, the odd one only one
     assert abs(m1[0]) > 1e-3
     assert abs(m1[1]) < 1e-12

@@ -72,10 +72,10 @@ def test_bspline_matches_one_sided_power_form(m):
 @pytest.mark.parametrize("m", range(1, 8))
 def test_bspline_mean_and_variance(m):
     B = bspline(m)
-    assert gl.moment(B, 0) == pytest.approx([1.0], abs=1e-12)
-    assert gl.moment(B, 1) == pytest.approx([m / 2], abs=1e-12)
+    assert B.moment(0) == pytest.approx([1.0], abs=1e-12)
+    assert B.moment(1) == pytest.approx([m / 2], abs=1e-12)
     # second moment = variance + mean^2 = m/12 + m^2/4
-    assert gl.moment(B, 2) == pytest.approx([m / 12 + m * m / 4], abs=1e-12)
+    assert B.moment(2) == pytest.approx([m / 12 + m * m / 4], abs=1e-12)
 
 
 def test_bspline_halfopen_indicator():
@@ -177,11 +177,12 @@ def test_pp_apply_matrix():
 
 def test_pp_moments_and_tails():
     B2 = bspline(2)
-    assert B2.tail_right(1.0) == pytest.approx([0.5], abs=1e-14)
-    assert B2.tail_left(0.5) == pytest.approx([0.125], abs=1e-14)
-    assert B2.tail_right(0.5) == pytest.approx([0.875], abs=1e-14)
-    assert B2.tail_left(-3.0) == pytest.approx([0.0])
-    assert B2.tail_right(5.0) == pytest.approx([0.0])
+    hl = gl.halfline_integral
+    assert hl(B2, 1.0, "right") == pytest.approx([0.5], abs=1e-14)
+    assert hl(B2, 0.5, "left") == pytest.approx([0.125], abs=1e-14)
+    assert hl(B2, 0.5, "right") == pytest.approx([0.875], abs=1e-14)
+    assert hl(B2, -3.0, "left") == pytest.approx([0.0])
+    assert hl(B2, 5.0, "right") == pytest.approx([0.0])
     assert B2.moment_on(1, 0.0, 1.0) == pytest.approx([1 / 3], abs=1e-14)
     assert B2.integral(0.5, 1.5) == pytest.approx([0.75], abs=1e-14)
 
@@ -242,7 +243,7 @@ def test_sampled_roundtrip_and_interp():
     assert sf.evaluate(0.7) == pytest.approx(B2.evaluate(0.7), abs=1e-12)  # on-grid-ish
     assert sf.evaluate(-1.0) == pytest.approx([0.0])
     assert sf.moment(1) == pytest.approx([1.0], abs=1e-6)
-    assert sf.tail_right(1.0) == pytest.approx([0.5], abs=1e-6)
+    assert gl.halfline_integral(sf, 1.0, "right") == pytest.approx([0.5], abs=1e-6)
     back = SampledFunction.from_json_dict(sf.to_json_dict())
     assert back.level == sf.level and back.start == sf.start
     assert np.array_equal(back.values, sf.values)
@@ -286,6 +287,10 @@ def test_cascade_level_bounds():
         cascade(B2_MASK, level=0)
     with pytest.raises(PreconditionError):
         cascade(B2_MASK, level=17)
+    with pytest.raises(PreconditionError):
+        RefinableFunction(B2_MASK, level=0)
+    with pytest.raises(PreconditionError):
+        gl.GridSpec(17)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +301,7 @@ def test_refinable_moments_match_exact_spline_route():
     rf = RefinableFunction(B3_MASK)
     B3 = bspline(3)
     for j in range(5):
-        assert rf.moment(j) == pytest.approx(gl.moment(B3, j), abs=1e-12)
+        assert rf.moment(j) == pytest.approx(B3.moment(j), abs=1e-12)
 
 
 def test_refinable_daubechies_first_moment():
@@ -309,10 +314,11 @@ def test_refinable_daubechies_first_moment():
 def test_refinable_tails_match_exact_spline_route():
     rf = RefinableFunction(B3_MASK, level=8)
     B3 = bspline(3)
+    hl = gl.halfline_integral
     for s in (0.25, 1.0, 1.625, 2.75):
-        assert rf.tail_right(s) == pytest.approx(B3.tail_right(s), abs=1e-12)
-        assert rf.tail_left(s) == pytest.approx(B3.tail_left(s), abs=1e-12)
-    assert rf.tail_left(0.5) + rf.tail_right(0.5) == pytest.approx([1.0], abs=1e-12)
+        assert hl(rf, s, "right") == pytest.approx(hl(B3, s, "right"), abs=1e-12)
+        assert hl(rf, s, "left") == pytest.approx(hl(B3, s, "left"), abs=1e-12)
+    assert hl(rf, 0.5, "left") + hl(rf, 0.5, "right") == pytest.approx([1.0], abs=1e-12)
 
 
 def test_refinable_evaluate_interpolates_cascade():
@@ -332,7 +338,7 @@ def test_refinable_vector_valued_diagonal_mask():
     xs = np.linspace(0.01, 1.99, 57)
     vals = rf.evaluate(xs)
     assert np.max(np.abs(vals[:, 1] - bspline(2).evaluate(xs)[:, 0])) < 1e-9
-    assert rf.tail_right(1.0) == pytest.approx([0.0, 0.5], abs=1e-10)
+    assert gl.halfline_integral(rf, 1.0, "right") == pytest.approx([0.0, 0.5], abs=1e-10)
 
 
 def test_refinable_vector_mask_requires_normalization():
@@ -361,6 +367,32 @@ def test_fhat_deriv0_dispatch():
 def test_halfline_integral_side_validation():
     with pytest.raises(PreconditionError):
         gl.halfline_integral(bspline(2), 0.5, "up")
+
+
+HALFLINE_HANDLES = {
+    "piecewise": bspline(3),
+    "sampled": SampledFunction(6, 0, bspline(2).evaluate(np.arange(0, 2 * 2**6 + 1) * 2.0**-6)),
+    "refinable": RefinableFunction(D4_MASK, level=8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HALFLINE_HANDLES))
+@settings(max_examples=150, deadline=None)
+@given(
+    s=st.one_of(
+        st.floats(min_value=-5.0, max_value=8.0, allow_nan=False),
+        st.integers(min_value=-5, max_value=8).map(float),
+    )
+)
+def test_halfline_integral_is_cumulative(kind, s):
+    f = HALFLINE_HANDLES[kind]
+    left = gl.halfline_integral(f, s, "left")
+    right = gl.halfline_integral(f, s, "right")
+    total = f.cumulative(f.support[1])[0]
+    assert np.array_equal(left, f.cumulative(s)[0])
+    assert np.array_equal(left + right, total)
+    if s < f.support[0]:
+        assert np.array_equal(left, np.zeros(f.ncomponents))
 
 
 def test_inner_product_grid_vs_exact_smooth():

@@ -321,12 +321,3 @@ def test_nonneg_sufficient_conditions(b2, d3):
     rep = nonneg_sufficient(flat)
     assert rep["item_i"] and rep["item_ii"]
     assert nonneg_sufficient(d3) == {"item_i": False, "item_ii": False}
-
-
-def test_thread_cap_env(monkeypatch, d3):
-    monkeypatch.setenv("GIBBSLAB_THREADS", "2")
-    rep = gibbs_at_point(d3, Fraction(1, 3))
-    assert rep.verdict == "gibbs"
-    monkeypatch.setenv("GIBBSLAB_THREADS", "abc")
-    with pytest.raises(PreconditionError):
-        gibbs_at_point(d3, Fraction(1, 3))

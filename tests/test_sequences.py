@@ -5,6 +5,8 @@ directly in the test; Fourier derivatives against central finite differences;
 the closed-form tail sums against explicit summation over a wide window.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +206,7 @@ def test_transpose_conj_flip_commute():
 def test_json_roundtrip_preserves_everything():
     g = np.random.default_rng(17)
     u = MatrixSeq(-4, g.standard_normal((5, 2, 3)) + 1j * g.standard_normal((5, 2, 3)))
-    v = MatrixSeq.from_json(u.to_json())
+    v = MatrixSeq.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
     assert v.offset == u.offset
     assert v.shape == u.shape
     assert v.allclose(u, tol=0.0)
