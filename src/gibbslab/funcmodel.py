@@ -67,6 +67,15 @@ def _polyval_asc(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _polyval_pieces(c: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k c[piece[i], :, k] u[i]^k for each point i, in one Horner pass over
+    the gathered coefficients; shape (len(u), r)."""
+    acc = np.zeros((u.size, c.shape[1]))
+    for k in range(c.shape[-1] - 1, -1, -1):
+        acc = acc * u[:, None] + c[piece, :, k]
+    return acc
+
+
 def _polyint_asc(c: np.ndarray) -> np.ndarray:
     """Antiderivative with zero constant term."""
     k = np.arange(1, c.shape[-1] + 1, dtype=np.float64)
@@ -221,10 +230,8 @@ class PiecewisePoly:
         out = np.zeros((x.size, self.ncomponents))
         idx = np.searchsorted(self.breakpoints, x, side="right") - 1
         inside = (idx >= 0) & (idx < self.coeffs.shape[0]) & (x < self.breakpoints[-1])
-        for i in np.unique(idx[inside]):
-            sel = inside & (idx == i)
-            u = x[sel] - self.breakpoints[i]
-            out[sel] = _polyval_asc(self.coeffs[i], u).T
+        piece = idx[inside]
+        out[inside] = _polyval_pieces(self.coeffs, piece, x[inside] - self.breakpoints[piece])
         return out[0] if scalar else out
 
     # -- exact integrals -----------------------------------------------------
@@ -254,14 +261,8 @@ class PiecewisePoly:
         out[idx >= len(bp) - 1] = cum[-1]
         mid = (idx >= 0) & (idx < len(bp) - 1)
         if np.any(mid):
-            anti = _polyint_asc(self.coeffs)
             im = idx[mid]
-            u = s[mid] - bp[im]
-            vals = np.empty((im.size, self.ncomponents))
-            for i in np.unique(im):
-                sel = im == i
-                vals[sel] = _polyval_asc(anti[i], u[sel]).T
-            out[mid] = cum[im] + vals
+            out[mid] = cum[im] + _polyval_pieces(_polyint_asc(self.coeffs), im, s[mid] - bp[im])
         return out
 
     def integral(self, a: float | None = None, b: float | None = None) -> np.ndarray:
@@ -450,11 +451,19 @@ class SampledFunction:
     def xs(self) -> np.ndarray:
         return (self.start + np.arange(self.values.shape[0])) * self.h
 
+    @property
+    def _grid(self) -> np.ndarray:
+        """The sample points, cached like ``_cumulative``."""
+        cache = self.__dict__.get("_xs")
+        if cache is None:
+            cache = self.__dict__["_xs"] = self.xs()
+        return cache
+
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        grid = self.xs()
+        grid = self._grid
         out = np.stack(
             [np.interp(x, grid, self.values[:, c], left=0.0, right=0.0) for c in range(self.ncomponents)],
             axis=-1,
@@ -480,7 +489,7 @@ class SampledFunction:
     def cumulative(self, s) -> np.ndarray:
         """Integral over (-inf, s_i] (trapezoid on the carried grid); shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        grid = self.xs()
+        grid = self._grid
         cum = self._cumulative
         return np.stack(
             [np.interp(s, grid, cum[:, c], left=0.0, right=cum[-1, c]) for c in range(self.ncomponents)],
@@ -503,6 +512,12 @@ class SampledFunction:
 # ---------------------------------------------------------------------------
 # cascade iteration and refinable functions
 # ---------------------------------------------------------------------------
+
+
+def _is_real(m: np.ndarray) -> bool:
+    """True when the imaginary part of ``m`` is below 1e-10 of its real scale."""
+    m = np.asarray(m)
+    return bool(np.max(np.abs(m.imag)) < 1e-10 * max(1.0, np.max(np.abs(m.real))))
 
 
 def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
@@ -668,7 +683,7 @@ class RefinableFunction:
         if not 0 <= j <= MAX_DEGREE:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
         m = (1j) ** j * self._fhat_deriv0(j)
-        if np.max(np.abs(m.imag)) < 1e-10 * max(1.0, np.max(np.abs(m.real))):
+        if _is_real(m):
             return m.real.copy()
         return m
 

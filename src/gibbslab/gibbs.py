@@ -22,8 +22,6 @@ dynamics of x0: the relevant shifts t are the cluster points of the orbit
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,9 +181,13 @@ def overshoot(
 
 
 def _sweep(pair: QuasiProjectionPair, shifts, grid: GridSpec | None) -> tuple[np.ndarray, np.ndarray]:
-    """(R, L) at each shift, the shifts spread over a thread pool."""
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        both = list(pool.map(lambda t: _overshoot_both(pair, t, grid), shifts))
+    """(R, L) at each shift, one ``apply`` per shift in a plain loop.
+
+    Shifts on the ``2^-level`` grid (every curve shift, the irrational sweep,
+    dyadic cluster sets) read phi from the pair's cached table for that level,
+    built once; off-grid shifts such as 1/3 evaluate phi themselves.
+    """
+    both = [_overshoot_both(pair, t, grid) for t in shifts]
     return np.array([b[0] for b in both]), np.array([b[1] for b in both])
 
 

@@ -32,6 +32,7 @@ from .funcmodel import (
     FunctionHandle,
     PiecewisePoly,
     SampledFunction,
+    _is_real,
     check_level,
     dyadic_grid,
     function_from_json_dict,
@@ -95,7 +96,8 @@ class GridSpec:
 
 
 class QuasiProjectionPair:
-    """Immutable primal/dual pair with cached moments and support bookkeeping.
+    """Immutable primal/dual pair with cached moments, cached phi tables and
+    support bookkeeping.
 
     ``support_bound`` is the smallest integer N with both supports inside
     [-N, N]; the operator applied to a jump signal differs from the signal
@@ -112,6 +114,7 @@ class QuasiProjectionPair:
         radius = max(abs(v) for f in (phi, phi_tilde) for v in f.support)
         self.support_bound = max(1, int(math.ceil(radius - 1e-12)))
         self._moments = {}
+        self._tables = {}
 
     @property
     def ncomponents(self) -> int:
@@ -122,8 +125,21 @@ class QuasiProjectionPair:
         key = (side, j)
         if key not in self._moments:
             f = self.phi if side == "phi" else self.phi_tilde
-            self._moments[key] = np.asarray(f.moment(j), dtype=np.float64)
+            m = f.moment(j)
+            if not _is_real(m):
+                raise PreconditionError(f"moment {j} of {side} is genuinely complex; real pairs expected")
+            self._moments[key] = np.asarray(np.real(m), dtype=np.float64)
         return self._moments[key]
+
+    def phi_table(self, level: int) -> tuple[int, np.ndarray]:
+        """Cached phi on the ``2^-level`` grid over its support: ``(m0, values)``
+        with ``values[m] = phi((m0 + m) 2^-level)``, from one ``evaluate`` call."""
+        if level not in self._tables:
+            m0, xs = dyadic_grid(*self.phi.support, level)
+            values = self.phi.evaluate(xs)
+            values.flags.writeable = False
+            self._tables[level] = (m0, values)
+        return self._tables[level]
 
     def fhat0(self, side: str, j: int) -> np.ndarray:
         """fhat^(j)(0) of the chosen side, from the cached moments."""
@@ -260,17 +276,35 @@ def apply(
     ks = np.arange(klo, khi + 1)
     coeff = _coefficients(pair, f, n, t, ks)
 
-    vals = np.zeros(xs.size, dtype=np.complex128)
+    # for an on-grid t each z - k is the exact grid point
+    # (2^n (i0 + j) + t 2^level - k 2^level) 2^-level while |z| < 2^(53 - level),
+    # so phi(z - k) is a stride-2^n slice of the pair's table
+    scale = 2.0**grid.level
+    on_grid = float(t * scale).is_integer() and max(-z[0], z[-1]) * scale < 2.0**53
+    if on_grid:
+        m0, table = pair.phi_table(grid.level)
+        stride = 2**n
+        base = stride * i0 + int(t * scale) - m0
+    re = np.zeros(xs.size)
+    im = np.zeros(xs.size) if np.any(coeff.imag) else None
     for i, k in enumerate(ks):
         # z is increasing, so the translate's support picks out one slice
         sl = slice(np.searchsorted(z, k + plo), np.searchsorted(z, k + phi_hi, side="right"))
         if sl.start >= sl.stop:
             continue
-        pv = pair.phi.evaluate(z[sl] - k)
-        vals[sl] += pv @ coeff[i]
-    if np.max(np.abs(vals.imag)) > 1e-9 * max(1.0, np.max(np.abs(vals.real))):
+        if on_grid:
+            a = base + stride * sl.start - k * 2**grid.level
+            pv = table[a : a + stride * (sl.stop - sl.start) : stride]
+        else:
+            pv = pair.phi.evaluate(z[sl] - k)
+        # einsum, not np.dot: BLAS may add the components of a vector-valued
+        # pair in another order and move the last bit of the output
+        re[sl] += np.einsum("mr,r->m", pv, coeff[i].real)
+        if im is not None:
+            im[sl] += np.einsum("mr,r->m", pv, coeff[i].imag)
+    if im is not None and np.max(np.abs(im)) > 1e-9 * max(1.0, np.max(np.abs(re))):
         raise PreconditionError("operator output is genuinely complex; real pairs expected")
-    return SampledFunction(grid.level, i0, vals.real[:, None])
+    return SampledFunction(grid.level, i0, re[:, None])
 
 
 def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> dict:

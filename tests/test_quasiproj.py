@@ -14,9 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.catalog import resolve_pair
+from gibbslab.catalog import bspline_mask, resolve_pair
 from gibbslab.errors import DimensionMismatchError, PreconditionError
-from gibbslab.funcmodel import PiecewisePoly, bspline
+from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline
+from gibbslab.gibbs import overshoot_curve
 from gibbslab.quasiproj import (
     GridSpec,
     Monomial,
@@ -179,6 +180,60 @@ def test_sign_coefficients_match_quadrature_route(b3):
     # the jump sits inside one Simpson panel of width 2^-11, so the
     # quadrature route carries an O(h) error ~2e-5; the analytic route is exact
     assert np.max(np.abs(analytic.values - quad.values)) < 1e-4
+
+
+def _sgn_by_hand(pair, x0, n, t, level):
+    """sum_k c_k phi(2^n x + t - k) with c_k = 2 T(2^n x0 + t - k) - mass,
+    written out term by term on the grid that ``apply`` chose."""
+    xs = apply(pair, Sgn(x0), n, t, GridSpec(level)).xs()
+    z = 2.0**n * xs + t
+    lo, hi = pair.phi.support
+    mass = pair.phi_tilde.moment(0)[0]
+    acc = np.zeros(z.size)
+    for k in range(math.floor(z[0] - hi), math.ceil(z[-1] - lo) + 1):
+        tail = mass - pair.phi_tilde.cumulative(np.array([2.0**n * x0 + t - k]))[0, 0]
+        acc += pair.phi.evaluate(z - k)[:, 0] * (2.0 * tail - mass)
+    return acc
+
+
+@pytest.mark.parametrize(
+    "spec,carried,level,x0,n,t",
+    [
+        ("bspline:3", 12, 10, 0.0, 0, 0.25),  # piecewise-poly pair, on-grid shift
+        ("daubechies:3", 11, 12, 0.0, 0, 0.5),  # interpolated midpoints of a level-11 phi
+        ("daubechies:3", 12, 12, 0.1, 2, 0.75),  # strided table slices
+        ("bspline:3", 12, 10, 0.0, 0, 1.0 / 3.0),  # off-grid shift: evaluate route
+        ("daubechies:3", 12, 12, 0.0, 0, 1.0 / 3.0),
+    ],
+)
+def test_apply_matches_hand_written_sum_bitwise(spec, carried, level, x0, n, t):
+    pair = resolve_pair(spec, carried)
+    sf = apply(pair, Sgn(x0), n, t, GridSpec(level))
+    assert np.array_equal(sf.values[:, 0], _sgn_by_hand(pair, x0, n, t, level))
+
+
+def test_overshoot_curve_evaluates_phi_once_per_level(monkeypatch):
+    pair = QuasiProjectionPair(bspline(3), bspline(3))
+    calls = []
+    orig = PiecewisePoly.evaluate
+
+    def counted(self, x):
+        if self is pair.phi:
+            calls.append(np.size(x))
+        return orig(self, x)
+
+    monkeypatch.setattr(PiecewisePoly, "evaluate", counted)
+    for level in (9, 10):
+        overshoot_curve(pair, 16, GridSpec(level))
+        overshoot_curve(pair, 16, GridSpec(level))
+    assert len(calls) == 2
+
+
+def test_complex_moment_is_refused():
+    """A dual with a genuinely complex mass must not be read as zero."""
+    pair = QuasiProjectionPair(bspline(2), RefinableFunction(bspline_mask(2), normalization=[1j]))
+    with pytest.raises(PreconditionError, match="genuinely complex"):
+        apply(pair, Monomial(0))
 
 
 # -- polynomial signals --------------------------------------------------------
