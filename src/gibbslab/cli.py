@@ -59,23 +59,20 @@ from .quasiproj import (
 __all__ = ["main"]
 
 
-def _jsonable(obj):
-    """Recursively reduce numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_leaf(obj):
+    """Turn the numpy arrays and scalars and the complex numbers that json
+    cannot write into lists and plain scalars."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, np.generic):
-        return _jsonable(obj.item())
+        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf) + "\n")
 
 
 def _read_json(path: str) -> dict:

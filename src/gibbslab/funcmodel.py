@@ -6,10 +6,12 @@ Three representations share one informal interface (``support``,
 - :class:`PiecewisePoly` — exact piecewise polynomials (B-splines, constructed
   duals, wavelets built from them).  All integrals, moments, products and
   Fourier values are closed-form.
-- :class:`RefinableFunction` — the fixed point of a two-scale relation
-  ``phi = 2 sum_k a(k) phi(2x - k)``, sampled on a dyadic grid by the cascade
-  iteration.  Moments and cumulative integrals are computed exactly from the
-  mask (recursions derived from the two-scale relation), not by quadrature.
+- :class:`RefinableFunction` — the solution of a two-scale relation
+  ``phi = 2 sum_k a(k) phi(2x - k)``, sampled exactly at dyadic points: values
+  at the integers from an eigenvector problem, then one dyadic refinement per
+  level.  Moments and cumulative integrals are computed exactly from the mask
+  (recursions derived from the two-scale relation), not by quadrature; the
+  cumulative integral shares the refinement kernel with the samples.
 - :class:`SampledFunction` — raw values on a dyadic grid ``2^-L Z`` with
   quadrature-based integrals (composite Simpson; documented error O(4^-L) for
   integrands with bounded second derivatives between grid points).
@@ -50,8 +52,6 @@ __all__ = [
 
 MAX_DEGREE = 8
 MAX_LEVEL = 16
-CASCADE_TOL = 1e-10
-CASCADE_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +397,8 @@ class PiecewisePoly:
     def to_json_dict(self) -> dict:
         return {
             "kind": "piecewise_poly",
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "coeffs": [[[float(v) for v in comp] for comp in piece] for piece in self.coeffs],
+            "breakpoints": self.breakpoints.tolist(),
+            "coeffs": self.coeffs.tolist(),
         }
 
     @classmethod
@@ -501,7 +501,7 @@ class SampledFunction:
             "kind": "sampled",
             "level": self.level,
             "start": self.start,
-            "values": [[float(v) for v in row] for row in self.values],
+            "values": self.values.tolist(),
         }
 
     @classmethod
@@ -510,7 +510,7 @@ class SampledFunction:
 
 
 # ---------------------------------------------------------------------------
-# cascade iteration and refinable functions
+# exact dyadic refinement and refinable functions
 # ---------------------------------------------------------------------------
 
 
@@ -547,64 +547,138 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
     return kmin, kmax, norm
 
 
-def cascade(
-    mask: MatrixSeq,
-    normalization=None,
-    level: int = 12,
-    tol: float = CASCADE_TOL,
-    max_iter: int = CASCADE_MAX_ITER,
-) -> SampledFunction:
-    """Fixed-point samples of the two-scale equation on the grid ``2^-level Z``.
+def _tap_rows(s: int, n_out: int, n_in: int) -> tuple[int, int]:
+    """Rows ``[lo, hi)`` of an ``n_out``-row output whose source index
+    ``2 i + s`` lies inside an ``n_in``-row input; rows from ``hi`` on read
+    past its right end."""
+    lo = min(max(-(s // 2), 0), n_out)
+    hi = min(max((n_in - 1 - s) // 2 + 1, 0), n_out)
+    return lo, hi
 
-    Starts from a hat function carrying the normalization vector and iterates
-    ``phi <- 2 sum_k a(k) phi(2 x - k)``; on a fixed dyadic grid the map stays
-    on the grid, so this is a finite-dimensional power-type iteration.  Raises
-    :class:`ConvergenceError` (carrying the last sup-norm step) if the
-    iteration does not settle below ``tol`` within ``max_iter`` rounds.
+
+def _refine(
+    taps, kmin: int, W: int, level: int, v0: np.ndarray, gain: float, beyond: np.ndarray
+) -> np.ndarray:
+    """Samples of a solution of ``f(x) = gain sum_k a(k) f(2x - k)`` on the
+    grid ``kmin + i 2^-level`` over ``[kmin, kmin + W]``, from its values
+    ``v0`` (shape (W+1, r)) at the integers.
+
+    Each level keeps the previous samples at its even points and fills its odd
+    points ``x`` from ``f(2x - k)``, which lie on the previous grid; ``f`` is
+    zero left of that grid and ``beyond`` right of it.
+    """
+    taps = [(k, gain * a) for k, a in taps]
+    vals = v0
+    for lev in range(1, level + 1):
+        half = 2 ** (lev - 1)
+        n = W * half  # odd points of this level; the previous grid has n + 1
+        odd = np.zeros((n, vals.shape[1]), dtype=vals.dtype)
+        for k, a in taps:
+            s = 1 + (kmin - k) * half
+            lo, hi = _tap_rows(s, n, n + 1)
+            if lo < hi:
+                odd[lo:hi] += np.einsum("ab,nb->na", a, vals[2 * lo + s : 2 * hi + s - 1 : 2])
+            if hi < n:
+                odd[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
+        new = np.empty((2 * n + 1, vals.shape[1]), dtype=vals.dtype)
+        new[::2] = vals
+        new[1::2] = odd
+        vals = new
+    return vals
+
+
+def _max_increment(g: np.ndarray) -> float:
+    """Largest odd-point increment of the samples ``g``: the value at an odd
+    point minus the mean of its two neighbours."""
+    return float(np.max(np.abs(g[1::2] - 0.5 * (g[:-1:2] + g[2::2]))))
+
+
+def _fixed_part(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Limit of ``M^n v``: the projection of ``v`` onto the eigenvalue-1
+    eigenspace of ``M`` along its other eigenvectors.
+
+    The projection is ``R (L^H R)^-1 L^H v`` with ``R`` and ``L`` orthonormal
+    bases of the null spaces of ``M - I`` and ``(M - I)^H``, both read off one
+    SVD.  Raises :class:`ConvergenceError`, carrying the largest modulus of
+    the other eigenvalues, when eigenvalue 1 is absent or another eigenvalue
+    has modulus >= 1, so that the limit does not exist.
+    """
+    n = M.shape[0]
+    U, sv, Vh = np.linalg.svd(M - np.eye(n))
+    d = int(np.sum(sv <= 1e-10 * max(1.0, sv[0])))  # zero up to rounding
+    lam = np.linalg.eigvals(M)
+    rest = np.abs(lam[np.argsort(np.abs(lam - 1.0))[d:]])
+    worst = float(np.max(rest)) if rest.size else 0.0
+    # a defective eigenvalue 1 leaves a partner within rounding of the unit circle
+    if d == 0 or worst >= 1.0 - 1e-9:
+        what = "no eigenvalue 1" if d == 0 else "an eigenvalue besides 1 on or outside the unit circle"
+        raise ConvergenceError(
+            f"two-scale matrix has {what} (largest other modulus {worst:.3e}): the cascade diverges",
+            residual=worst,
+        )
+    R = Vh[n - d :].conj().T
+    L = U[:, n - d :]
+    return R @ np.linalg.solve(L.conj().T @ R, L.conj().T @ v)
+
+
+def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunction:
+    """Exact samples of the two-scale solution on the grid ``2^-level Z``.
+
+    Daubechies-Lagarias refinement: the values at the integers ``kmin..kmax``
+    are the limit of the cascade there, ``M^n v0`` with ``M = (2 a(2j - k))``
+    and ``v0`` carrying ``normalization`` at ``kmin``, taken as the projection
+    of ``v0`` onto ``M``'s eigenvalue-1 eigenspace (so Haar keeps the
+    half-open convention ``phi(0) = 1``, ``phi(1) = 0``); each finer level
+    then follows from the two-scale relation.  Raises
+    :class:`ConvergenceError` (carrying a residual >= 1) when that limit does
+    not exist, or when the largest odd-point increment (value minus the mean
+    of its neighbours) grows from the next-to-finest to the finest level, so
+    that the samples do not come from a bounded function.
     """
     check_level(level)
     kmin, kmax, norm = _check_mask(mask, normalization)
+    W = kmax - kmin
     r = mask.shape[0]
-    npts = (kmax - kmin) * 2**level + 1
-    xs = kmin + np.arange(npts) * 2.0**-level
-    hat = np.clip(1.0 - np.abs(xs - kmin), 0.0, None)
-    vals = hat[:, None] * norm[None, :]
-
-    taps = [(k, mask[k]) for k in mask.indices()]
-    shift_of = {k: (kmin - k) * 2**level for k, _ in taps}
-    resid = np.inf
-    for _ in range(max_iter):
-        new = np.zeros_like(vals)
-        for k, a in taps:
-            s = shift_of[k]
-            # positions p with 0 <= 2p + s <= npts-1 receive a @ vals[2p + s]
-            p0 = max(0, -(s // 2))
-            p1 = min(npts - 1, (npts - 1 - s) // 2)
-            if p0 > p1:
-                continue
-            seg = vals[2 * p0 + s : 2 * p1 + s + 1 : 2]
-            new[p0 : p1 + 1] += 2.0 * np.einsum("ab,nb->na", a, seg)
-        resid = float(np.max(np.abs(new - vals)))
-        vals = new
-        if resid < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"cascade did not converge below {tol:.1e} in {max_iter} iterations "
-            f"(last step {resid:.3e})",
-            residual=resid,
-        )
-    if np.max(np.abs(vals.imag)) > 1e-9:
-        raise PreconditionError("cascade produced genuinely complex samples; real masks expected")
-    return SampledFunction(level, kmin * 2**level, vals.real)
+    real = not (np.any(mask.entries.imag) or np.any(norm.imag))
+    ents = mask.entries.real if real else mask.entries
+    M = np.zeros((W + 1, r, W + 1, r), dtype=ents.dtype)
+    for j in range(W + 1):
+        for k in range(max(0, 2 * j - W), min(W, 2 * j) + 1):
+            M[j, :, k, :] = 2.0 * ents[2 * j - k]
+    v0 = np.zeros((W + 1, r), dtype=ents.dtype)
+    v0[0] = norm.real if real else norm
+    ints = _fixed_part(M.reshape(-1, (W + 1) * r), v0.reshape(-1)).reshape(W + 1, r)
+    vals = _refine(list(zip(mask.indices(), ents)), kmin, W, level, ints, 2.0, np.zeros(r))
+    if level >= 2:
+        scale = float(np.max(np.abs(ints)))
+        fine, coarse = _max_increment(vals), _max_increment(vals[::2])
+        if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * scale:
+            raise ConvergenceError(
+                f"refinement increments grow from {coarse:.3e} to {fine:.3e} at the finest "
+                "level: the two-scale solution is not a function",
+                residual=fine / coarse if coarse > 0 else np.inf,
+            )
+    if not real:
+        if np.max(np.abs(vals.imag)) > 1e-9:
+            raise PreconditionError("cascade produced genuinely complex samples; real masks expected")
+        vals = vals.real
+    return SampledFunction(level, kmin * 2**level, vals)
 
 
 def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:
-    """sup-norm of phi(x) - 2 sum_k a(k) phi(2x - k) over the sample grid."""
-    xs = sf.xs()
+    """sup-norm of phi(x) - 2 sum_k a(k) phi(2x - k) over the sample grid.
+
+    ``2 x_i - k`` is the grid point of index ``2 i + start - k 2^level``, so
+    each tap reads a stride-2 slice of the samples.
+    """
+    n = sf.values.shape[0]
     acc = np.zeros_like(sf.values)
     for k in mask.indices():
-        acc += 2.0 * np.einsum("ab,nb->na", mask[k].real, sf.evaluate(2 * xs - k))
+        s = sf.start - k * 2**sf.level
+        lo, hi = _tap_rows(s, n, n)
+        if lo < hi:
+            seg = sf.values[2 * lo + s : 2 * hi + s - 1 : 2]
+            acc[lo:hi] += 2.0 * np.einsum("ab,nb->na", mask[k].real, seg)
     return float(np.max(np.abs(sf.values - acc)))
 
 
@@ -613,14 +687,15 @@ class RefinableFunction:
     """Compactly supported solution of ``phi = 2 sum_k a(k) phi(2x - k)``.
 
     ``normalization`` fixes ``phihat(0)``.  Samples come from :func:`cascade`
-    at ``level`` (cached per level); moments and cumulative integrals are exact
-    consequences of the two-scale relation:
+    at ``level`` (cached per level) and are exact at the grid points; moments
+    and cumulative integrals are exact consequences of the two-scale relation:
 
     - moments: differentiating ``phihat(2 xi) = ahat(xi) phihat(xi)`` at 0
       gives ``(2^j I - ahat(0)) Mj = sum_{i>=1} C(j,i) ahat^(i)(0) M_{j-i}``;
     - the cumulative integral ``F(x) = integral_{-inf}^x phi`` satisfies
       ``F(x) = sum_k a(k) F(2x - k)``, which pins its values at integers by a
-      linear solve and then on each dyadic refinement.
+      linear solve and then on each dyadic refinement (the kernel of
+      :func:`cascade`, with gain 1 and ``F = phihat(0)`` right of the support).
     """
 
     mask: MatrixSeq
@@ -734,23 +809,8 @@ class RefinableFunction:
         W = kmax - kmin
         r = self.ncomponents
         m0 = np.asarray(self.moment(0), dtype=np.float64).reshape(r)
-        F = self._integer_cumulative()
         taps = [(k, self.mask[k].real) for k in self.mask.indices()]
-        for lev in range(1, level + 1):
-            n_prev = W * 2 ** (lev - 1)
-            new = np.zeros((W * 2**lev + 1, r))
-            new[::2] = F
-            odd = np.arange(1, W * 2**lev, 2)
-            acc = np.zeros((odd.size, r))
-            for k, a in taps:
-                q = odd + (kmin - k) * 2 ** (lev - 1)  # index on the previous grid
-                vals = np.zeros((odd.size, r))
-                inside = (q >= 0) & (q <= n_prev)
-                vals[inside] = F[q[inside]]
-                vals[q > n_prev] = m0
-                acc += np.einsum("ab,nb->na", a, vals)
-            new[1::2] = acc
-            F = new
+        F = _refine(taps, kmin, W, level, self._integer_cumulative(), 1.0, m0)
         self._cache[key] = F
         return F
 

@@ -42,6 +42,10 @@ B3_MASK = MatrixSeq.scalar(0, [0.125, 0.375, 0.375, 0.125])
 D4_MASK = MatrixSeq.scalar(0, [(1 + SQ3) / 8, (3 + SQ3) / 8, (3 - SQ3) / 8, (1 - SQ3) / 8])
 
 
+def spline_mask(m):
+    return MatrixSeq.scalar(0, [math.comb(m, k) / 2**m for k in range(m + 1)])
+
+
 def bspline_closed_form(m, x):
     """One-sided power form; independent of the recursion used by bspline()."""
     x = np.asarray(x, dtype=float)
@@ -250,19 +254,23 @@ def test_sampled_roundtrip_and_interp():
 
 
 # ---------------------------------------------------------------------------
-# cascade iteration
+# cascade: exact dyadic refinement
 
 
 def test_cascade_haar_hits_indicator():
     sf = cascade(MatrixSeq.scalar(0, [0.5, 0.5]), level=3)
-    assert np.allclose(sf.values[:, 0], [1, 1, 1, 1, 1, 1, 1, 1, 0])
+    assert np.array_equal(sf.values[:, 0], [1, 1, 1, 1, 1, 1, 1, 1, 0])
 
 
-@pytest.mark.parametrize("m, mask", [(2, B2_MASK), (3, B3_MASK)])
+@pytest.mark.parametrize(
+    "m, mask", [(2, B2_MASK), (3, B3_MASK), (4, spline_mask(4)), (5, spline_mask(5))]
+)
 def test_cascade_recovers_spline_samples(m, mask):
-    sf = cascade(mask, level=6)
-    want = bspline(m).evaluate(sf.xs())
-    assert np.max(np.abs(sf.values - want)) < 1e-9
+    # the samples are exact at dyadic points, up to rounding
+    for level in (6, 12):
+        sf = cascade(mask, level=level)
+        want = bspline(m).evaluate(sf.xs())
+        assert np.max(np.abs(sf.values - want)) < 1e-13
 
 
 def test_cascade_daubechies_satisfies_two_scale():
@@ -273,8 +281,23 @@ def test_cascade_daubechies_satisfies_two_scale():
 def test_cascade_divergent_mask_raises():
     bad = MatrixSeq.scalar(0, [1.5, -0.5])  # symbol fixed at 1, iteration blows up at 0
     with pytest.raises(ConvergenceError) as exc:
-        cascade(bad, level=4, max_iter=60)
+        cascade(bad, level=4)
     assert exc.value.residual > 1.0
+
+
+def test_cascade_expanding_mode_raises():
+    # two-scale matrix eigenvalues -0.4, 1 and 1.4: the integer values blow up
+    with pytest.raises(ConvergenceError) as exc:
+        cascade(MatrixSeq.scalar(0, [-0.2, 0.5, 0.7]), level=4)
+    assert exc.value.residual >= 1.0
+
+
+def test_cascade_growing_increments_raise():
+    # eigenvalue 1 is simple and the others lie inside the unit disk, but the
+    # refinement increments grow level by level: no bounded solution
+    with pytest.raises(ConvergenceError) as exc:
+        cascade(MatrixSeq.scalar(0, [-0.274, 0.218, 0.774, 0.282]), level=10)
+    assert exc.value.residual >= 1.0
 
 
 def test_cascade_rejects_unnormalized_mask():
@@ -339,6 +362,16 @@ def test_refinable_vector_valued_diagonal_mask():
     vals = rf.evaluate(xs)
     assert np.max(np.abs(vals[:, 1] - bspline(2).evaluate(xs)[:, 0])) < 1e-9
     assert gl.halfline_integral(rf, 1.0, "right") == pytest.approx([0.0, 0.5], abs=1e-10)
+
+
+def test_cascade_vector_mask_keeps_halfopen_convention():
+    # the Haar component of the diagonal mask has a double eigenvalue 1; the
+    # cascade's own start vector picks the half-open indicator of [0, 1)
+    ents = np.zeros((3, 2, 2))
+    ents[0, 0, 0], ents[1, 0, 0] = 0.5, 0.5
+    ents[0, 1, 1], ents[1, 1, 1], ents[2, 1, 1] = 0.25, 0.5, 0.25
+    sf = cascade(MatrixSeq(0, ents), normalization=[1.0, 1.0], level=3)
+    assert np.array_equal(sf.values[:, 0], (sf.xs() < 1.0).astype(float))
 
 
 def test_refinable_vector_mask_requires_normalization():
