@@ -587,6 +587,10 @@ def _refine(
     return vals
 
 
+# levels whose largest odd-point increments decide whether the cascade diverges
+_GROWTH_LEVELS = (6, 10)
+
+
 def _max_increment(g: np.ndarray) -> float:
     """Largest odd-point increment of the samples ``g``: the value at an odd
     point minus the mean of its two neighbours."""
@@ -599,9 +603,11 @@ def _fixed_part(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     The projection is ``R (L^H R)^-1 L^H v`` with ``R`` and ``L`` orthonormal
     bases of the null spaces of ``M - I`` and ``(M - I)^H``, both read off one
-    SVD.  Raises :class:`ConvergenceError`, carrying the largest modulus of
-    the other eigenvalues, when eigenvalue 1 is absent or another eigenvalue
-    has modulus >= 1, so that the limit does not exist.
+    SVD.  Raises :class:`ConvergenceError` when the limit does not exist:
+    eigenvalue 1 is absent, or it is defective (``L^H R`` is singular, so
+    ``M^n`` grows along a Jordan chain), or another eigenvalue has modulus
+    >= 1.  The residual is the largest modulus of the other eigenvalues, and
+    at least 1.
     """
     n = M.shape[0]
     U, sv, Vh = np.linalg.svd(M - np.eye(n))
@@ -609,16 +615,23 @@ def _fixed_part(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvals(M)
     rest = np.abs(lam[np.argsort(np.abs(lam - 1.0))[d:]])
     worst = float(np.max(rest)) if rest.size else 0.0
-    # a defective eigenvalue 1 leaves a partner within rounding of the unit circle
-    if d == 0 or worst >= 1.0 - 1e-9:
-        what = "no eigenvalue 1" if d == 0 else "an eigenvalue besides 1 on or outside the unit circle"
-        raise ConvergenceError(
-            f"two-scale matrix has {what} (largest other modulus {worst:.3e}): the cascade diverges",
-            residual=worst,
-        )
     R = Vh[n - d :].conj().T
     L = U[:, n - d :]
-    return R @ np.linalg.solve(L.conj().T @ R, L.conj().T @ v)
+    G = L.conj().T @ R
+    # a semisimple eigenvalue 1 pairs its left and right eigenvectors: the
+    # stock masks give sigma_min(G) >= 0.3, a rounded Jordan block about 1e-16
+    defective = d > 0 and np.linalg.svd(G, compute_uv=False)[-1] < 1e-8
+    if d == 0 or defective or worst >= 1.0 - 1e-9:
+        what = (
+            "no eigenvalue 1" if d == 0
+            else "a defective eigenvalue 1" if defective
+            else "an eigenvalue besides 1 on or outside the unit circle"
+        )
+        raise ConvergenceError(
+            f"two-scale matrix has {what} (largest other modulus {worst:.3e}): the cascade diverges",
+            residual=max(worst, 1.0),
+        )
+    return R @ np.linalg.solve(G, L.conj().T @ v)
 
 
 def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunction:
@@ -629,40 +642,38 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
     and ``v0`` carrying ``normalization`` at ``kmin``, taken as the projection
     of ``v0`` onto ``M``'s eigenvalue-1 eigenspace (so Haar keeps the
     half-open convention ``phi(0) = 1``, ``phi(1) = 0``); each finer level
-    then follows from the two-scale relation.  Raises
-    :class:`ConvergenceError` (carrying a residual >= 1) when that limit does
-    not exist, or when the largest odd-point increment (value minus the mean
-    of its neighbours) grows from the next-to-finest to the finest level, so
-    that the samples do not come from a bounded function.
+    then follows from the two-scale relation.  The mask and normalization
+    must be real.  Raises :class:`ConvergenceError` (carrying a residual
+    >= 1) when that limit does not exist, or when the largest odd-point
+    increment (value minus the mean of its neighbours) is larger at level 10
+    than at level 6 (``_GROWTH_LEVELS``), so that the samples do not come
+    from a bounded function.  The refinement always runs to level 10 at
+    least, so whether a mask is accepted does not depend on ``level``.
     """
     check_level(level)
     kmin, kmax, norm = _check_mask(mask, normalization)
+    if not (_is_real(mask.entries) and _is_real(norm)):
+        raise PreconditionError("cascade needs a real mask and normalization")
     W = kmax - kmin
     r = mask.shape[0]
-    real = not (np.any(mask.entries.imag) or np.any(norm.imag))
-    ents = mask.entries.real if real else mask.entries
-    M = np.zeros((W + 1, r, W + 1, r), dtype=ents.dtype)
+    ents = mask.entries.real
+    M = np.zeros((W + 1, r, W + 1, r))
     for j in range(W + 1):
         for k in range(max(0, 2 * j - W), min(W, 2 * j) + 1):
             M[j, :, k, :] = 2.0 * ents[2 * j - k]
-    v0 = np.zeros((W + 1, r), dtype=ents.dtype)
-    v0[0] = norm.real if real else norm
+    v0 = np.zeros((W + 1, r))
+    v0[0] = norm.real
     ints = _fixed_part(M.reshape(-1, (W + 1) * r), v0.reshape(-1)).reshape(W + 1, r)
-    vals = _refine(list(zip(mask.indices(), ents)), kmin, W, level, ints, 2.0, np.zeros(r))
-    if level >= 2:
-        scale = float(np.max(np.abs(ints)))
-        fine, coarse = _max_increment(vals), _max_increment(vals[::2])
-        if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * scale:
-            raise ConvergenceError(
-                f"refinement increments grow from {coarse:.3e} to {fine:.3e} at the finest "
-                "level: the two-scale solution is not a function",
-                residual=fine / coarse if coarse > 0 else np.inf,
-            )
-    if not real:
-        if np.max(np.abs(vals.imag)) > 1e-9:
-            raise PreconditionError("cascade produced genuinely complex samples; real masks expected")
-        vals = vals.real
-    return SampledFunction(level, kmin * 2**level, vals)
+    depth = max(level, _GROWTH_LEVELS[1])
+    vals = _refine(list(zip(mask.indices(), ents)), kmin, W, depth, ints, 2.0, np.zeros(r))
+    coarse, fine = (_max_increment(vals[:: 2 ** (depth - j)]) for j in _GROWTH_LEVELS)
+    if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * float(np.max(np.abs(ints))):
+        raise ConvergenceError(
+            f"refinement increments grow from {coarse:.3e} at level {_GROWTH_LEVELS[0]} to "
+            f"{fine:.3e} at level {_GROWTH_LEVELS[1]}: the two-scale solution is not a function",
+            residual=fine / coarse if coarse > 0 else np.inf,
+        )
+    return SampledFunction(level, kmin * 2**level, vals[:: 2 ** (depth - level)])
 
 
 def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:

@@ -292,12 +292,35 @@ def test_cascade_expanding_mode_raises():
     assert exc.value.residual >= 1.0
 
 
-def test_cascade_growing_increments_raise():
+@pytest.mark.parametrize("level", [1, 4, 10, 12])
+def test_cascade_growing_increments_raise(level):
     # eigenvalue 1 is simple and the others lie inside the unit disk, but the
-    # refinement increments grow level by level: no bounded solution
+    # refinement increments grow level by level: no bounded solution, at any level
     with pytest.raises(ConvergenceError) as exc:
-        cascade(MatrixSeq.scalar(0, [-0.274, 0.218, 0.774, 0.282]), level=10)
+        cascade(MatrixSeq.scalar(0, [-0.274, 0.218, 0.774, 0.282]), level=level)
     assert exc.value.residual >= 1.0
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.51, 0.6, 1.0, 2.43])
+def test_cascade_defective_eigenvalue_one_raises(theta):
+    # 2 a(0) = S J S^-1 with J a 2x2 Jordan block at 1 and 2 a(1) nilpotent,
+    # so the two-scale matrix is diag(2 a(0), 2 a(1)); the normalization is
+    # the generalized eigenvector S e2, along which M^n grows linearly.
+    # Rounding splits the double eigenvalue 1 into 1 +- ~1e-8, which a check
+    # of the other eigenvalues' moduli alone lets through for some theta.
+    c, s = math.cos(theta), math.sin(theta)
+    S = np.array([[c, -s], [s, c]]) @ np.array([[1.0, 0.3], [0.0, 1.0]])
+    A = S @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ np.linalg.inv(S)
+    B = np.outer(S[:, 1] - S[:, 0], np.linalg.solve(S.T, [1.0, 1.0]))
+    mask = MatrixSeq(0, np.stack([A / 2, B / 2]))
+    with pytest.raises(ConvergenceError) as exc:
+        cascade(mask, normalization=S[:, 1], level=3)
+    assert exc.value.residual >= 1.0
+
+
+def test_cascade_refuses_complex_mask():
+    with pytest.raises(PreconditionError, match="real"):
+        cascade(MatrixSeq.scalar(0, [0.5 + 0.1j, 0.5 - 0.1j]), level=3)
 
 
 def test_cascade_rejects_unnormalized_mask():
