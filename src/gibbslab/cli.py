@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -71,8 +72,53 @@ def _json_leaf(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _float_rows(obj: list, pad: str) -> str | None:
+    """The text ``json.dumps(indent=2)`` writes at indent ``pad`` for a list
+    of floats or a list of equal-length float lists, built by joining
+    ``float.__repr__`` strings; None for any other list, or when a value is
+    not finite (json spells those NaN and Infinity)."""
+    inner = pad + "  "
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        body = (",\n" + inner).join(map(float.__repr__, obj))
+    elif kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
+        flat = list(chain.from_iterable(obj))
+        if set(map(type, flat)) != {float}:
+            return None
+        cell = inner + "  "
+        rows = zip(*[map(float.__repr__, flat)] * len(obj[0]))  # one tuple per row
+        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
+        body = "[\n" + cell + row_sep.join(map((",\n" + cell).join, rows)) + "\n" + inner + "]"
+    else:
+        return None
+    if "n" in body:  # nan, inf
+        return None
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf)`` at
+    indent ``pad``, byte for byte.  Dicts with string keys and lists are
+    written here, so that long float arrays go through :func:`_float_rows`
+    instead of the pure-Python encoder, which ``indent`` forces, one value at
+    a time; everything else is left to ``json.dumps``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    inner = pad + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = (f"{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(obj) is list and obj:
+        text = _float_rows(obj, pad)
+        if text is None:
+            text = "[\n" + inner + (",\n" + inner).join(_dumps(v, inner) for v in obj) + "\n" + pad + "]"
+        return text
+    # json strings hold no raw newline, so each one starts an indented line
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf).replace("\n", "\n" + pad)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _read_json(path: str) -> dict:

@@ -40,6 +40,7 @@ __all__ = [
     "cascade",
     "refinement_residual",
     "check_level",
+    "dyadic_bounds",
     "dyadic_grid",
     "fhat_deriv0",
     "halfline_integral",
@@ -151,13 +152,18 @@ def check_level(level: int) -> None:
         raise PreconditionError(f"grid level must satisfy 1 <= level <= {MAX_LEVEL}, got {level}")
 
 
-def dyadic_grid(lo: float, hi: float, level: int, pad: int = 0) -> tuple[int, np.ndarray]:
-    """Points ``i 2^-level`` covering ``[lo, hi]``, extended by ``pad`` points
-    at each end; returns the first index ``i0`` and the points."""
+def dyadic_bounds(lo: float, hi: float, level: int, pad: int = 0) -> tuple[int, int]:
+    """First and last index ``i0, i1`` of the points ``i 2^-level`` covering
+    ``[lo, hi]``, extended by ``pad`` points at each end."""
     h = 2.0**-level
-    i0 = floor(lo / h) - pad
-    i1 = ceil(hi / h) + pad
-    return i0, np.arange(i0, i1 + 1) * h
+    return floor(lo / h) - pad, ceil(hi / h) + pad
+
+
+def dyadic_grid(lo: float, hi: float, level: int, pad: int = 0) -> tuple[int, np.ndarray]:
+    """The points of :func:`dyadic_bounds`; returns the first index ``i0`` and
+    the points."""
+    i0, i1 = dyadic_bounds(lo, hi, level, pad)
+    return i0, np.arange(i0, i1 + 1) * 2.0**-level
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +479,7 @@ class SampledFunction:
     def moment(self, j: int) -> np.ndarray:
         if not 0 <= j <= MAX_DEGREE:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
-        xs = self.xs()
-        return simpson_sum(self.values * (xs**j)[:, None], self.h, axis=0)
+        return simpson_sum(self.values * (self._grid**j)[:, None], self.h, axis=0)
 
     @property
     def _cumulative(self) -> np.ndarray:
@@ -828,9 +833,12 @@ class RefinableFunction:
     def cumulative(self, s) -> np.ndarray:
         """Integral over (-inf, s_i], interpolating the exact F on the carried grid; shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        kmin, _ = self._cache["ksupport"]
         F = self.cumulative_samples()
-        grid = kmin + np.arange(F.shape[0]) * 2.0**-self.level
+        key = ("Fgrid", self.level)
+        if key not in self._cache:
+            kmin, _ = self._cache["ksupport"]
+            self._cache[key] = kmin + np.arange(F.shape[0]) * 2.0**-self.level
+        grid = self._cache[key]
         return np.stack(
             [np.interp(s, grid, F[:, c], left=0.0, right=F[-1, c]) for c in range(self.ncomponents)],
             axis=1,

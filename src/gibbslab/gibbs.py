@@ -158,10 +158,10 @@ def _sgn_expansion(pair: QuasiProjectionPair, t: float, level: int):
 def _overshoot_both(pair: QuasiProjectionPair, t: float, grid: GridSpec | None) -> tuple[float, float]:
     """(R(t), L(t)) from one expansion of sgn."""
     sf = _sgn_expansion(pair, t, (grid or GridSpec()).level)
-    xs = sf.xs()
+    zero = -sf.start  # the window starts at an integer, so x = 0 is a sample
     v = sf.values[:, 0]
-    right = float(max(np.max(v[xs > 0]), 1.0))
-    left = float(min(np.min(v[xs < 0]), -1.0))
+    right = float(max(np.max(v[zero + 1 :]), 1.0))
+    left = float(min(np.min(v[:zero]), -1.0))
     return right, left
 
 
@@ -184,8 +184,10 @@ def _sweep(pair: QuasiProjectionPair, shifts, grid: GridSpec | None) -> tuple[np
     """(R, L) at each shift, one ``apply`` per shift in a plain loop.
 
     Shifts on the ``2^-level`` grid (every curve shift, the irrational sweep,
-    dyadic cluster sets) read phi from the pair's cached table for that level,
-    built once; off-grid shifts such as 1/3 evaluate phi themselves.
+    dyadic cluster sets) are summed from the rows of the pair's cached phi
+    table for that level, built once, with no x-grid; off-grid shifts such as
+    1/3 evaluate phi themselves.  One call per shift keeps each shift its own
+    ``apply`` call, which is what a per-shift trace counts.
     """
     both = [_overshoot_both(pair, t, grid) for t in shifts]
     return np.array([b[0] for b in both]), np.array([b[1] for b in both])

@@ -34,6 +34,7 @@ from .funcmodel import (
     SampledFunction,
     _is_real,
     check_level,
+    dyadic_bounds,
     dyadic_grid,
     function_from_json_dict,
     function_to_json_dict,
@@ -87,12 +88,16 @@ class GridSpec:
     def __post_init__(self):
         check_level(self.level)
 
-    def resolve(self, lo_default: float, hi_default: float) -> tuple[int, np.ndarray]:
+    def window(self, lo_default: float, hi_default: float) -> tuple[float, float]:
+        """The window ``[lo, hi]``, with the caller's defaults filled in."""
         lo = lo_default if self.lo is None else float(self.lo)
         hi = hi_default if self.hi is None else float(self.hi)
         if lo >= hi:
             raise PreconditionError(f"empty grid window [{lo}, {hi}]")
-        return dyadic_grid(lo, hi, self.level)
+        return lo, hi
+
+    def resolve(self, lo_default: float, hi_default: float) -> tuple[int, np.ndarray]:
+        return dyadic_grid(*self.window(lo_default, hi_default), self.level)
 
 
 class QuasiProjectionPair:
@@ -132,13 +137,18 @@ class QuasiProjectionPair:
         return self._moments[key]
 
     def phi_table(self, level: int) -> tuple[int, np.ndarray]:
-        """Cached phi on the ``2^-level`` grid over its support: ``(m0, values)``
-        with ``values[m] = phi((m0 + m) 2^-level)``, from one ``evaluate`` call."""
+        """Cached phi on the ``2^-level`` grid over its support, one row per
+        unit step: ``(m0, P)`` with ``P[a, j] = phi((m0 + a 2^level + j)
+        2^-level)``, shape ``(rows, 2^level, r)``, zero past the last grid
+        point of the support; from one ``evaluate`` call."""
         if level not in self._tables:
             m0, xs = dyadic_grid(*self.phi.support, level)
-            values = self.phi.evaluate(xs)
-            values.flags.writeable = False
-            self._tables[level] = (m0, values)
+            width = 2**level
+            table = np.zeros((-(-xs.size // width) * width, self.ncomponents))
+            table[: xs.size] = self.phi.evaluate(xs)
+            table = table.reshape(-1, width, self.ncomponents)
+            table.flags.writeable = False
+            self._tables[level] = (m0, table)
         return self._tables[level]
 
     def fhat0(self, side: str, j: int) -> np.ndarray:
@@ -237,6 +247,42 @@ def _dual_pairings(
     return out
 
 
+def _synthesis(
+    pair: QuasiProjectionPair, level: int, g0: int, count: int, stride: int, klo: int, coeff: np.ndarray
+) -> np.ndarray:
+    """``sum_k coeff[k - klo] . phi(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
+    ``i < count``, from the rows of the pair's phi table (polyphase).
+
+    With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
+    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, added
+    with ``a`` descending (``k`` ascending) from +0; each distinct window
+    ``coeff(q - a)`` is summed once, and terms on zero samples add +-0, which
+    moves no bit.  Coefficients outside ``klo .. klo + len(coeff) - 1`` repeat
+    the nearest one: callers pass every ``k`` whose translate meets a point
+    (the others meet only zeros), or one row for a constant sequence.
+    """
+    m0, P = pair.phi_table(level)
+    rows, width = P.shape[:2]
+    q0, j0 = divmod(g0 - m0, width)
+    phase = j0 % stride
+    cols = P[:, phase::stride]  # a stride beyond 2^level keeps one column ...
+    skip = (j0 - phase) // stride
+    nq = -(-(skip + count) // cols.shape[1])
+    qs = q0 + max(1, stride // width) * np.arange(nq)  # ... of every (stride / 2^level)-th row
+    idx = np.clip(qs[:, None] - klo + np.arange(1 - rows, 1), 0, coeff.shape[0] - 1)
+    windows = coeff[idx]  # (nq, rows, r), k ascending
+    # one bytes key per window: np.unique on it is a flat sort, not a row sort
+    keys = windows.reshape(nq, -1).view(np.dtype((np.void, windows[0].nbytes)))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    windows = windows[first]
+    out = np.zeros((first.size, cols.shape[1]))
+    for b in range(rows):
+        # einsum, not np.dot: BLAS may add the components of a vector-valued
+        # pair in another order and move the last bit of the output
+        out += np.einsum("jr,ur->uj", cols[rows - 1 - b], windows[:, b])
+    return out[inverse.reshape(-1)].reshape(-1)[skip : skip + count]
+
+
 def apply(
     pair: QuasiProjectionPair,
     f,
@@ -249,6 +295,10 @@ def apply(
     For ``Sgn`` inputs the grid window must contain the full interaction zone
     [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n]; outside it the output provably
     equals the sign itself, and overshoot scans rely on seeing all of it.
+
+    An on-grid shift (``t 2^level`` an integer) is summed from the pair's phi
+    table by :func:`_synthesis`, with no x-grid; other shifts, such as 1/3,
+    evaluate phi at ``2^n x + t - k`` one k at a time.
     """
     if n < 0 or n != int(n):
         raise PreconditionError(f"level n must be a nonnegative integer, got {n}")
@@ -260,49 +310,45 @@ def apply(
         lo_default, hi_default = f.x0 - margin, f.x0 + margin
     else:
         lo_default, hi_default = -(2 * N + 3), 2 * N + 3
-    i0, xs = grid.resolve(lo_default, hi_default)
+    lo, hi = grid.window(lo_default, hi_default)
+    i0, i1 = dyadic_bounds(lo, hi, grid.level)
+    h = 2.0**-grid.level
     if isinstance(f, Sgn):
         zone = (2 * N + 1) * 2.0**-n
-        if xs[0] > f.x0 - zone + 1e-12 or xs[-1] < f.x0 + zone - 1e-12:
+        if i0 * h > f.x0 - zone + 1e-12 or i1 * h < f.x0 + zone - 1e-12:
             raise PreconditionError(
-                f"grid window [{xs[0]:g}, {xs[-1]:g}] is smaller than the sign "
+                f"grid window [{i0 * h:g}, {i1 * h:g}] is smaller than the sign "
                 f"interaction zone [{f.x0 - zone:g}, {f.x0 + zone:g}]"
             )
 
     plo, phi_hi = pair.phi.support
-    z = (2.0**n) * xs + t
-    klo = int(math.floor(z[0] - phi_hi))
-    khi = int(math.ceil(z[-1] - plo))
+    zlo, zhi = (2.0**n) * (i0 * h) + t, (2.0**n) * (i1 * h) + t
+    klo = int(math.floor(zlo - phi_hi))
+    khi = int(math.ceil(zhi - plo))
     ks = np.arange(klo, khi + 1)
     coeff = _coefficients(pair, f, n, t, ks)
+    parts = [coeff.real, coeff.imag] if np.any(coeff.imag) else [coeff.real]
 
     # for an on-grid t each z - k is the exact grid point
-    # (2^n (i0 + j) + t 2^level - k 2^level) 2^-level while |z| < 2^(53 - level),
-    # so phi(z - k) is a stride-2^n slice of the pair's table
+    # (2^n (i0 + i) + t 2^level - k 2^level) 2^-level while |z| < 2^(53 - level)
     scale = 2.0**grid.level
-    on_grid = float(t * scale).is_integer() and max(-z[0], z[-1]) * scale < 2.0**53
-    if on_grid:
-        m0, table = pair.phi_table(grid.level)
-        stride = 2**n
-        base = stride * i0 + int(t * scale) - m0
-    re = np.zeros(xs.size)
-    im = np.zeros(xs.size) if np.any(coeff.imag) else None
-    for i, k in enumerate(ks):
-        # z is increasing, so the translate's support picks out one slice
-        sl = slice(np.searchsorted(z, k + plo), np.searchsorted(z, k + phi_hi, side="right"))
-        if sl.start >= sl.stop:
-            continue
-        if on_grid:
-            a = base + stride * sl.start - k * 2**grid.level
-            pv = table[a : a + stride * (sl.stop - sl.start) : stride]
-        else:
+    if float(t * scale).is_integer() and max(-zlo, zhi) * scale < 2.0**53:
+        g0 = 2**n * i0 + int(t * scale)
+        sums = [_synthesis(pair, grid.level, g0, i1 - i0 + 1, 2**n, klo, c) for c in parts]
+    else:
+        _, xs = dyadic_grid(lo, hi, grid.level)
+        z = (2.0**n) * xs + t
+        sums = [np.zeros(xs.size) for _ in parts]
+        for i, k in enumerate(ks):
+            # z is increasing, so the translate's support picks out one slice
+            sl = slice(np.searchsorted(z, k + plo), np.searchsorted(z, k + phi_hi, side="right"))
+            if sl.start >= sl.stop:
+                continue
             pv = pair.phi.evaluate(z[sl] - k)
-        # einsum, not np.dot: BLAS may add the components of a vector-valued
-        # pair in another order and move the last bit of the output
-        re[sl] += np.einsum("mr,r->m", pv, coeff[i].real)
-        if im is not None:
-            im[sl] += np.einsum("mr,r->m", pv, coeff[i].imag)
-    if im is not None and np.max(np.abs(im)) > 1e-9 * max(1.0, np.max(np.abs(re))):
+            for acc, c in zip(sums, parts):
+                acc[sl] += np.einsum("mr,r->m", pv, c[i])
+    re = sums[0]
+    if len(sums) > 1 and np.max(np.abs(sums[1])) > 1e-9 * max(1.0, np.max(np.abs(re))):
         raise PreconditionError("operator output is genuinely complex; real pairs expected")
     return SampledFunction(grid.level, i0, re[:, None])
 
@@ -313,18 +359,13 @@ def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> 
     The zero-frequency condition conj(phi_tilde_hat(0))^T phi_hat(0) = 1 is
     checked exactly from moments; the remaining frequencies are checked in the
     time domain as constancy of sum_k conj(phi_tilde_hat(0))^T phi(x-k) over
-    one period.
+    one period, summed from the pair's phi table.
     """
     m0 = pair.fhat0("phi", 0)
     mt0 = pair.fhat0("tilde", 0)
     norm_residual = abs(np.conj(mt0) @ m0 - 1.0)
 
-    h = 2.0**-level
-    xs = np.arange(0, 2**level) * h
-    plo, phi_hi = pair.phi.support
-    acc = np.zeros(xs.size, dtype=np.complex128)
-    for k in range(int(math.floor(-phi_hi)), int(math.ceil(1 - plo)) + 1):
-        acc += pair.phi.evaluate(xs - k) @ np.conj(mt0)
+    acc = _synthesis(pair, level, 0, 2**level, 1, 0, pair.moment("tilde", 0)[None, :])
     const_residual = float(np.max(np.abs(acc - 1.0)))
     return {
         "ok": bool(norm_residual <= tol and const_residual <= tol),
@@ -361,17 +402,15 @@ def kernel_criterion(
     N = pair.support_bound
     W = float(window) if window is not None else 2.0 * N + 1.0
     h = 2.0**-level
-    xs = np.arange(1, int(math.ceil(W / h)) + 1) * h
-    xs = np.concatenate([-xs[::-1], xs])
+    npts = int(math.ceil(W / h))
+    xs = np.arange(-npts, npts + 1) * h
     plo, phi_hi = pair.phi.support
-    tlo, thi = pair.phi_tilde.support
     mass = pair.moment("tilde", 0)
-    ks = np.arange(int(math.floor(xs[0] - phi_hi)), int(math.ceil(xs[-1] - plo)) + 1)
+    klo = int(math.floor(xs[0] - phi_hi))
+    ks = np.arange(klo, int(math.ceil(xs[-1] - plo)) + 1)
     tails = mass[None, :] - pair.phi_tilde.cumulative(-ks.astype(np.float64))
-    G = np.zeros(xs.size, dtype=np.complex128)
-    for i, k in enumerate(ks):
-        G += pair.phi.evaluate(xs - k) @ np.conj(tails[i])
-    G = G.real
+    G = _synthesis(pair, level, -npts, xs.size, 1, klo, tails)
+    xs, G = np.delete(xs, npts), np.delete(G, npts)  # x = 0 belongs to neither side
     pos = xs > 0
     viol_pos = float(np.max(G[pos] - 1.0))
     viol_neg = float(np.max(-G[~pos]))

@@ -6,12 +6,16 @@ byte-identical reruns.
 """
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gibbslab import cli
 from gibbslab.catalog import resolve_bank
 from gibbslab.cli import main
 from gibbslab.funcmodel import bspline
@@ -274,3 +278,40 @@ def test_reruns_are_byte_identical(tmp_path):
     second = _run_subprocess(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# -- JSON writer ------------------------------------------------------------------
+
+_any_float = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-5, 1e16]) | st.floats()
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | _any_float
+    | st.text(max_size=4)
+    | st.complex_numbers(allow_nan=False)
+    | _any_float.map(np.float64)
+    | st.integers(-(2**62), 2**62).map(np.int64)
+)
+_rows = st.integers(1, 3).flatmap(
+    lambda r: st.lists(st.lists(_any_float, min_size=r, max_size=r), min_size=1, max_size=6)
+)
+_arrays = _rows.map(np.array) | st.lists(_any_float, min_size=1, max_size=6).map(np.array)
+_json_like = st.recursive(
+    _leaves | _rows | _arrays | st.lists(_any_float, max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(-9, 9), inner, max_size=3),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_like)
+@example({"a": [math.nan, 1.0], "b": [[math.inf], [-0.0]], "c": np.array([[1.0, -math.inf]]), "d": [1, 1.0]})
+def test_json_writer_matches_json_dumps(obj):
+    """The row-aware writer gives the bytes of the stock encoder: NaN,
+    Infinity, -0.0, int against float, numpy scalars and arrays, complex
+    leaves and nested sorted keys included."""
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=cli._json_leaf)

@@ -9,13 +9,15 @@ Oracle strategy:
     are checked as exact index-aligned array equalities.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from gibbslab.catalog import bspline_mask, resolve_pair
+from gibbslab.catalog import bspline_mask, resolve_framelet, resolve_pair
 from gibbslab.errors import DimensionMismatchError, PreconditionError
+from gibbslab.framelet import truncated_expansion
 from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline
 from gibbslab.gibbs import overshoot_curve
 from gibbslab.quasiproj import (
@@ -23,6 +25,7 @@ from gibbslab.quasiproj import (
     Monomial,
     QuasiProjectionPair,
     Sgn,
+    _coefficients,
     accuracy_order,
     apply,
     approximation_rate,
@@ -182,17 +185,22 @@ def test_sign_coefficients_match_quadrature_route(b3):
     assert np.max(np.abs(analytic.values - quad.values)) < 1e-4
 
 
-def _sgn_by_hand(pair, x0, n, t, level):
-    """sum_k c_k phi(2^n x + t - k) with c_k = 2 T(2^n x0 + t - k) - mass,
-    written out term by term on the grid that ``apply`` chose."""
-    xs = apply(pair, Sgn(x0), n, t, GridSpec(level)).xs()
+def _by_hand(pair, f, n, t, grid):
+    """sum_k c_k phi(2^n x + t - k), written out term by term on the grid that
+    ``apply`` chose; for Sgn(x0), c_k = 2 T(2^n x0 + t - k) - mass, other
+    signals take their coefficients from ``_coefficients``."""
+    xs = apply(pair, f, n, t, grid).xs()
     z = 2.0**n * xs + t
     lo, hi = pair.phi.support
     mass = pair.phi_tilde.moment(0)[0]
     acc = np.zeros(z.size)
     for k in range(math.floor(z[0] - hi), math.ceil(z[-1] - lo) + 1):
-        tail = mass - pair.phi_tilde.cumulative(np.array([2.0**n * x0 + t - k]))[0, 0]
-        acc += pair.phi.evaluate(z - k)[:, 0] * (2.0 * tail - mass)
+        if isinstance(f, Sgn):
+            tail = mass - pair.phi_tilde.cumulative(np.array([2.0**n * f.x0 + t - k]))[0, 0]
+            c = 2.0 * tail - mass
+        else:
+            c = _coefficients(pair, f, n, t, np.array([k]))[0, 0].real
+        acc += pair.phi.evaluate(z - k)[:, 0] * c
     return acc
 
 
@@ -204,12 +212,43 @@ def _sgn_by_hand(pair, x0, n, t, level):
         ("daubechies:3", 12, 12, 0.1, 2, 0.75),  # strided table slices
         ("bspline:3", 12, 10, 0.0, 0, 1.0 / 3.0),  # off-grid shift: evaluate route
         ("daubechies:3", 12, 12, 0.0, 0, 1.0 / 3.0),
+        ("daubechies:3", 12, 12, 0.1, 3, 0.25),  # stride 8
+        ("bspline:3", 12, 10, 0.0, 0, -0.25),  # negative shift
+        ("daubechies:3", 12, 12, 0.0, 1, 1.5),  # shift beyond one period
+        ("daubechies:3", 12, 2, 0.0, 3, 0.25),  # stride 2^n = 8 wider than a 2^level = 4 table row
+        # spec "name@c": the pair shifted by c, its support off the integer rows
+        pytest.param("bspline:3@0.25", 12, 10, 0.3, 1, 0.5, id="bspline:3@0.25-12-10-0.3-1-0.5"),
+        # an explicit window that starts inside a table row
+        pytest.param("daubechies:3", 12, GridSpec(11, -12.3, 11.7), 0.0, 0, 0.5, id="daubechies:3-window"),
+        pytest.param("daubechies:3", 12, 11, Monomial(2), 1, 0.25, id="daubechies:3-monomial2"),
     ],
 )
 def test_apply_matches_hand_written_sum_bitwise(spec, carried, level, x0, n, t):
-    pair = resolve_pair(spec, carried)
-    sf = apply(pair, Sgn(x0), n, t, GridSpec(level))
-    assert np.array_equal(sf.values[:, 0], _sgn_by_hand(pair, x0, n, t, level))
+    name, _, c = spec.partition("@")
+    pair = resolve_pair(name, carried)
+    if c:
+        pair = pair.shifted(float(c))
+    grid = level if isinstance(level, GridSpec) else GridSpec(level)
+    f = Sgn(x0) if isinstance(x0, float) else x0
+    sf = apply(pair, f, n, t, grid)
+    assert np.array_equal(sf.values[:, 0], _by_hand(pair, f, n, t, grid))
+
+
+@pytest.mark.parametrize(
+    "f,digest",
+    [
+        (Sgn(0.1), "cecbe6276afe79b7251bbf73de1525b6151959b8eecde842aef54d2e917e5ac0"),
+        (Monomial(2), "de9f97be44d98f1c6d7eff58392d27542fc2eb4f7cd38a452fcd23fbcc2da5f2"),
+    ],
+)
+def test_vector_pair_expansion_keeps_its_bytes(f, digest):
+    """The 2-component wavelet pair of the hat-function tight frame, summed
+    with the polyphase kernel at strides 1, 2 and 4, gives the bytes the
+    per-k loop gave (sha256 of the samples, recorded before the kernel)."""
+    df = resolve_framelet("bspline2-tight")
+    assert df.psi.ncomponents == 2
+    sf = truncated_expansion(df, f, 3, GridSpec(10))
+    assert hashlib.sha256(sf.values.tobytes()).hexdigest() == digest
 
 
 def test_overshoot_curve_evaluates_phi_once_per_level(monkeypatch):
