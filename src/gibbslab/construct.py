@@ -33,7 +33,7 @@ from .funcmodel import (
     function_to_json_dict,
 )
 from .gibbs import nonneg_sufficient, overshoot
-from .quasiproj import QuasiProjectionPair
+from .quasiproj import QuasiProjectionPair, _sample_table, _synthesis
 
 __all__ = [
     "DualConstruction",
@@ -148,11 +148,8 @@ def build_dual(phi: FunctionHandle, m: int, knot_rule=None) -> DualConstruction:
 
     mt = [float(phi_tilde.moment(j)[0]) for j in range(m)]
     moment_residuals = [abs(mt[j] - d[j]) for j in range(m)]
-    grid = np.arange(0, 256) / 256.0
-    acc = np.zeros(grid.size)
-    tlo, thi = phi_tilde.support
-    for k in range(int(math.floor(-thi)) - 1, int(math.ceil(1 - tlo)) + 1):
-        acc += phi_tilde.evaluate(grid - k)[:, 0]
+    # sum_k phi_tilde(x - k) at x = i 2^-8, i < 2^8: one period of the partition of unity
+    acc = _synthesis(_sample_table(phi_tilde, 8), 0, 2**8, 1, 0, np.ones((1, 1)))
     partition_residual = float(np.max(np.abs(acc - 1.0)))
     diagnostics = {
         "moment_residuals": moment_residuals,

@@ -38,11 +38,11 @@ from .funcmodel import (
     SampledFunction,
     _continuity_defect,
     _grid_min,
-    dyadic_grid,
+    dyadic_bounds,
     fhat_deriv0,
     simpson_sum,
 )
-from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
+from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, _sample_table, _synthesis, apply
 from .sequences import MatrixSeq, convolve, fourier_deriv
 
 __all__ = [
@@ -139,23 +139,27 @@ def oep_check(bank: FilterBank, tol: float = 1e-12) -> dict:
 
 
 def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, factor: float):
-    """factor * sum_k coeffs(k) f(dilate . - k), exact for piecewise polys."""
+    """factor * sum_k coeffs(k) f(dilate . - k), exact for piecewise polys.
+
+    A sampled ``f`` goes through :func:`_synthesis` on its own level, stride
+    ``dilate``, once per output component, with the filter padded by a zero
+    row at each end so that the kernel's edge repeat reads zeros.
+    """
     klo, n = coeffs.offset, coeffs.entries.shape[0]
-    ks = range(klo, klo + n)
-    mats = [factor * coeffs[k].real for k in ks]
-    if np.max(np.abs([coeffs[k].imag for k in ks])) > 1e-14:
+    if np.max(np.abs(coeffs.entries.imag)) > 1e-14:
         raise PreconditionError("complex filters are not supported for time-domain synthesis")
+    mats = factor * coeffs.entries.real  # mats[i] multiplies f(dilate . - klo - i)
     if isinstance(f, PiecewisePoly):
         return PiecewisePoly.combine(
-            [(mats[i], f.compose_affine(float(dilate), float(-k))) for i, k in enumerate(ks)]
+            [(mats[i], f.compose_affine(float(dilate), float(-klo - i))) for i in range(n)]
         )
     level = getattr(f, "level", 12)
     flo, fhi = f.support
-    i0, xs = dyadic_grid((flo + klo) / dilate, (fhi + klo + n - 1) / dilate, level)
-    out = np.zeros((xs.size, coeffs.shape[0]))
-    for i, k in enumerate(ks):
-        out += f.evaluate(dilate * xs - k) @ mats[i].T
-    return SampledFunction(level, i0, out)
+    i0, i1 = dyadic_bounds((flo + klo) / dilate, (fhi + klo + n - 1) / dilate, level)
+    table = _sample_table(f, level)
+    padded = np.pad(mats, ((1, 1), (0, 0), (0, 0)))
+    out = [_synthesis(table, dilate * i0, i1 - i0 + 1, dilate, klo - 1, c) for c in padded.swapaxes(0, 1)]
+    return SampledFunction(level, i0, np.stack(out, axis=1))
 
 
 @dataclass(frozen=True)
@@ -285,7 +289,7 @@ def cascade_identity_check(df: DualFramelet, f, g, n: int = 1, level: int = 10) 
         for k in range(klo, khi + 1):
             cf = _dilated_ip(f, ht, j, k, level)
             cg = _dilated_ip(g, hf, j, k, level)
-            acc += float(np.real(cf @ np.conj(cg)))
+            acc += float(cf @ cg)
         return acc
 
     fine = layer(df.phi, df.phi_tilde, n)

@@ -417,6 +417,15 @@ class PiecewisePoly:
 # ---------------------------------------------------------------------------
 
 
+def _interp_columns(x: np.ndarray, grid: np.ndarray, values: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each column of ``values`` interpolated linearly at ``x``: 0 left of
+    ``grid``, ``right[c]`` right of it; shape ``x.shape + (r,)``."""
+    return np.stack(
+        [np.interp(x, grid, values[:, c], left=0.0, right=right[c]) for c in range(values.shape[1])],
+        axis=-1,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Values on the dyadic grid ``x = (start + i) 2^-level``; zero outside.
@@ -467,14 +476,7 @@ class SampledFunction:
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        grid = self._grid
-        out = np.stack(
-            [np.interp(x, grid, self.values[:, c], left=0.0, right=0.0) for c in range(self.ncomponents)],
-            axis=-1,
-        )
-        return out[0] if scalar else out
+        return _interp_columns(x, self._grid, self.values, np.zeros(self.ncomponents))
 
     def moment(self, j: int) -> np.ndarray:
         if not 0 <= j <= MAX_DEGREE:
@@ -494,12 +496,8 @@ class SampledFunction:
     def cumulative(self, s) -> np.ndarray:
         """Integral over (-inf, s_i] (trapezoid on the carried grid); shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        grid = self._grid
         cum = self._cumulative
-        return np.stack(
-            [np.interp(s, grid, cum[:, c], left=0.0, right=cum[-1, c]) for c in range(self.ncomponents)],
-            axis=1,
-        )
+        return _interp_columns(s, self._grid, cum, cum[-1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -838,11 +836,7 @@ class RefinableFunction:
         if key not in self._cache:
             kmin, _ = self._cache["ksupport"]
             self._cache[key] = kmin + np.arange(F.shape[0]) * 2.0**-self.level
-        grid = self._cache[key]
-        return np.stack(
-            [np.interp(s, grid, F[:, c], left=0.0, right=F[-1, c]) for c in range(self.ncomponents)],
-            axis=1,
-        )
+        return _interp_columns(s, self._cache[key], F, F[-1])
 
     def refinement_residual(self, level: int | None = None) -> float:
         return refinement_residual(self.samples(level), self.mask)

@@ -57,9 +57,6 @@ __all__ = [
     "approximation_rate",
 ]
 
-MOMENT_CACHE_ORDER = 6
-
-
 @dataclass(frozen=True)
 class Sgn:
     """Built-in signal sgn(x - x0)."""
@@ -137,18 +134,9 @@ class QuasiProjectionPair:
         return self._moments[key]
 
     def phi_table(self, level: int) -> tuple[int, np.ndarray]:
-        """Cached phi on the ``2^-level`` grid over its support, one row per
-        unit step: ``(m0, P)`` with ``P[a, j] = phi((m0 + a 2^level + j)
-        2^-level)``, shape ``(rows, 2^level, r)``, zero past the last grid
-        point of the support; from one ``evaluate`` call."""
+        """The :func:`_sample_table` of phi at ``level``, cached per level."""
         if level not in self._tables:
-            m0, xs = dyadic_grid(*self.phi.support, level)
-            width = 2**level
-            table = np.zeros((-(-xs.size // width) * width, self.ncomponents))
-            table[: xs.size] = self.phi.evaluate(xs)
-            table = table.reshape(-1, width, self.ncomponents)
-            table.flags.writeable = False
-            self._tables[level] = (m0, table)
+            self._tables[level] = _sample_table(self.phi, level)
         return self._tables[level]
 
     def fhat0(self, side: str, j: int) -> np.ndarray:
@@ -181,9 +169,13 @@ class QuasiProjectionPair:
 
 def _signal_values(f, xs: np.ndarray) -> np.ndarray:
     """Scalar signal values on xs, shape (n,): function handles are evaluated,
-    plain callables called."""
+    plain callables called; a callable's complex values must be real."""
     if not hasattr(f, "evaluate"):
-        return np.asarray(f(xs), dtype=np.float64)
+        vals = np.asarray(f(xs))
+        if np.iscomplexobj(vals) and not _is_real(vals):
+            raise PreconditionError("signal values are genuinely complex; real signals expected")
+        # a copy: the strided view of the real parts would sum in another order below
+        return np.ascontiguousarray(np.real(vals), dtype=np.float64)
     vals = np.asarray(f.evaluate(xs))
     if vals.ndim == 2:
         if vals.shape[1] != 1:
@@ -199,16 +191,15 @@ def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray
         s = (2.0**n) * f.x0 + t - ks
         mass = pair.moment("tilde", 0)
         tails_right = mass[None, :] - pt.cumulative(s)
-        return np.conj(2.0 * tails_right - mass[None, :]).astype(np.complex128)
+        return 2.0 * tails_right - mass[None, :]
     if isinstance(f, Monomial):
         j = f.degree
         if j < 0:
             raise PreconditionError("monomial degree must be nonnegative")
-        out = np.zeros((ks.size, pair.ncomponents), dtype=np.complex128)
+        out = np.zeros((ks.size, pair.ncomponents))
         base = ks.astype(np.float64) - t
         for i in range(j + 1):
-            mi = np.conj(pair.moment("tilde", i).astype(np.complex128))
-            out += math.comb(j, i) * (base ** (j - i))[:, None] * mi[None, :]
+            out += math.comb(j, i) * (base ** (j - i))[:, None] * pair.moment("tilde", i)[None, :]
         return out * 2.0 ** (-n * j)
     return _dual_pairings(f, pt, n, t, ks)
 
@@ -222,7 +213,7 @@ def _dual_pairings(
     quadrature over the support of pt in the substituted variable, on the
     dyadic grid at ``level`` (default: the level pt carries, else 12).
     """
-    out = np.zeros((ks.size, pt.ncomponents), dtype=np.complex128)
+    out = np.zeros((ks.size, pt.ncomponents))
     if isinstance(f, PiecewisePoly) and isinstance(pt, PiecewisePoly):
         if f.ncomponents != 1:
             raise DimensionMismatchError("signals must be scalar (one component)")
@@ -235,33 +226,50 @@ def _dual_pairings(
         # piece-aligned panels: no panel straddles a breakpoint of the dual,
         # so smooth signals keep the full Simpson order
         us, wvals = piecewise_quadrature(pt, level)
-        tw = np.conj(wvals)
         for i, k in enumerate(ks):
-            out[i] = _signal_values(f, (us + k - t) * 2.0**-n) @ tw
+            out[i] = _signal_values(f, (us + k - t) * 2.0**-n) @ wvals
         return out
     _, us = dyadic_grid(*pt.support, level)
-    tvals = np.conj(pt.evaluate(us))
+    tvals = pt.evaluate(us)
     for i, k in enumerate(ks):
         fv = _signal_values(f, (us + k - t) * 2.0**-n)
         out[i] = simpson_sum(fv[:, None] * tvals, 2.0**-level, axis=0)
     return out
 
 
+def _sample_table(f: FunctionHandle, level: int) -> tuple[int, np.ndarray]:
+    """``f`` on the ``2^-level`` grid over its support, one row per unit step:
+    ``(m0, P)`` with ``P[a, j] = f((m0 + a 2^level + j) 2^-level)``, shape
+    ``(rows, 2^level, r)``, zero past the last grid point of the support; from
+    one ``evaluate`` call."""
+    m0, xs = dyadic_grid(*f.support, level)
+    width = 2**level
+    table = np.zeros((-(-xs.size // width) * width, f.ncomponents))
+    table[: xs.size] = f.evaluate(xs)
+    table = table.reshape(-1, width, f.ncomponents)
+    table.flags.writeable = False
+    return m0, table
+
+
 def _synthesis(
-    pair: QuasiProjectionPair, level: int, g0: int, count: int, stride: int, klo: int, coeff: np.ndarray
+    table: tuple[int, np.ndarray], g0: int, count: int, stride: int, klo: int, coeff: np.ndarray
 ) -> np.ndarray:
-    """``sum_k coeff[k - klo] . phi(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
-    ``i < count``, from the rows of the pair's phi table (polyphase).
+    """``sum_k coeff[k - klo] . f(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
+    ``i < count``, from the :func:`_sample_table` ``(m0, P)`` of ``f`` at
+    ``level`` (polyphase), with real ``coeff`` of shape ``(len, r)``.  The one
+    on-grid sum of translates: ``apply``, ``check_qp1``, ``kernel_criterion``,
+    ``framelet._filter_combination`` and ``construct.build_dual`` call it.
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
     ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, added
     with ``a`` descending (``k`` ascending) from +0; each distinct window
     ``coeff(q - a)`` is summed once, and terms on zero samples add +-0, which
     moves no bit.  Coefficients outside ``klo .. klo + len(coeff) - 1`` repeat
-    the nearest one: callers pass every ``k`` whose translate meets a point
-    (the others meet only zeros), or one row for a constant sequence.
+    the nearest one, so a caller passes every ``k`` whose translate meets a
+    point, or one row for a constant sequence, or a finite sequence with a
+    zero row at each end (every other ``k`` then reads zero).
     """
-    m0, P = pair.phi_table(level)
+    m0, P = table
     rows, width = P.shape[:2]
     q0, j0 = divmod(g0 - m0, width)
     phase = j0 % stride
@@ -296,9 +304,12 @@ def apply(
     [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n]; outside it the output provably
     equals the sign itself, and overshoot scans rely on seeing all of it.
 
-    An on-grid shift (``t 2^level`` an integer) is summed from the pair's phi
-    table by :func:`_synthesis`, with no x-grid; other shifts, such as 1/3,
-    evaluate phi at ``2^n x + t - k`` one k at a time.
+    The coefficients are real (float64) on every route, so one accumulator
+    carries the sum.  An on-grid shift (``t 2^level`` an integer) is summed
+    from the pair's phi table by :func:`_synthesis`, with no x-grid.  Other
+    shifts, such as 1/3, evaluate phi at ``fl(fl(2^n x + t) - k)`` one k at a
+    time; a table sampled at the shifted phase would round these arguments
+    differently, so this loop stays.
     """
     if n < 0 or n != int(n):
         raise PreconditionError(f"level n must be a nonnegative integer, got {n}")
@@ -327,30 +338,24 @@ def apply(
     khi = int(math.ceil(zhi - plo))
     ks = np.arange(klo, khi + 1)
     coeff = _coefficients(pair, f, n, t, ks)
-    parts = [coeff.real, coeff.imag] if np.any(coeff.imag) else [coeff.real]
 
     # for an on-grid t each z - k is the exact grid point
     # (2^n (i0 + i) + t 2^level - k 2^level) 2^-level while |z| < 2^(53 - level)
     scale = 2.0**grid.level
     if float(t * scale).is_integer() and max(-zlo, zhi) * scale < 2.0**53:
         g0 = 2**n * i0 + int(t * scale)
-        sums = [_synthesis(pair, grid.level, g0, i1 - i0 + 1, 2**n, klo, c) for c in parts]
+        acc = _synthesis(pair.phi_table(grid.level), g0, i1 - i0 + 1, 2**n, klo, coeff)
     else:
         _, xs = dyadic_grid(lo, hi, grid.level)
         z = (2.0**n) * xs + t
-        sums = [np.zeros(xs.size) for _ in parts]
+        acc = np.zeros(xs.size)
         for i, k in enumerate(ks):
             # z is increasing, so the translate's support picks out one slice
             sl = slice(np.searchsorted(z, k + plo), np.searchsorted(z, k + phi_hi, side="right"))
             if sl.start >= sl.stop:
                 continue
-            pv = pair.phi.evaluate(z[sl] - k)
-            for acc, c in zip(sums, parts):
-                acc[sl] += np.einsum("mr,r->m", pv, c[i])
-    re = sums[0]
-    if len(sums) > 1 and np.max(np.abs(sums[1])) > 1e-9 * max(1.0, np.max(np.abs(re))):
-        raise PreconditionError("operator output is genuinely complex; real pairs expected")
-    return SampledFunction(grid.level, i0, re[:, None])
+            acc[sl] += np.einsum("mr,r->m", pair.phi.evaluate(z[sl] - k), coeff[i])
+    return SampledFunction(grid.level, i0, acc[:, None])
 
 
 def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> dict:
@@ -361,11 +366,9 @@ def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> 
     time domain as constancy of sum_k conj(phi_tilde_hat(0))^T phi(x-k) over
     one period, summed from the pair's phi table.
     """
-    m0 = pair.fhat0("phi", 0)
-    mt0 = pair.fhat0("tilde", 0)
-    norm_residual = abs(np.conj(mt0) @ m0 - 1.0)
-
-    acc = _synthesis(pair, level, 0, 2**level, 1, 0, pair.moment("tilde", 0)[None, :])
+    mass = pair.moment("tilde", 0)
+    norm_residual = abs(mass @ pair.moment("phi", 0) - 1.0)
+    acc = _synthesis(pair.phi_table(level), 0, 2**level, 1, 0, mass[None, :])
     const_residual = float(np.max(np.abs(acc - 1.0)))
     return {
         "ok": bool(norm_residual <= tol and const_residual <= tol),
@@ -409,7 +412,7 @@ def kernel_criterion(
     klo = int(math.floor(xs[0] - phi_hi))
     ks = np.arange(klo, int(math.ceil(xs[-1] - plo)) + 1)
     tails = mass[None, :] - pair.phi_tilde.cumulative(-ks.astype(np.float64))
-    G = _synthesis(pair, level, -npts, xs.size, 1, klo, tails)
+    G = _synthesis(pair.phi_table(level), -npts, xs.size, 1, klo, tails)
     xs, G = np.delete(xs, npts), np.delete(G, npts)  # x = 0 belongs to neither side
     pos = xs > 0
     viol_pos = float(np.max(G[pos] - 1.0))

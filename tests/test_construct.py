@@ -7,6 +7,8 @@ Everything else is checked through pair-level behavior: moment matching,
 polynomial reproduction order, and measured overshoot.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,20 @@ def test_hat_construction_by_hand():
     assert con.phi_tilde.coeffs.ravel() == pytest.approx([0.5, 0.5], abs=1e-12)
     assert max(con.diagnostics["moment_residuals"]) < 1e-12
     assert con.diagnostics["partition_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_partition_residual_matches_hand_written_sum(m):
+    """The partition-of-unity residual equals sum_k phi_tilde(x - k) - 1
+    summed term by term on one period of the 2^-8 grid, to the bit."""
+    con = build_dual(bspline(m), m)
+    pt = con.phi_tilde
+    xs = np.arange(256) / 256.0
+    acc = np.zeros(xs.size)
+    tlo, thi = pt.support
+    for k in range(math.floor(-thi) - 1, math.ceil(1 - tlo) + 1):
+        acc += pt.evaluate(xs - k)[:, 0]
+    assert con.diagnostics["partition_residual"] == float(np.max(np.abs(acc - 1.0)))
 
 
 def test_quadratic_spline_construction_frozen():

@@ -8,6 +8,7 @@ high-pass by s shifts the central zero-shift coefficient by (s-1)/2, which is
 also the residual since the edge defects are half as large).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from gibbslab.catalog import (
 from gibbslab.errors import ConvergenceError, DimensionMismatchError, PreconditionError
 from gibbslab.framelet import (
     FilterBank,
+    _filter_combination,
     cascade_identity_check,
     derive_wavelets,
     filter_moments,
@@ -185,6 +187,51 @@ def test_component_count_guard(haar_bank):
     )
     with pytest.raises(DimensionMismatchError):
         derive_wavelets(haar_bank, hat2, hat2)
+
+
+@pytest.mark.parametrize(
+    "spec,name,digest",
+    [
+        ("daubechies:3", "psi", "97cc1e9571856ccf770d6f065efe3c90d2ffe639e310f59458fbf38764f5696c"),
+        ("daubechies:3", "psi_tilde", "97cc1e9571856ccf770d6f065efe3c90d2ffe639e310f59458fbf38764f5696c"),
+        ("mixed13", "psi", "244e8bd362dfcb13e76ada025e48a413500464ffc9b9dd508a0b264595017ca5"),
+        # the Haar-side dual wavelet is piecewise constant: breakpoints + coefficients
+        ("mixed13", "psi_tilde", "c54b875bb80ce2b3e54f91e73b8bd1759362542dbdb9ce220ffc0d8055a24533"),
+    ],
+)
+def test_refinable_wavelets_keep_their_bytes(spec, name, digest):
+    """sha256 of the level-12 wavelet samples as the per-k loop gave them
+    (recorded before the polyphase kernel, numpy 2.4 on x86-64)."""
+    f = getattr(resolve_framelet(spec), name)
+    data = f.breakpoints.tobytes() + f.coeffs.tobytes() if isinstance(f, PiecewisePoly) else f.values.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_dilation_one_combination_matches_hand_written_sum():
+    phi = RefinableFunction(daubechies_mask(3))
+    out = _filter_combination(MatrixSeq.scalar(-1, [0.25, 0.5, 0.25]), phi, 1, 1.0)
+    assert out.support == (phi.support[0] - 1.0, phi.support[1] + 1.0)
+    xs = out.xs()
+    acc = np.zeros(xs.size)
+    for k, c in zip((-1, 0, 1), (0.25, 0.5, 0.25)):
+        acc += phi.evaluate(xs - k)[:, 0] * c
+    assert np.array_equal(out.values[:, 0], acc)
+
+
+def test_vector_combination_matches_hand_written_sum():
+    """Two components: the kernel adds the r-sum in einsum order where a
+    matmul may fuse it, so the hand-written sum agrees to rounding."""
+    ents = np.zeros((4, 2, 2))
+    ents[:, 0, 0] = bspline_mask(3).entries[:, 0, 0].real
+    ents[:, 1, 1] = daubechies_mask(2).entries[:, 0, 0].real
+    phi = RefinableFunction(MatrixSeq(0, ents), normalization=[0.5, 0.5], level=10)
+    filt = MatrixSeq(-1, np.random.default_rng(3).standard_normal((3, 3, 2)))
+    for dilate in (1, 2):
+        out = _filter_combination(filt, phi, dilate, 2.0)
+        xs = out.xs()
+        acc = sum(phi.evaluate(dilate * xs - k) @ (2.0 * filt[k].real.T) for k in (-1, 0, 1))
+        assert out.values.shape == (xs.size, 3)
+        assert np.max(np.abs(out.values - acc)) < 1e-13
 
 
 # -- vanishing moments ------------------------------------------------------------

@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from gibbslab.catalog import bspline_mask, resolve_framelet, resolve_pair
+from gibbslab.construct import build_dual
 from gibbslab.errors import DimensionMismatchError, PreconditionError
 from gibbslab.framelet import truncated_expansion
 from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline
-from gibbslab.gibbs import overshoot_curve
+from gibbslab.gibbs import overshoot, overshoot_curve
 from gibbslab.quasiproj import (
     GridSpec,
     Monomial,
@@ -276,6 +277,19 @@ def test_complex_moment_is_refused():
         apply(pair, Monomial(0))
 
 
+def test_complex_signal_is_refused(b2):
+    """A callable with genuinely complex values must not lose its imaginary
+    part on the way to the coefficients."""
+    with pytest.raises(PreconditionError, match="genuinely complex"):
+        apply(b2, lambda x: np.exp(1j * x))
+
+
+def test_signal_with_zero_imaginary_part_keeps_the_real_bytes(b2):
+    real = apply(b2, lambda x: np.exp(-(x**2)))
+    complex_typed = apply(b2, lambda x: np.exp(-(x**2)) + 0j)
+    assert real.values.tobytes() == complex_typed.values.tobytes()
+
+
 # -- polynomial signals --------------------------------------------------------
 
 
@@ -401,6 +415,26 @@ def test_kernel_criterion_flags_oscillating_duals(d2, d3):
     rep3 = kernel_criterion(d3, level=9)
     assert not rep3["ok"]
     assert rep3["worst_value"] > 1.01 or rep3["worst_value"] < -0.01
+
+
+@pytest.mark.parametrize("spec", ["haar", "bspline:2", "bspline:3", "daubechies:2", "daubechies:3", "b3+dual3"])
+@pytest.mark.parametrize("level", [10, 12])
+def test_kernel_criterion_agrees_with_the_sign_expansion(spec, level):
+    """G = (Q_{0,0} sgn + 1) / 2 on the window, since Q1 = 1; so the worst G
+    is read off the expansion of sgn, and the verdict is the overshoot test
+    R(0) <= 1, L(0) >= -1 with the tolerance doubled."""
+    if spec == "b3+dual3":
+        pair = QuasiProjectionPair(bspline(3), build_dual(bspline(3), 3).phi_tilde)
+    else:
+        pair = resolve_pair(spec)
+    rep = kernel_criterion(pair, level=level)
+    W = 2 * pair.support_bound + 1
+    sf = apply(pair, Sgn(0.0), 0, 0.0, GridSpec(level, -W, W))
+    q = sf.values[round(rep["worst_x"] * 2**level) - sf.start, 0]
+    assert abs(rep["worst_value"] - (q + 1.0) / 2.0) <= 1e-12
+    R = overshoot(pair, 0.0, "right", GridSpec(level))
+    L = overshoot(pair, 0.0, "left", GridSpec(level))
+    assert rep["ok"] == (R <= 1.0 + 2e-9 and L >= -1.0 - 2e-9)
 
 
 # -- convergence rates -----------------------------------------------------------
