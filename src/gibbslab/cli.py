@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -72,6 +73,14 @@ def _json_leaf(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _float_reprs(values: list) -> list[str]:
+    """``float.__repr__`` of each value, computed once per distinct float64
+    bit pattern (so 0.0 and -0.0 stay apart) and mapped back in order."""
+    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
 def _float_rows(obj: list, pad: str) -> str | None:
     """The text ``json.dumps(indent=2)`` writes at indent ``pad`` for a list
     of floats or a list of equal-length float lists, built by joining
@@ -80,13 +89,13 @@ def _float_rows(obj: list, pad: str) -> str | None:
     inner = pad + "  "
     kinds = set(map(type, obj))
     if kinds == {float}:
-        body = (",\n" + inner).join(map(float.__repr__, obj))
+        body = (",\n" + inner).join(_float_reprs(obj))
     elif kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
         flat = list(chain.from_iterable(obj))
         if set(map(type, flat)) != {float}:
             return None
         cell = inner + "  "
-        rows = zip(*[map(float.__repr__, flat)] * len(obj[0]))  # one tuple per row
+        rows = zip(*[iter(_float_reprs(flat))] * len(obj[0]))  # one tuple per row
         row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
         body = "[\n" + cell + row_sep.join(map((",\n" + cell).join, rows)) + "\n" + inner + "]"
     else:
@@ -354,6 +363,7 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="CSV output path")
 
 
+@cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gibbslab",

@@ -230,15 +230,38 @@ class PiecewisePoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x) -> np.ndarray:
+        """Values at ``x``, shape ``(n, r)``; ``(r,)`` for a scalar ``x``.
+
+        Pieces are half-open, so a breakpoint takes the value of the piece it
+        starts, and the value is 0 below ``breakpoints[0]``, from
+        ``breakpoints[-1]`` on, at ±inf and at NaN.  Ascending ``x`` is the fast
+        case: it is cut into one contiguous run per piece, and each run is
+        summed by Horner with that piece's coefficient row, in the operation
+        order of :func:`_polyval_pieces`.  Any other ``x`` is sorted first
+        (stable) and its values are put back in place.
+        """
         x = np.asarray(x, dtype=np.float64)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.zeros((x.size, self.ncomponents))
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        inside = (idx >= 0) & (idx < self.coeffs.shape[0]) & (x < self.breakpoints[-1])
-        piece = idx[inside]
-        out[inside] = _polyval_pieces(self.coeffs, piece, x[inside] - self.breakpoints[piece])
+        if np.all(x[1:] >= x[:-1]):
+            out = self._evaluate_ascending(x)
+        else:  # also any x holding NaN, which the sort moves to the end
+            order = np.argsort(x, kind="stable")
+            out = np.empty((x.size, self.ncomponents))
+            out[order] = self._evaluate_ascending(x[order])
         return out[0] if scalar else out
+
+    def _evaluate_ascending(self, x: np.ndarray) -> np.ndarray:
+        bp = self.breakpoints
+        out = np.zeros((x.size, self.ncomponents))
+        cuts = np.searchsorted(x, bp, side="left")  # x[cuts[i]:cuts[i+1]] lies in piece i
+        for i in np.flatnonzero(cuts[1:] > cuts[:-1]):
+            run = out[cuts[i] : cuts[i + 1]]
+            u = x[cuts[i] : cuts[i + 1], None] - bp[i]
+            for k in range(self.coeffs.shape[-1] - 1, -1, -1):
+                run *= u
+                run += self.coeffs[i, :, k]
+        return out
 
     # -- exact integrals -----------------------------------------------------
 

@@ -5,10 +5,13 @@ the things a harness actually relies on: the module entry point and
 byte-identical reruns.
 """
 
+import hashlib
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +186,57 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_usage_error_leaves_the_parser_reusable(capsys):
+    """The parser is built once per process; a usage error on it does not
+    change what the next call prints."""
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["gibbs-point"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "check-oep", "haar")
+    assert code == 0 and err == ""
+    first = _run_subprocess(["check-oep", "haar"])  # a fresh process's first call
+    assert first.returncode == 0
+    assert out.encode() == first.stdout
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("gibbslab ")]
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("expand --bank haar --n 2", "8629265971f84de8f7138d3fee4ea4a0b9e575f0d12a397a602e1df1cba42dd5"),
+        ("expand --bank bspline2-tight --n 2", "09b954a938ab93dacb574e10e098afb6d75139d0b084885a4d457eb5db0d717e"),
+        ("expand --bank mixed13 --n 2", "684cec8fed5fd00076fea754c49f81e843d87ed93ccb7c7d0482aa2ea27182d2"),
+        ("gibbs-point --pair bspline:3 --x0 5/13", "957d6c0a604aefd0231c63a5309585e1468aae394e30345c09959944af7141d6"),
+        ("overshoot-curve --pair bspline:2 --num-t 12", "8333de05d622401e9bb7b3560d9d30507f11e41aaa3ac2cbd605b7192d1b3593"),
+    ],
+)
+def test_stdout_keeps_its_bytes(capsys, argv, digest):
+    """sha256 of stdout, recorded before piecewise polynomials were evaluated
+    piece by piece and before the JSON writer formatted each distinct float
+    once (numpy 2.4 on x86-64)."""
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- sampled outputs -------------------------------------------------------------
 
 
@@ -310,6 +364,7 @@ _json_like = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_json_like)
 @example({"a": [math.nan, 1.0], "b": [[math.inf], [-0.0]], "c": np.array([[1.0, -math.inf]]), "d": [1, 1.0]})
+@example({"a": [0.0, -0.0, 0.5, 0.0, 0.5, -0.0], "b": np.array([[0.0, -0.0], [-0.0, 0.0], [0.1, 0.1]])})
 def test_json_writer_matches_json_dumps(obj):
     """The row-aware writer gives the bytes of the stock encoder: NaN,
     Infinity, -0.0, int against float, numpy scalars and arrays, complex

@@ -30,6 +30,7 @@ from gibbslab import (
     cascade,
 )
 from gibbslab.funcmodel import (
+    _polyval_pieces,
     function_from_json_dict,
     function_to_json_dict,
     refinement_residual,
@@ -232,6 +233,98 @@ def test_pp_fourier_derivative_finite_difference():
 def test_pp_fourier_rejects_higher_derivatives():
     with pytest.raises(PreconditionError):
         bspline(2).fourier(1.0, deriv=2)
+
+
+def _gathered_evaluate(f, x):
+    """Reference evaluation: one breakpoint search per point, then Horner
+    over the gathered coefficient rows of the points inside the support."""
+    x = np.asarray(x, dtype=np.float64)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.zeros((x.size, f.ncomponents))
+    idx = np.searchsorted(f.breakpoints, x, side="right") - 1
+    inside = (idx >= 0) & (idx < f.coeffs.shape[0]) & (x < f.breakpoints[-1])
+    piece = idx[inside]
+    out[inside] = _polyval_pieces(f.coeffs, piece, x[inside] - f.breakpoints[piece])
+    return out[0] if scalar else out
+
+
+def _piecewise_fleet():
+    from gibbslab.catalog import resolve_framelet
+    from gibbslab.construct import build_dual
+
+    tight = resolve_framelet("bspline2-tight")
+    return {
+        "b2": bspline(2),
+        "b3": bspline(3),
+        "b4": bspline(4),
+        "b3-shifted": bspline(3).shift(0.25),
+        "dual3": build_dual(bspline(3), 3).phi_tilde,
+        "tight-psi": tight.psi,
+        "tight-psi_tilde": tight.psi_tilde,
+        # an interior piece of -0.0 coefficients: Horner from zeros gives +0.0 there
+        "signed-zero piece": PiecewisePoly([0.0, 1.0, 2.0, 3.0], [[1.0, 1.0], [-0.0, -0.0], [-1.0, 0.5]]),
+    }
+
+
+PIECEWISE_FLEET = _piecewise_fleet()
+
+
+def _assert_same_bits(f, x):
+    got, want = f.evaluate(x), _gathered_evaluate(f, x)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _fixed_inputs(f):
+    lo, hi = f.support
+    grid = np.linspace(lo - 0.75, hi + 0.75, 1001)
+    shuffled = np.random.default_rng(7).permutation(grid)
+    specials = np.array([np.nan, -np.inf, 0.0, np.inf, -0.0, lo, hi, np.nan, -0.0])
+    return {
+        "ascending": grid,
+        "descending": grid[::-1],
+        "shuffled": shuffled,
+        "strided view": shuffled[::3],
+        "repeated": np.repeat(grid[::50], 3),
+        "breakpoints": f.breakpoints,
+        "breakpoints reversed": f.breakpoints[::-1],
+        "specials": specials,
+        "specials mixed in": np.concatenate([specials, grid[::17], specials[::-1]]),
+        "signed zeros": np.array([0.0, -0.0, -0.0, 0.0]),
+        "empty": np.array([]),
+        "one NaN": np.array([np.nan]),
+    }
+
+
+@pytest.mark.parametrize("name", PIECEWISE_FLEET)
+def test_pp_evaluate_matches_gathered_reference_bitwise(name):
+    """The per-piece runs give the bits of the per-point gather on every
+    input order, at the breakpoints, on ±inf, NaN and ±0.0, and on scalars."""
+    f = PIECEWISE_FLEET[name]
+    for x in _fixed_inputs(f).values():
+        _assert_same_bits(f, x)
+    for v in (*f.breakpoints, 0.0, -0.0, np.inf, -np.inf, np.nan, f.support[0] + 0.3):
+        _assert_same_bits(f, np.float64(v))
+        assert f.evaluate(v).shape == (f.ncomponents,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", PIECEWISE_FLEET)
+def test_pp_evaluate_matches_gathered_reference_hypothesis(name, data):
+    f = PIECEWISE_FLEET[name]
+    lo, hi = f.support
+    special = st.sampled_from([*f.breakpoints, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    values = data.draw(
+        st.lists(st.one_of(st.floats(lo - 1.0, hi + 1.0), special), max_size=60), label="x"
+    )
+    x = np.array(values, dtype=np.float64)
+    order = data.draw(st.sampled_from(["drawn", "ascending", "descending"]), label="order")
+    if order != "drawn":
+        x = np.sort(x, kind="stable")
+        x = x if order == "ascending" else x[::-1]
+    _assert_same_bits(f, x)
 
 
 # ---------------------------------------------------------------------------
