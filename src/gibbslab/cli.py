@@ -363,7 +363,7 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="CSV output path")
 
 
-@cache  # built on first use, once per process
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gibbslab",
