@@ -32,7 +32,7 @@ from .funcmodel import (
     fhat_deriv0,
     function_to_json_dict,
 )
-from .gibbs import nonneg_sufficient, overshoot
+from .gibbs import _overshoot_both, nonneg_sufficient
 from .quasiproj import QuasiProjectionPair, _sample_table, _synthesis
 
 __all__ = [
@@ -177,8 +177,7 @@ def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> di
         in_range = in_range and abs(right - expected) < 1e-9
     pair = QuasiProjectionPair(phi, pt)
     cond = nonneg_sufficient(pair)
-    R0 = overshoot(pair, 0.0, "right")
-    L0 = overshoot(pair, 0.0, "left")
+    R0, L0 = _overshoot_both(pair, 0.0, None)
     return {
         "integral_right": right,
         "integral_left": left,

@@ -573,17 +573,26 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
     return kmin, kmax, norm
 
 
-def _tap_rows(s: int, n_out: int, n_in: int) -> tuple[int, int]:
-    """Rows ``[lo, hi)`` of an ``n_out``-row output whose source index
-    ``2 i + s`` lies inside an ``n_in``-row input; rows from ``hi`` on read
-    past its right end."""
-    lo = min(max(-(s // 2), 0), n_out)
-    hi = min(max((n_in - 1 - s) // 2 + 1, 0), n_out)
-    return lo, hi
+def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None) -> np.ndarray:
+    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n``, one
+    strided slice per ``(k, a)`` in ``taps`` (``k`` ascending), added from +0:
+    the two-scale sum ``sum_k a(k) f(dilate x - k)`` over the samples ``vals``
+    of ``f``, which is zero left of them and ``beyond`` (None: zero) right.
+    """
+    out = np.zeros((n, taps[0][1].shape[0]))
+    for k, a in taps:
+        s = s0 - k * step
+        lo = min(max(-(s // dilate), 0), n)  # first row reading index >= 0
+        hi = min(max((len(vals) - 1 - s) // dilate + 1, 0), n)  # rows from hi on read past the end
+        if lo < hi:
+            out[lo:hi] += np.einsum("ab,nb->na", a, vals[dilate * lo + s : dilate * hi + s : dilate])
+        if beyond is not None and hi < n:
+            out[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
+    return out
 
 
 def _refine(
-    taps, kmin: int, W: int, level: int, v0: np.ndarray, gain: float, beyond: np.ndarray
+    taps, kmin: int, W: int, level: int, v0: np.ndarray, gain: float, beyond: np.ndarray | None
 ) -> np.ndarray:
     """Samples of a solution of ``f(x) = gain sum_k a(k) f(2x - k)`` on the
     grid ``kmin + i 2^-level`` over ``[kmin, kmin + W]``, from its values
@@ -591,24 +600,16 @@ def _refine(
 
     Each level keeps the previous samples at its even points and fills its odd
     points ``x`` from ``f(2x - k)``, which lie on the previous grid; ``f`` is
-    zero left of that grid and ``beyond`` right of it.
+    zero left of that grid and ``beyond`` (None: zero) right of it.
     """
     taps = [(k, gain * a) for k, a in taps]
     vals = v0
     for lev in range(1, level + 1):
         half = 2 ** (lev - 1)
         n = W * half  # odd points of this level; the previous grid has n + 1
-        odd = np.zeros((n, vals.shape[1]), dtype=vals.dtype)
-        for k, a in taps:
-            s = 1 + (kmin - k) * half
-            lo, hi = _tap_rows(s, n, n + 1)
-            if lo < hi:
-                odd[lo:hi] += np.einsum("ab,nb->na", a, vals[2 * lo + s : 2 * hi + s - 1 : 2])
-            if hi < n:
-                odd[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
-        new = np.empty((2 * n + 1, vals.shape[1]), dtype=vals.dtype)
+        new = np.empty((2 * n + 1, vals.shape[1]))
         new[::2] = vals
-        new[1::2] = odd
+        new[1::2] = _tap_sum(taps, vals, n, 2, 1 + kmin * half, half, beyond)
         vals = new
     return vals
 
@@ -691,7 +692,7 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
     v0[0] = norm.real
     ints = _fixed_part(M.reshape(-1, (W + 1) * r), v0.reshape(-1)).reshape(W + 1, r)
     depth = max(level, _GROWTH_LEVELS[1])
-    vals = _refine(list(zip(mask.indices(), ents)), kmin, W, depth, ints, 2.0, np.zeros(r))
+    vals = _refine(list(zip(mask.indices(), ents)), kmin, W, depth, ints, 2.0, None)
     coarse, fine = (_max_increment(vals[:: 2 ** (depth - j)]) for j in _GROWTH_LEVELS)
     if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * float(np.max(np.abs(ints))):
         raise ConvergenceError(
@@ -706,16 +707,10 @@ def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:
     """sup-norm of phi(x) - 2 sum_k a(k) phi(2x - k) over the sample grid.
 
     ``2 x_i - k`` is the grid point of index ``2 i + start - k 2^level``, so
-    each tap reads a stride-2 slice of the samples.
+    the sum is one :func:`_tap_sum` with taps ``2 a(k)``.
     """
-    n = sf.values.shape[0]
-    acc = np.zeros_like(sf.values)
-    for k in mask.indices():
-        s = sf.start - k * 2**sf.level
-        lo, hi = _tap_rows(s, n, n)
-        if lo < hi:
-            seg = sf.values[2 * lo + s : 2 * hi + s - 1 : 2]
-            acc[lo:hi] += 2.0 * np.einsum("ab,nb->na", mask[k].real, seg)
+    taps = [(k, 2.0 * mask[k].real) for k in mask.indices()]
+    acc = _tap_sum(taps, sf.values, sf.values.shape[0], 2, sf.start, 2**sf.level)
     return float(np.max(np.abs(sf.values - acc)))
 
 
@@ -843,11 +838,9 @@ class RefinableFunction:
         if key in self._cache:
             return self._cache[key]
         kmin, kmax = self._cache["ksupport"]
-        W = kmax - kmin
-        r = self.ncomponents
-        m0 = np.asarray(self.moment(0), dtype=np.float64).reshape(r)
+        Fint = self._integer_cumulative()  # its last row is F = phihat(0) right of the support
         taps = [(k, self.mask[k].real) for k in self.mask.indices()]
-        F = _refine(taps, kmin, W, level, self._integer_cumulative(), 1.0, m0)
+        F = _refine(taps, kmin, kmax - kmin, level, Fint, 1.0, Fint[-1])
         self._cache[key] = F
         return F
 
@@ -945,6 +938,9 @@ def _grid_min(f: FunctionHandle, level: int = 10) -> float:
     """Smallest sample of any component on the dyadic grid over the support."""
     _, xs = dyadic_grid(*f.support, level)
     return float(np.min(f.evaluate(xs)))
+
+
+_MAX_SAMPLE_JUMP = 0.05  # a larger _continuity_defect reads as a jump: not continuous
 
 
 def _continuity_defect(f: FunctionHandle, level: int = 10) -> float:

@@ -28,7 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .funcmodel import FunctionHandle, _continuity_defect, _grid_min, halfline_integral, simpson_sum
+from .funcmodel import (
+    _MAX_SAMPLE_JUMP,
+    FunctionHandle,
+    _continuity_defect,
+    _grid_min,
+    halfline_integral,
+    simpson_sum,
+)
 from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, check_qp1, poly_reproduction
 
 __all__ = [
@@ -308,7 +315,7 @@ def gibbs_at_point(
         shifts = [float(c) for c in cs]
     if cs == FULL_INTERVAL or cs != [Fraction(0)]:
         defect = _continuity_defect(pair.phi)
-        if defect > 0.05:
+        if defect > _MAX_SAMPLE_JUMP:
             raise PreconditionError(
                 "cluster-set analysis away from dyadic points needs a continuous "
                 f"primal function; sample jump {defect:.3g} found"

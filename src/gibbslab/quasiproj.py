@@ -257,8 +257,9 @@ def _synthesis(
     """``sum_k coeff[k - klo] . f(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
     ``i < count``, from the :func:`_sample_table` ``(m0, P)`` of ``f`` at
     ``level`` (polyphase), with real ``coeff`` of shape ``(len, r)``.  The one
-    on-grid sum of translates: ``apply``, ``check_qp1``, ``kernel_criterion``,
-    ``framelet._filter_combination`` and ``construct.build_dual`` call it.
+    on-grid sum of translates at one scale: ``apply``, ``check_qp1``,
+    ``kernel_criterion`` and ``construct.build_dual`` call it.  Two-scale sums
+    ``sum_k a(k) f(2x - k)`` go through ``funcmodel._tap_sum`` instead.
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
     ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, added
@@ -266,8 +267,7 @@ def _synthesis(
     ``coeff(q - a)`` is summed once, and terms on zero samples add +-0, which
     moves no bit.  Coefficients outside ``klo .. klo + len(coeff) - 1`` repeat
     the nearest one, so a caller passes every ``k`` whose translate meets a
-    point, or one row for a constant sequence, or a finite sequence with a
-    zero row at each end (every other ``k`` then reads zero).
+    point, or one row for a constant sequence.
     """
     m0, P = table
     rows, width = P.shape[:2]

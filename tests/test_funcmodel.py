@@ -29,6 +29,7 @@ from gibbslab import (
     bspline,
     cascade,
 )
+from gibbslab.catalog import daubechies_mask
 from gibbslab.funcmodel import (
     _polyval_pieces,
     function_from_json_dict,
@@ -369,6 +370,8 @@ def test_cascade_recovers_spline_samples(m, mask):
 def test_cascade_daubechies_satisfies_two_scale():
     sf = cascade(D4_MASK, level=9)
     assert refinement_residual(sf, D4_MASK) < 1e-8
+    # the same samples against the six-tap Daubechies mask are far from a solution
+    assert refinement_residual(sf, daubechies_mask(3)) > 0.1
 
 
 def test_cascade_divergent_mask_raises():
@@ -478,6 +481,10 @@ def test_refinable_vector_valued_diagonal_mask():
     vals = rf.evaluate(xs)
     assert np.max(np.abs(vals[:, 1] - bspline(2).evaluate(xs)[:, 0])) < 1e-9
     assert gl.halfline_integral(rf, 1.0, "right") == pytest.approx([0.0, 0.5], abs=1e-10)
+    assert rf.refinement_residual() < 1e-12
+    # each component checked against the other's mask: the 2x2 taps must keep them apart
+    swapped = MatrixSeq(0, ents[:, ::-1, ::-1])
+    assert refinement_residual(rf.samples(), swapped) > 0.1
 
 
 def test_cascade_vector_mask_keeps_halfopen_convention():
