@@ -39,9 +39,9 @@ from .funcmodel import (
     SampledFunction,
     _continuity_defect,
     _grid_min,
+    _support_samples,
     _tap_sum,
     dyadic_bounds,
-    dyadic_grid,
     fhat_deriv0,
     simpson_sum,
 )
@@ -144,8 +144,9 @@ def oep_check(bank: FilterBank, tol: float = 1e-12) -> dict:
 def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, factor: float):
     """factor * sum_k coeffs(k) f(dilate . - k), exact for piecewise polys.
 
-    A sampled ``f`` is evaluated once on the grid over its support at its own
-    level, and the filter's matrices are the taps of one :func:`_tap_sum`.
+    A sampled ``f`` is read once on the grid over its support at its own level
+    (``funcmodel._support_samples``), and the filter's matrices are the taps of
+    one :func:`_tap_sum`.
     """
     klo, n = coeffs.offset, coeffs.entries.shape[0]
     if np.max(np.abs(coeffs.entries.imag)) > 1e-14:
@@ -158,10 +159,10 @@ def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, facto
     level = getattr(f, "level", 12)
     flo, fhi = f.support
     i0, i1 = dyadic_bounds((flo + klo) / dilate, (fhi + klo + n - 1) / dilate, level)
-    m0, xs = dyadic_grid(flo, fhi, level)
+    m0, fvals = _support_samples(f, level)
     # x = (i0 + i) 2^-level gives dilate x - k = (dilate (i0 + i) - k 2^level) 2^-level
     taps = [(klo + i, mats[i]) for i in range(n)]
-    vals = _tap_sum(taps, f.evaluate(xs), i1 - i0 + 1, dilate, dilate * i0 - m0, 2**level)
+    vals = _tap_sum(taps, fvals, i1 - i0 + 1, dilate, dilate * i0 - m0, 2**level)
     return SampledFunction(level, i0, vals)
 
 

@@ -266,12 +266,20 @@ class PiecewisePoly:
     # -- exact integrals -----------------------------------------------------
 
     @property
+    def _antiderivative(self) -> np.ndarray:
+        """Each piece's antiderivative from its left end, ``(m, r, deg+2)``, cached."""
+        cache = self.__dict__.get("_anti")
+        if cache is None:
+            cache = self.__dict__["_anti"] = _polyint_asc(self.coeffs)
+        return cache
+
+    @property
     def _cumulative_at_breaks(self) -> np.ndarray:
         """C[i] = integral of f over (-inf, breakpoints[i]]; shape (m+1, r)."""
         cache = self.__dict__.get("_cum")
         if cache is not None:
             return cache
-        anti = _polyint_asc(self.coeffs)  # (m, r, deg+2)
+        anti = self._antiderivative
         widths = np.diff(self.breakpoints)
         piece = np.stack(
             [_polyval_asc(anti[i], np.array([widths[i]]))[:, 0] for i in range(len(widths))]
@@ -291,7 +299,7 @@ class PiecewisePoly:
         mid = (idx >= 0) & (idx < len(bp) - 1)
         if np.any(mid):
             im = idx[mid]
-            out[mid] = cum[im] + _polyval_pieces(_polyint_asc(self.coeffs), im, s[mid] - bp[im])
+            out[mid] = cum[im] + _polyval_pieces(self._antiderivative, im, s[mid] - bp[im])
         return out
 
     def integral(self, a: float | None = None, b: float | None = None) -> np.ndarray:
@@ -932,6 +940,17 @@ def halfline_integral(f: FunctionHandle, k: float, side: str) -> np.ndarray:
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
     left, total = f.cumulative([k, f.support[1]])
     return left if side == "left" else total - left
+
+
+def _support_samples(f: FunctionHandle, level: int) -> tuple[int, np.ndarray]:
+    """``f`` at the points ``(i0 + i) 2^-level`` of ``dyadic_grid(*f.support,
+    level)``: ``i0`` and the values, shape ``(n, r)``.  A refinable function
+    carrying ``level`` hands over its cached samples, which sit on exactly
+    those points, so they are the bits ``evaluate`` would give there."""
+    i0, xs = dyadic_grid(*f.support, level)
+    if isinstance(f, RefinableFunction) and f.level == level:
+        return i0, f.samples().values
+    return i0, f.evaluate(xs)
 
 
 def _grid_min(f: FunctionHandle, level: int = 10) -> float:

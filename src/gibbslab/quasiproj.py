@@ -33,6 +33,7 @@ from .funcmodel import (
     PiecewisePoly,
     SampledFunction,
     _is_real,
+    _support_samples,
     check_level,
     dyadic_bounds,
     dyadic_grid,
@@ -241,11 +242,11 @@ def _sample_table(f: FunctionHandle, level: int) -> tuple[int, np.ndarray]:
     """``f`` on the ``2^-level`` grid over its support, one row per unit step:
     ``(m0, P)`` with ``P[a, j] = f((m0 + a 2^level + j) 2^-level)``, shape
     ``(rows, 2^level, r)``, zero past the last grid point of the support; from
-    one ``evaluate`` call."""
-    m0, xs = dyadic_grid(*f.support, level)
+    one ``funcmodel._support_samples`` call."""
+    m0, vals = _support_samples(f, level)
     width = 2**level
-    table = np.zeros((-(-xs.size // width) * width, f.ncomponents))
-    table[: xs.size] = f.evaluate(xs)
+    table = np.zeros((-(-len(vals) // width) * width, f.ncomponents))
+    table[: len(vals)] = vals
     table = table.reshape(-1, width, f.ncomponents)
     table.flags.writeable = False
     return m0, table
@@ -262,12 +263,17 @@ def _synthesis(
     ``sum_k a(k) f(2x - k)`` go through ``funcmodel._tap_sum`` instead.
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
-    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, added
-    with ``a`` descending (``k`` ascending) from +0; each distinct window
-    ``coeff(q - a)`` is summed once, and terms on zero samples add +-0, which
-    moves no bit.  Coefficients outside ``klo .. klo + len(coeff) - 1`` repeat
-    the nearest one, so a caller passes every ``k`` whose translate meets a
-    point, or one row for a constant sequence.
+    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``.  One
+    ``einsum`` contraction over the rows ``a`` and the components computes it
+    for every window ``coeff(q - a)`` at once: from +0, with ``a`` descending
+    (``k`` ascending), it adds each row's component sum ``coeff(q - a) .
+    P[a, j]``, and terms on zero samples add +-0, which moves no bit.  It is
+    einsum, not np.dot or tensordot: BLAS may add the terms in another order
+    and move the last bit.  Coefficients outside ``klo .. klo + len(coeff) -
+    1`` repeat the nearest one, so a caller passes every ``k`` whose translate
+    meets a point, or one row for a constant sequence; the equal windows this
+    makes, the flat runs at either end, are adjacent, and each run is summed
+    once.
     """
     m0, P = table
     rows, width = P.shape[:2]
@@ -277,18 +283,14 @@ def _synthesis(
     skip = (j0 - phase) // stride
     nq = -(-(skip + count) // cols.shape[1])
     qs = q0 + max(1, stride // width) * np.arange(nq)  # ... of every (stride / 2^level)-th row
-    idx = np.clip(qs[:, None] - klo + np.arange(1 - rows, 1), 0, coeff.shape[0] - 1)
-    windows = coeff[idx]  # (nq, rows, r), k ascending
-    # one bytes key per window: np.unique on it is a flat sort, not a row sort
-    keys = windows.reshape(nq, -1).view(np.dtype((np.void, windows[0].nbytes)))
-    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    windows = windows[first]
-    out = np.zeros((first.size, cols.shape[1]))
-    for b in range(rows):
-        # einsum, not np.dot: BLAS may add the components of a vector-valued
-        # pair in another order and move the last bit of the output
-        out += np.einsum("jr,ur->uj", cols[rows - 1 - b], windows[:, b])
-    return out[inverse.reshape(-1)].reshape(-1)[skip : skip + count]
+    idx = qs[:, None] - klo + np.arange(1 - rows, 1)
+    windows = np.take(coeff, idx, axis=0, mode="clip")  # (nq, rows, r), k ascending
+    # the first window of each run of equal ones, by bits (0.0 and -0.0 differ)
+    bits = windows.reshape(nq, -1).view(np.int64)
+    first = np.ones(nq, dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
+    out = np.einsum("uar,ajr->uj", windows[first], cols[::-1])
+    return out[np.cumsum(first) - 1].reshape(-1)[skip : skip + count]
 
 
 def apply(
