@@ -263,17 +263,14 @@ def _synthesis(
     ``sum_k a(k) f(2x - k)`` go through ``funcmodel._tap_sum`` instead.
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
-    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``.  One
-    ``einsum`` contraction over the rows ``a`` and the components computes it
-    for every window ``coeff(q - a)`` at once: from +0, with ``a`` descending
-    (``k`` ascending), it adds each row's component sum ``coeff(q - a) .
-    P[a, j]``, and terms on zero samples add +-0, which moves no bit.  It is
-    einsum, not np.dot or tensordot: BLAS may add the terms in another order
-    and move the last bit.  Coefficients outside ``klo .. klo + len(coeff) -
-    1`` repeat the nearest one, so a caller passes every ``k`` whose translate
-    meets a point, or one row for a constant sequence; the equal windows this
-    makes, the flat runs at either end, are adjacent, and each run is summed
-    once.
+    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``: one
+    einsum over every distinct window ``coeff(q - a)``, which adds each row's
+    component sum from +0 with ``a`` descending (``k`` ascending); terms on zero
+    samples add +-0, which moves no bit.  einsum, not np.dot: BLAS may add the
+    terms in another order and move the last bit.  Coefficients outside ``klo
+    .. klo + len(coeff) - 1`` repeat the nearest one, so a caller passes every
+    ``k`` whose translate meets a point, or one row for a constant sequence;
+    the equal windows this makes are adjacent runs, each summed once.
     """
     m0, P = table
     rows, width = P.shape[:2]

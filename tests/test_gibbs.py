@@ -8,6 +8,8 @@ independent code paths: moments/kappa vs direct quadrature of the expansion
 error, so their agreement is a strong end-to-end check.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab.catalog import resolve_pair
+from gibbslab.construct import build_dual
 from gibbslab.errors import PreconditionError
 from gibbslab.funcmodel import PiecewisePoly, bspline
 from gibbslab.gibbs import (
@@ -204,6 +207,35 @@ def test_overshoot_curve_shapes(d3):
     assert ts.shape == R.shape == L.shape == (8,)
     assert np.all(R >= 1.0 - 1e-9) and np.all(L <= -1.0 + 1e-9)
     assert R[0] == pytest.approx(overshoot(d3, 0.0, "right", GridSpec(9)))
+
+
+def _b3_with_dual3():
+    return QuasiProjectionPair(bspline(3), build_dual(bspline(3), 3).phi_tilde)
+
+
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (lambda: resolve_pair("daubechies:3"), "9adb72ffed34903760bdca7b5f11645ae8fd2143ad3825d7c412f632ae85aa01"),
+        (_b3_with_dual3, "5afde5c6796eeb28f7f6b1613abdf6bbd9c4f57318708f953624d11598ad129c"),
+    ],
+    ids=["daubechies:3", "bspline:3+dual3"],
+)
+def test_overshoot_curve_keeps_its_bytes(make, digest):
+    """sha256 of the R and L bytes of a 16-shift curve at level 12, recorded
+    with the row-by-row synthesis kernel (numpy 2.4 on x86-64)."""
+    _, R, L = overshoot_curve(make(), 16, GridSpec(12))
+    assert hashlib.sha256(R.tobytes() + L.tobytes()).hexdigest() == digest
+
+
+def test_irrational_report_keeps_its_bytes(d3):
+    """sha256 of the sorted JSON of a 32-shift irrational verdict, recorded
+    with the row-by-row synthesis kernel (numpy 2.4 on x86-64)."""
+    rep = gibbs_at_point(d3, "irrational", irrational_density=32)
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f6448d79e1ff4f1710d41c54903e7cbb219d47e0b401ebe78096558efe12103a"
+    )
 
 
 # -- doubling dynamics --------------------------------------------------------------

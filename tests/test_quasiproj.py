@@ -14,12 +14,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gibbslab.catalog import bspline_mask, resolve_framelet, resolve_pair
 from gibbslab.construct import build_dual
 from gibbslab.errors import DimensionMismatchError, PreconditionError
 from gibbslab.framelet import truncated_expansion
-from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline
+from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, dyadic_grid
 from gibbslab.gibbs import overshoot, overshoot_curve
 from gibbslab.quasiproj import (
     GridSpec,
@@ -27,6 +29,8 @@ from gibbslab.quasiproj import (
     QuasiProjectionPair,
     Sgn,
     _coefficients,
+    _sample_table,
+    _synthesis,
     accuracy_order,
     apply,
     approximation_rate,
@@ -251,6 +255,94 @@ def test_vector_pair_expansion_keeps_its_bytes(f, digest):
     assert df.psi.ncomponents == 2
     sf = truncated_expansion(df, f, 3, GridSpec(10))
     assert hashlib.sha256(sf.values.tobytes()).hexdigest() == digest
+
+
+def _naive_synthesis(table, g0, count, stride, klo, coeff):
+    """``_synthesis`` written as a loop: for each point, the rows ``a`` with
+    ``k = q - a`` ascending, added from +0, each row's component sum one term.
+    numpy's einsum adds the r components of one row in an order of its own
+    (on AVX-512 builds ``(p0 + p2) + p1`` for r = 3), so that sum is einsum's
+    on the row alone; the loop pins the order and grouping of the rows."""
+    m0, P = table
+    rows, width, _ = P.shape
+    out = np.empty(count)
+    for i in range(count):
+        q, j = divmod(g0 + stride * i - m0, width)
+        acc = 0.0
+        for a in range(rows - 1, -1, -1):
+            c = coeff[min(max(q - a - klo, 0), len(coeff) - 1)]
+            acc = acc + np.einsum("r,r->", c, P[a, j])
+        out[i] = acc
+    return out
+
+
+_SYNTH_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    r=st.integers(1, 3),
+    level=st.integers(1, 4),
+    log_stride=st.integers(0, 6),
+    m0=st.integers(-40, 40),
+    g0=st.integers(-80, 80),
+    count=st.integers(1, 40),
+    klo=st.integers(-12, 12),
+    pattern=st.lists(_SYNTH_VALUES, min_size=1, max_size=18),
+    repeats=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a period-2 sequence: equal windows two apart with another between them
+@example(rows=1, r=1, level=2, log_stride=0, m0=0, g0=-4, count=40, klo=0,
+         pattern=[0.5, -1.0], repeats=3, seed=0)
+# +-0.0 windows next to each other, and a flat run at each end
+@example(rows=3, r=2, level=2, log_stride=1, m0=-3, g0=-20, count=40, klo=-2,
+         pattern=[0.0, -0.0, -0.0, 0.0, 1.0, -1.0], repeats=1, seed=1)
+def test_synthesis_matches_naive_loop_bitwise(rows, r, level, log_stride, m0, g0, count, klo, pattern, repeats, seed):
+    """The one-contraction kernel gives the bytes of the loop over points and
+    rows, at strides below and above ``2^level``, on constant runs, repeated
+    windows and +-0.0 coefficients against a table holding +-0.0 samples."""
+    width = 2**level
+    stride = 2 ** min(log_stride, level + 2)
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((rows, width, r)) * 10.0 ** rng.integers(-6, 6, (rows, width, r))
+    P[rng.random(P.shape) < 0.2] = 0.0
+    P[rng.random(P.shape) < 0.1] = -0.0
+    P.flags.writeable = False
+    flat = np.tile(np.asarray(pattern), repeats)
+    coeff = flat[: flat.size - flat.size % r].reshape(-1, r) if flat.size >= r else np.resize(flat, (1, r))
+    table = (m0, P)
+    got = _synthesis(table, g0, count, stride, klo, coeff)
+    assert got.tobytes() == _naive_synthesis(table, g0, count, stride, klo, coeff).tobytes()
+
+
+@pytest.mark.parametrize("spec,carried", [("daubechies:2", 12), ("daubechies:3", 11)])
+def test_refinable_phi_table_reads_the_cached_samples(monkeypatch, spec, carried):
+    """At the level a refinable phi carries, its table holds the cascade
+    samples with the bytes that evaluating at the grid points gave, and no
+    ``evaluate`` runs; at another level it still evaluates."""
+    phi = resolve_pair(spec, carried).phi
+    width = 2**carried
+    m0, xs = dyadic_grid(*phi.support, carried)
+    want = np.zeros((-(-xs.size // width) * width, 1))
+    want[: xs.size] = phi.evaluate(xs)
+    calls = []
+    orig = RefinableFunction.evaluate
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return orig(self, x)
+
+    monkeypatch.setattr(RefinableFunction, "evaluate", counted)
+    pair = QuasiProjectionPair(phi, phi)
+    got_m0, got = pair.phi_table(carried)
+    assert calls == [] and got_m0 == m0 and got.tobytes() == want.tobytes()
+    pair.phi_table(carried - 1)
+    assert len(calls) == 1
 
 
 def test_overshoot_curve_evaluates_phi_once_per_level(monkeypatch):
