@@ -942,15 +942,14 @@ def halfline_integral(f: FunctionHandle, k: float, side: str) -> np.ndarray:
     return left if side == "left" else total - left
 
 
-def _support_samples(f: FunctionHandle, level: int) -> tuple[int, np.ndarray]:
-    """``f`` at the points ``(i0 + i) 2^-level`` of ``dyadic_grid(*f.support,
-    level)``: ``i0`` and the values, shape ``(n, r)``.  A refinable function
-    carrying ``level`` hands over its cached samples, which sit on exactly
-    those points, so they are the bits ``evaluate`` would give there."""
+def _support_samples(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
+    """``f`` at ``(i0 + i) 2^-level + phase`` over ``dyadic_grid(*f.support, level)``:
+    ``i0`` and the values, shape ``(n, r)``.  At phase 0 a refinable function
+    carrying ``level`` hands over its cached samples, the bits ``evaluate`` gives."""
     i0, xs = dyadic_grid(*f.support, level)
-    if isinstance(f, RefinableFunction) and f.level == level:
+    if not phase and isinstance(f, RefinableFunction) and f.level == level:
         return i0, f.samples().values
-    return i0, f.evaluate(xs)
+    return i0, f.evaluate(xs + phase)
 
 
 def _grid_min(f: FunctionHandle, level: int = 10) -> float:

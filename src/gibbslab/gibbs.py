@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -191,10 +192,10 @@ def _sweep(pair: QuasiProjectionPair, shifts, grid: GridSpec | None) -> tuple[np
     """(R, L) at each shift, one ``apply`` per shift in a plain loop.
 
     Shifts on the ``2^-level`` grid (every curve shift, the irrational sweep,
-    dyadic cluster sets) are summed from the rows of the pair's cached phi
-    table for that level, built once, with no x-grid; off-grid shifts such as
-    1/3 evaluate phi themselves.  One call per shift keeps each shift its own
-    ``apply`` call, which is what a per-shift trace counts.
+    dyadic cluster sets) are summed from the pair's cached phi table for that
+    level; an off-grid shift such as 1/3 builds a table at its own phase (the
+    shifts of a curve or a cluster set are distinct).  One call per shift is
+    what a per-shift trace counts.
     """
     both = [_overshoot_both(pair, t, grid) for t in shifts]
     return np.array([b[0] for b in both]), np.array([b[1] for b in both])
@@ -221,21 +222,21 @@ def cluster_set(x0) -> list[Fraction]:
     orbit enters the pure cycle of 2^n (p mod q) / q, because 2 is invertible
     mod q.  For q = 1 the orbit collapses to {0}.
     """
+    return list(_cycle(x0))
+
+
+def _cycle(x0):
+    """:func:`cluster_set` point by point; doubling permutes the residues mod q."""
     x0 = Fraction(x0)
     q = x0.denominator
-    p = x0.numerator % q if q > 1 else 0
     while q % 2 == 0:
         q //= 2
-    if q == 1:
-        return [Fraction(0)]
-    a = p % q
-    orbit = []
-    seen = set()
-    while a not in seen:
-        seen.add(a)
-        orbit.append(Fraction(a, q))
-        a = (2 * a) % q
-    return orbit
+    a = start = x0.numerator % q
+    while True:
+        yield Fraction(a, q)
+        a = 2 * a % q
+        if a == start:
+            return
 
 
 def doubling_orbit_element(x0, n: int) -> Fraction:
@@ -301,17 +302,25 @@ def gibbs_at_point(
     cluster set of the doubling orbit of x0; for the irrational marker the
     cluster set is the whole interval and is swept on a uniform grid, which
     can certify overshoot but never its absence (verdict stays one-sided).
+    A cycle longer than the grid's ``2^level`` distinct shifts is refused.
     """
+    if not (math.isfinite(tol) and tol >= 0 and irrational_density >= 1):
+        raise PreconditionError(
+            f"tol must be finite and >= 0, irrational_density >= 1; got {tol!r}, {irrational_density!r}"
+        )
     _require_qp1(pair)
     irrational = isinstance(x0, str) and x0.strip().lower() == "irrational"
     if irrational:
         shifts = [i / irrational_density for i in range(irrational_density)]
         cs = FULL_INTERVAL
     else:
+        most = 2 ** (grid or GridSpec()).level
         try:
-            cs = cluster_set(Fraction(x0))
-        except (ValueError, ZeroDivisionError):
+            cs = list(islice(_cycle(x0), most + 1))
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise PreconditionError(f"malformed rational point {x0!r}") from None
+        if len(cs) > most:
+            raise PreconditionError(f'cycle of {x0} exceeds the {most} grid shifts; use "irrational"')
         shifts = [float(c) for c in cs]
     if cs == FULL_INTERVAL or cs != [Fraction(0)]:
         defect = _continuity_defect(pair.phi)
@@ -322,9 +331,9 @@ def gibbs_at_point(
             )
 
     Rs, Ls = _sweep(pair, shifts, grid)
-    iR = int(np.argmax(Rs))
-    iL = int(np.argmin(Ls))
-    R, L = float(Rs[iR]), float(Ls[iL])
+    R, L = float(np.max(Rs)), float(np.min(Ls))
+    # the first shift within 1e-12 of the extreme: rounding moves R, L by ~1e-14
+    iR, iL = int(np.argmax(Rs >= R - 1e-12)), int(np.argmax(Ls <= L + 1e-12))
     worst = shifts[iR] if (R - 1.0) >= (-1.0 - L) else shifts[iL]
     has_gibbs = R > 1.0 + tol or L < -1.0 - tol
     if has_gibbs:

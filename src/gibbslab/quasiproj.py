@@ -134,8 +134,10 @@ class QuasiProjectionPair:
             self._moments[key] = np.asarray(np.real(m), dtype=np.float64)
         return self._moments[key]
 
-    def phi_table(self, level: int) -> tuple[int, np.ndarray]:
-        """The :func:`_sample_table` of phi at ``level``, cached per level."""
+    def phi_table(self, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
+        """The :func:`_sample_table` of phi; cached per level at phase 0 only."""
+        if phase:
+            return _sample_table(self.phi, level, phase)
         if level not in self._tables:
             self._tables[level] = _sample_table(self.phi, level)
         return self._tables[level]
@@ -238,12 +240,12 @@ def _dual_pairings(
     return out
 
 
-def _sample_table(f: FunctionHandle, level: int) -> tuple[int, np.ndarray]:
-    """``f`` on the ``2^-level`` grid over its support, one row per unit step:
-    ``(m0, P)`` with ``P[a, j] = f((m0 + a 2^level + j) 2^-level)``, shape
-    ``(rows, 2^level, r)``, zero past the last grid point of the support; from
-    one ``funcmodel._support_samples`` call."""
-    m0, vals = _support_samples(f, level)
+def _sample_table(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
+    """``f`` on the ``2^-level`` grid over its support, shifted by ``0 <= phase
+    < 2^-level``, one row per unit step: ``(m0, P)`` with ``P[a, j] = f((m0 + a
+    2^level + j) 2^-level + phase)``, shape ``(rows, 2^level, r)``, zero past
+    the support; from one ``funcmodel._support_samples`` call."""
+    m0, vals = _support_samples(f, level, phase)
     width = 2**level
     table = np.zeros((-(-len(vals) // width) * width, f.ncomponents))
     table[: len(vals)] = vals
@@ -257,10 +259,11 @@ def _synthesis(
 ) -> np.ndarray:
     """``sum_k coeff[k - klo] . f(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
     ``i < count``, from the :func:`_sample_table` ``(m0, P)`` of ``f`` at
-    ``level`` (polyphase), with real ``coeff`` of shape ``(len, r)``.  The one
-    on-grid sum of translates at one scale: ``apply``, ``check_qp1``,
-    ``kernel_criterion`` and ``construct.build_dual`` call it.  Two-scale sums
-    ``sum_k a(k) f(2x - k)`` go through ``funcmodel._tap_sum`` instead.
+    ``level`` (polyphase; at phase ``delta``, ``f(g_i 2^-level + delta - k)``),
+    with real ``coeff`` of shape ``(len, r)``.  The one sum of translates at one
+    scale: ``apply``, ``check_qp1``, ``kernel_criterion`` and
+    ``construct.build_dual`` call it.  Two-scale sums ``sum_k a(k) f(2x - k)``
+    go through ``funcmodel._tap_sum`` instead.
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
     ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``: one
@@ -303,16 +306,18 @@ def apply(
     [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n]; outside it the output provably
     equals the sign itself, and overshoot scans rely on seeing all of it.
 
-    The coefficients are real (float64) on every route, so one accumulator
-    carries the sum.  An on-grid shift (``t 2^level`` an integer) is summed
-    from the pair's phi table by :func:`_synthesis`, with no x-grid.  Other
-    shifts, such as 1/3, evaluate phi at ``fl(fl(2^n x + t) - k)`` one k at a
-    time; a table sampled at the shifted phase would round these arguments
-    differently, so this loop stays.
+    With ``t = s 2^-level + delta`` (``s`` an integer, ``0 <= delta <
+    2^-level``) each ``2^n x + t - k`` is ``(2^n (i0 + i) + s - k 2^level)
+    2^-level + delta``, so one :func:`_synthesis` call sums the phi table at
+    phase ``delta``: cached for on-grid shifts, built afresh for others such
+    as 1/3, whose samples ``phi(fl(j 2^-level + delta))`` may differ in the
+    last bit from ``phi(fl(fl(2^n x + t) - k))``.
     """
     if n < 0 or n != int(n):
         raise PreconditionError(f"level n must be a nonnegative integer, got {n}")
     n = int(n)
+    if not math.isfinite(t) or (isinstance(f, Sgn) and not math.isfinite(f.x0)):
+        raise PreconditionError(f"shift t and jump x0 must be finite, got t={t!r}, f={f!r}")
     grid = grid or GridSpec()
     N = pair.support_bound
     if isinstance(f, Sgn):
@@ -331,29 +336,16 @@ def apply(
                 f"interaction zone [{f.x0 - zone:g}, {f.x0 + zone:g}]"
             )
 
-    plo, phi_hi = pair.phi.support
     zlo, zhi = (2.0**n) * (i0 * h) + t, (2.0**n) * (i1 * h) + t
+    if max(-zlo, zhi, abs(t)) >= 2.0 ** (53 - grid.level):
+        raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
+    plo, phi_hi = pair.phi.support
     klo = int(math.floor(zlo - phi_hi))
     khi = int(math.ceil(zhi - plo))
-    ks = np.arange(klo, khi + 1)
-    coeff = _coefficients(pair, f, n, t, ks)
-
-    # for an on-grid t each z - k is the exact grid point
-    # (2^n (i0 + i) + t 2^level - k 2^level) 2^-level while |z| < 2^(53 - level)
-    scale = 2.0**grid.level
-    if float(t * scale).is_integer() and max(-zlo, zhi) * scale < 2.0**53:
-        g0 = 2**n * i0 + int(t * scale)
-        acc = _synthesis(pair.phi_table(grid.level), g0, i1 - i0 + 1, 2**n, klo, coeff)
-    else:
-        _, xs = dyadic_grid(lo, hi, grid.level)
-        z = (2.0**n) * xs + t
-        acc = np.zeros(xs.size)
-        for i, k in enumerate(ks):
-            # z is increasing, so the translate's support picks out one slice
-            sl = slice(np.searchsorted(z, k + plo), np.searchsorted(z, k + phi_hi, side="right"))
-            if sl.start >= sl.stop:
-                continue
-            acc[sl] += np.einsum("mr,r->m", pair.phi.evaluate(z[sl] - k), coeff[i])
+    coeff = _coefficients(pair, f, n, t, np.arange(klo, khi + 1))
+    s = math.floor(t * 2.0**grid.level)
+    delta = t - s * h  # exact: the bits of t below 2^-level
+    acc = _synthesis(pair.phi_table(grid.level, delta), 2**n * i0 + s, i1 - i0 + 1, 2**n, klo, coeff)
     return SampledFunction(grid.level, i0, acc[:, None])
 
 

@@ -132,6 +132,20 @@ def test_malformed_rational_exits_2(capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "extra,match",
+    [
+        (["--x0", "0", "--tol", "nan"], "tol"),
+        (["--x0", "0", "--tol", "-0.001"], "tol"),
+        (["--x0", "1/5", "--level", "1"], "irrational"),
+    ],
+)
+def test_bad_sweep_settings_exit_2(capsys, extra, match):
+    code, out, err = run_cli(capsys, "gibbs-point", "--pair", "daubechies:3", *extra)
+    assert code == 2 and out == ""
+    assert match in err
+
+
 def test_unknown_builtin_exits_2(capsys):
     code, out, err = run_cli(capsys, "gibbs-point", "--pair", "nosuch", "--x0", "0/1")
     assert code == 2 and out == ""
@@ -225,13 +239,15 @@ def test_readme_commands_run(tmp_path, capsys):
         ("expand --bank bspline2-tight --n 2", "09b954a938ab93dacb574e10e098afb6d75139d0b084885a4d457eb5db0d717e"),
         ("expand --bank mixed13 --n 2", "684cec8fed5fd00076fea754c49f81e843d87ed93ccb7c7d0482aa2ea27182d2"),
         ("gibbs-point --pair bspline:3 --x0 5/13", "957d6c0a604aefd0231c63a5309585e1468aae394e30345c09959944af7141d6"),
+        ("gibbs-point --pair daubechies:3 --x0 2/7", "613e01d171ae9e4f09703987267c632dae45addd190f16995a1ea9ba987d17e4"),
         ("overshoot-curve --pair bspline:2 --num-t 12", "8333de05d622401e9bb7b3560d9d30507f11e41aaa3ac2cbd605b7192d1b3593"),
     ],
 )
 def test_stdout_keeps_its_bytes(capsys, argv, digest):
     """sha256 of stdout, recorded before piecewise polynomials were evaluated
     piece by piece and before the JSON writer formatted each distinct float
-    once (numpy 2.4 on x86-64)."""
+    once (numpy 2.4 on x86-64); the off-grid ``2/7`` entry was recorded once
+    off-grid shifts were summed from a phi table at their phase."""
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

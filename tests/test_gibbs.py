@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbslab import gibbs
 from gibbslab.catalog import resolve_pair
 from gibbslab.construct import build_dual
 from gibbslab.errors import PreconditionError
@@ -321,6 +322,47 @@ def test_gibbs_at_point_rejects_malformed_and_bad_pairs(b2):
         gibbs_at_point(b2, "3/x")
     with pytest.raises(PreconditionError):
         gibbs_at_point(QuasiProjectionPair(bspline(2), 2.0 * bspline(2)), 0)
+
+
+def test_worst_shift_ignores_rounding_ties(monkeypatch, b3):
+    """R and L are the exact extremes; the worst shift is the first one within
+    1e-12 of them, so one ulp of rounding noise cannot pick another shift."""
+    up = math.nextafter(1.0, 2.0)
+
+    def fake_sweep(Rs, Ls):
+        monkeypatch.setattr(gibbs, "_sweep", lambda pair, shifts, grid: (np.array(Rs), np.array(Ls)))
+        return gibbs_at_point(b3, Fraction(1, 5))  # shifts 1/5, 2/5, 4/5, 3/5
+
+    rep = fake_sweep([1.0, up, up, 1.0], [-1.0] * 4)
+    assert rep.R_x0 == up and rep.worst_shift == 0.2
+    rep = fake_sweep([1.0] * 4, [-1.0, -1.0, -up, -up])
+    assert rep.L_x0 == -up and rep.worst_shift == 0.2
+    rep = fake_sweep([1.25, 1.25 + 1e-9, 1.0, 1.0], [-1.0] * 4)
+    assert rep.worst_shift == 0.4  # a real difference still decides
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"tol": math.nan}, "tol"),
+        ({"tol": -1e-3}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"irrational_density": 0}, "irrational_density"),
+    ],
+)
+def test_gibbs_at_point_refuses_bad_sweep_settings(d3, kwargs, match):
+    with pytest.raises(PreconditionError, match=match):
+        gibbs_at_point(d3, "irrational", **kwargs)
+
+
+def test_gibbs_at_point_refuses_a_cycle_longer_than_the_grid(d3):
+    """1/1000003 has a cycle of 1000002 shifts, more than the 4096 of level
+    12; 1/5 has 4, more than the 2 of level 1 but within the 4 of level 2."""
+    with pytest.raises(PreconditionError, match="irrational"):
+        gibbs_at_point(d3, Fraction(1, 5), grid=GridSpec(1))
+    assert len(gibbs_at_point(d3, Fraction(1, 5), grid=GridSpec(2)).cluster_set) == 4
+    with pytest.raises(PreconditionError, match="irrational"):
+        gibbs_at_point(d3, "1/1000003")
 
 
 def test_report_json_shape(d3):

@@ -11,6 +11,7 @@ Oracle strategy:
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,8 +216,6 @@ def _by_hand(pair, f, n, t, grid):
         ("bspline:3", 12, 10, 0.0, 0, 0.25),  # piecewise-poly pair, on-grid shift
         ("daubechies:3", 11, 12, 0.0, 0, 0.5),  # interpolated midpoints of a level-11 phi
         ("daubechies:3", 12, 12, 0.1, 2, 0.75),  # strided table slices
-        ("bspline:3", 12, 10, 0.0, 0, 1.0 / 3.0),  # off-grid shift: evaluate route
-        ("daubechies:3", 12, 12, 0.0, 0, 1.0 / 3.0),
         ("daubechies:3", 12, 12, 0.1, 3, 0.25),  # stride 8
         ("bspline:3", 12, 10, 0.0, 0, -0.25),  # negative shift
         ("daubechies:3", 12, 12, 0.0, 1, 1.5),  # shift beyond one period
@@ -229,6 +228,8 @@ def _by_hand(pair, f, n, t, grid):
     ],
 )
 def test_apply_matches_hand_written_sum_bitwise(spec, carried, level, x0, n, t):
+    """On-grid shifts: the table holds phi at the very points the term-by-term
+    sum evaluates, so the two agree bit for bit."""
     name, _, c = spec.partition("@")
     pair = resolve_pair(name, carried)
     if c:
@@ -237,6 +238,68 @@ def test_apply_matches_hand_written_sum_bitwise(spec, carried, level, x0, n, t):
     f = Sgn(x0) if isinstance(x0, float) else x0
     sf = apply(pair, f, n, t, grid)
     assert np.array_equal(sf.values[:, 0], _by_hand(pair, f, n, t, grid))
+
+
+_OFF_GRID_SHIFTS = {
+    "1/3": 1.0 / 3.0,
+    "5/13": 5.0 / 13.0,
+    "2/7": 2.0 / 7.0,
+    "sqrt2-1": math.sqrt(2.0) - 1.0,
+    "-2/9": -2.0 / 9.0,
+    "5/3": 5.0 / 3.0,
+}
+
+
+@pytest.mark.parametrize(
+    "spec,shift,n",
+    [
+        (spec, shift, n)
+        for spec in ("haar", "bspline:2", "bspline:3", "bspline:4", "daubechies:2", "daubechies:3")
+        for shift in _OFF_GRID_SHIFTS
+        for n in (0, 2)
+    ],
+)
+def test_apply_off_grid_matches_hand_written_sum(spec, shift, n):
+    """Off-grid shifts: the phase table samples phi at ``fl(j 2^-12 + delta)``
+    where the term-by-term sum evaluates it at ``fl(fl(2^n x + t) - k)``; the
+    rounding differs in the last bits, so the sums agree within 1e-12."""
+    pair = resolve_pair(spec)
+    t, grid = _OFF_GRID_SHIFTS[shift], GridSpec(12)
+    got = apply(pair, Sgn(0.0), n, t, grid).values[:, 0]
+    assert np.max(np.abs(got - _by_hand(pair, Sgn(0.0), n, t, grid))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,level", [("daubechies:3", 12), ("daubechies:3", 10), ("bspline:3", 9)])
+@pytest.mark.parametrize("t", [1.0 / 3.0, math.sqrt(2.0) - 1.0, -2.0 / 9.0, 5.0 / 3.0])
+def test_phase_table_is_phi_at_the_shifted_grid(spec, level, t):
+    """``t = s 2^-level + delta`` splits exactly, and the table at phase
+    ``delta`` holds the bits of ``phi.evaluate`` at the grid points + delta."""
+    phi = resolve_pair(spec).phi
+    s = math.floor(t * 2.0**level)
+    delta = t - s * 2.0**-level
+    assert Fraction(s, 2**level) + Fraction(delta) == Fraction(t)
+    assert 0.0 < delta < 2.0**-level
+    width = 2**level
+    m0, xs = dyadic_grid(*phi.support, level)
+    want = np.zeros((-(-xs.size // width) * width, 1))
+    want[: xs.size] = phi.evaluate(xs + delta)
+    got_m0, got = QuasiProjectionPair(phi, phi).phi_table(level, delta)
+    assert got_m0 == m0 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t,x0", [(math.nan, 0.0), (math.inf, 0.0), (0.25, math.nan), (0.0, -math.inf)])
+def test_apply_refuses_non_finite_shift_or_jump(d3, t, x0):
+    with pytest.raises(PreconditionError, match="finite"):
+        apply(d3, Sgn(x0), 0, t)
+
+
+def test_apply_refuses_a_window_past_exact_grid_points(d3):
+    """Level-12 points ``i 2^-12`` are exact floats below 2^41: a window just
+    under it still reproduces constants, one reaching it is refused."""
+    near = apply(d3, Monomial(0), 0, 0.0, GridSpec(12, 2.0**40, 2.0**40 + 1))
+    assert np.max(np.abs(near.values - 1.0)) < 1e-9
+    with pytest.raises(PreconditionError, match="exact"):
+        apply(d3, Monomial(0), 0, 0.0, GridSpec(12, 2.0**41 - 1, 2.0**41))
 
 
 @pytest.mark.parametrize(
