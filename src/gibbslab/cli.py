@@ -73,51 +73,50 @@ def _json_leaf(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _float_reprs(values: list) -> list[str]:
-    """``float.__repr__`` of each value, computed once per distinct float64
-    bit pattern (so 0.0 and -0.0 stay apart) and mapped back in order."""
-    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.int64), return_inverse=True)
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
-
-
-def _float_rows(obj: list, pad: str) -> str | None:
-    """The text ``json.dumps(indent=2)`` writes at indent ``pad`` for a list
-    of floats or a list of equal-length float lists, built by joining
-    ``float.__repr__`` strings; None for any other list, or when a value is
-    not finite (json spells those NaN and Infinity)."""
-    inner = pad + "  "
-    kinds = set(map(type, obj))
-    if kinds == {float}:
-        body = (",\n" + inner).join(_float_reprs(obj))
-    elif kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
-        flat = list(chain.from_iterable(obj))
-        if set(map(type, flat)) != {float}:
+def _float_rows(obj, pad: str) -> str | None:
+    """The text ``json.dumps(indent=2)`` writes at indent ``pad`` for a
+    float64 array of one or two dimensions, or a list of floats or of
+    equal-length float lists, built by joining ``float.__repr__`` strings:
+    one per distinct bit pattern (so 0.0 and -0.0 stay apart), mapped back in
+    order.  None for any other value, or when a value is not finite (json
+    spells those NaN and Infinity)."""
+    if type(obj) is list:
+        kinds = set(map(type, obj))
+        if kinds == {list} and len(set(map(len, obj))) == 1:
+            kinds = set(map(type, chain.from_iterable(obj)))
+        if kinds != {float}:
             return None
-        cell = inner + "  "
-        rows = zip(*[iter(_float_reprs(flat))] * len(obj[0]))  # one tuple per row
-        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
-        body = "[\n" + cell + row_sep.join(map((",\n" + cell).join, rows)) + "\n" + inner + "]"
+        obj = np.array(obj)
+    if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size:
+        return None
+    bits, inverse = np.unique(obj.ravel().view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if not np.isfinite(distinct).all():
+        return None
+    text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[inverse]
+    inner = pad + "  "
+    if obj.ndim == 1:
+        body = (",\n" + inner).join(text.tolist())
     else:
-        return None
-    if "n" in body:  # nan, inf
-        return None
+        cell = inner + "  "
+        rows = text.tolist() if obj.shape[1] == 1 else map((",\n" + cell).join, text.reshape(obj.shape).tolist())
+        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
+        body = "[\n" + cell + row_sep.join(rows) + "\n" + inner + "]"
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def _dumps(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf)`` at
-    indent ``pad``, byte for byte.  Dicts with string keys and lists are
-    written here, so that long float arrays go through :func:`_float_rows`
-    instead of the pure-Python encoder, which ``indent`` forces, one value at
-    a time; everything else is left to ``json.dumps``."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+    indent ``pad``, byte for byte.  Dicts with string keys, lists and arrays
+    are written here, so that long float arrays go through
+    :func:`_float_rows` straight from the ndarray instead of the pure-Python
+    encoder, which ``indent`` forces, one value at a time; everything else is
+    left to ``json.dumps``."""
     inner = pad + "  "
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         items = (f"{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if type(obj) is list and obj:
+    if type(obj) is list and obj or isinstance(obj, np.ndarray) and obj.ndim and obj.size:
         text = _float_rows(obj, pad)
         if text is None:
             text = "[\n" + inner + (",\n" + inner).join(_dumps(v, inner) for v in obj) + "\n" + pad + "]"
@@ -286,21 +285,18 @@ def _cmd_expand(args) -> None:
         verdict = None
     if args.out:
         _write_function_csv(args.out, sf)
-        summary = {
+        payload = {
             "out": args.out,
             "rows": int(sf.values.shape[0]),
             "level": sf.level,
             "max_value": float(np.max(sf.values)),
             "min_value": float(np.min(sf.values)),
         }
-        if verdict is not None:
-            summary["verdict"] = verdict
-        _emit(summary)
     else:
-        payload = sf.to_json_dict()
-        if verdict is not None:
-            payload["verdict"] = verdict
-        _emit(payload)
+        payload = sf._json_dict(sf.values)  # the array itself: the writer formats it
+    if verdict is not None:
+        payload["verdict"] = verdict
+    _emit(payload)
 
 
 def _cmd_overshoot_curve(args) -> None:
@@ -319,12 +315,9 @@ def _cmd_overshoot_curve(args) -> None:
             for t, r, l in zip(ts, R, L):
                 fh.write(f"{float(t)!r},{float(r)!r},{float(l)!r}\n")
         summary["out"] = args.out
-        _emit(summary)
     else:
-        summary["t"] = [float(v) for v in ts]
-        summary["R"] = [float(v) for v in R]
-        summary["L"] = [float(v) for v in L]
-        _emit(summary)
+        summary.update(t=ts, R=R, L=L)
+    _emit(summary)
 
 
 def _cmd_bspline_table(args) -> None:
@@ -341,7 +334,7 @@ def _cmd_bspline_table(args) -> None:
                 "accuracy_order": accuracy_order(pair),
                 "R0": overshoot(pair, 0.0, "right"),
                 "dual_shift": construction.N,
-                "dual_knots": [float(v) for v in construction.knots],
+                "dual_knots": construction.knots,
             }
         )
     _emit({"rows": rows})

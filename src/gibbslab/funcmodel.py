@@ -531,16 +531,18 @@ class SampledFunction:
         return _interp_columns(s, self._grid, cum, cum[-1])
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "sampled",
-            "level": self.level,
-            "start": self.start,
-            "values": self.values.tolist(),
-        }
+        return self._json_dict(self.values.tolist())
+
+    def _json_dict(self, values) -> dict:
+        """The ``sampled`` schema with ``values`` as given, list or array."""
+        return {"kind": "sampled", "level": self.level, "start": self.start, "values": values}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampledFunction":
-        return cls(int(d["level"]), int(d["start"]), np.asarray(d["values"], dtype=np.float64))
+        values = np.asarray(d["values"], dtype=np.float64)
+        if not np.isfinite(values).all():  # here, not in __post_init__, which every sweep shift pays
+            raise PreconditionError("sampled function values must be finite (NaN or infinity found)")
+        return cls(int(d["level"]), int(d["start"]), values)
 
 
 # ---------------------------------------------------------------------------

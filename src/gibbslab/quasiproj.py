@@ -90,8 +90,8 @@ class GridSpec:
         """The window ``[lo, hi]``, with the caller's defaults filled in."""
         lo = lo_default if self.lo is None else float(self.lo)
         hi = hi_default if self.hi is None else float(self.hi)
-        if lo >= hi:
-            raise PreconditionError(f"empty grid window [{lo}, {hi}]")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise PreconditionError(f"grid window [{lo}, {hi}] must be finite and nonempty")
         return lo, hi
 
     def resolve(self, lo_default: float, hi_default: float) -> tuple[int, np.ndarray]:
@@ -421,17 +421,18 @@ def kernel_criterion(
     }
 
 
+def _reproduction_residual(pair: QuasiProjectionPair, j: int, grid: GridSpec) -> float:
+    """Sup-norm residual of Q x^j - x^j on the grid window."""
+    sf = apply(pair, Monomial(j), 0, 0.0, grid)
+    return float(np.max(np.abs(sf.values[:, 0] - sf.xs() ** j)))
+
+
 def poly_reproduction(pair: QuasiProjectionPair, m: int, grid: GridSpec | None = None) -> dict:
     """Sup-norm residuals of Q x^j - x^j on the grid window, for j < m."""
     if m < 1:
         raise PreconditionError("m must be a positive integer")
     grid = grid or GridSpec()
-    out = {}
-    for j in range(m):
-        sf = apply(pair, Monomial(j), 0, 0.0, grid)
-        xs = sf.xs()
-        out[j] = float(np.max(np.abs(sf.values[:, 0] - xs**j)))
-    return out
+    return {j: _reproduction_residual(pair, j, grid) for j in range(m)}
 
 
 def accuracy_order(
@@ -440,15 +441,15 @@ def accuracy_order(
     tol: float = 1e-8,
     grid: GridSpec | None = None,
 ) -> int:
-    """Largest m <= m_max with every degree-(< m) reproduction residual < tol."""
-    residuals = poly_reproduction(pair, m_max, grid)
-    order = 0
-    for j in range(m_max):
-        if residuals[j] < tol:
-            order = j + 1
-        else:
-            break
-    return order
+    """Largest m <= m_max with every degree-(< m) reproduction residual < tol.
+
+    Degrees are tried in rising order and the first one that fails ends the
+    search, so an operator of order m pays for min(m + 1, m_max) residuals.
+    """
+    if m_max < 1:
+        raise PreconditionError("m must be a positive integer")
+    grid = grid or GridSpec()
+    return next((j for j in range(m_max) if not _reproduction_residual(pair, j, grid) < tol), m_max)
 
 
 def approximation_rate(

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gibbslab import cli
 from gibbslab.catalog import resolve_bank
@@ -181,9 +182,21 @@ def test_missing_pair_exits_2(capsys):
 
 
 def test_bad_window_exits_2(capsys):
-    code, _, err = run_cli(capsys, "expand", "--pair", "haar", "--window", "1;2")
-    assert code == 2
-    assert "window" in err
+    for window in ("1;2", "nan,1", "0,inf", "-inf,1"):
+        code, out, err = run_cli(capsys, "expand", "--pair", "haar", f"--window={window}", "--level", "8")
+        assert code == 2 and out == "", window
+        assert "window" in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_exit_2(tmp_path, capsys, bad):
+    """A sampled function file holding NaN or Infinity is refused on reading."""
+    phi_file = tmp_path / "phi.json"
+    values = [[0.0], [0.25], [bad], [0.25], [0.0]]
+    phi_file.write_text(json.dumps({"kind": "sampled", "level": 2, "start": 0, "values": values}))
+    code, out, err = run_cli(capsys, "construct-dual", "--phi", str(phi_file), "--order", "2")
+    assert code == 2 and out == ""
+    assert "finite" in err
 
 
 def test_bank_file_without_functions_exits_2(tmp_path, capsys):
@@ -241,13 +254,18 @@ def test_readme_commands_run(tmp_path, capsys):
         ("gibbs-point --pair bspline:3 --x0 5/13", "957d6c0a604aefd0231c63a5309585e1468aae394e30345c09959944af7141d6"),
         ("gibbs-point --pair daubechies:3 --x0 2/7", "613e01d171ae9e4f09703987267c632dae45addd190f16995a1ea9ba987d17e4"),
         ("overshoot-curve --pair bspline:2 --num-t 12", "8333de05d622401e9bb7b3560d9d30507f11e41aaa3ac2cbd605b7192d1b3593"),
+        ("analyze-pair --pair daubechies:3", "0d4b1f731b1f97c9e1fe7d45d8a8065612fa6dc81098d3e308f10bb7e6b6fa3d"),
+        ("bspline-table --max-order 4", "48f70dd2b95168fec29c8c10393aa1961ecf59cb35bc44959c9254a6402a72fa"),
+        ("expand --bank daubechies:3 --n 3", "9dc344a1d9dbbb69be13d796d381d50d8b74c15ea86b523df1e64b20d0b408e2"),
     ],
 )
 def test_stdout_keeps_its_bytes(capsys, argv, digest):
     """sha256 of stdout, recorded before piecewise polynomials were evaluated
     piece by piece and before the JSON writer formatted each distinct float
     once (numpy 2.4 on x86-64); the off-grid ``2/7`` entry was recorded once
-    off-grid shifts were summed from a phi table at their phase."""
+    off-grid shifts were summed from a phi table at their phase, and the last
+    three before ``accuracy_order`` stopped at its first failing degree and
+    the writer formatted arrays without ``tolist()``."""
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -367,8 +385,14 @@ _rows = st.integers(1, 3).flatmap(
     lambda r: st.lists(st.lists(_any_float, min_size=r, max_size=r), min_size=1, max_size=6)
 )
 _arrays = _rows.map(np.array) | st.lists(_any_float, min_size=1, max_size=6).map(np.array)
+_shapes = st.sampled_from([(0,), (0, 1), (0, 3), (3, 0)]) | st.integers(1, 6).flatmap(
+    lambda n: st.sampled_from([(n,), (n, 1), (n, 3)])
+)
+_ndarrays = hnp.arrays(np.float64, _shapes, elements=_any_float) | hnp.arrays(
+    st.sampled_from([np.int64, np.bool_, np.float32, np.complex128]), _shapes
+)
 _json_like = st.recursive(
-    _leaves | _rows | _arrays | st.lists(_any_float, max_size=6),
+    _leaves | _rows | _arrays | _ndarrays | st.lists(_any_float, max_size=6),
     lambda inner: st.lists(inner, max_size=4)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4)
@@ -381,8 +405,20 @@ _json_like = st.recursive(
 @given(_json_like)
 @example({"a": [math.nan, 1.0], "b": [[math.inf], [-0.0]], "c": np.array([[1.0, -math.inf]]), "d": [1, 1.0]})
 @example({"a": [0.0, -0.0, 0.5, 0.0, 0.5, -0.0], "b": np.array([[0.0, -0.0], [-0.0, 0.0], [0.1, 0.1]])})
+@example({"a": np.array([[-0.0], [0.1], [-0.0]]), "b": np.array([1.0, math.nan]), "c": np.array([[math.inf], [0.5]])})
+@example({"a": np.array([-0.0, 0.0, 2.5]), "b": np.array([[0.5, 0.0, -0.0], [-math.inf, 1.0, 2.0]])})
+@example([np.empty(0), np.empty((0, 3)), np.empty((3, 0)), np.array(1.5)])
+@example(
+    {
+        "i": np.array([[1], [-2]], dtype=np.int64),
+        "b": np.array([True, False]),
+        "f": np.array([0.1, -0.0, np.inf], dtype=np.float32),
+        "c": np.array([[1 + 2j, -0.0j, 3j]]),
+    }
+)
 def test_json_writer_matches_json_dumps(obj):
     """The row-aware writer gives the bytes of the stock encoder: NaN,
-    Infinity, -0.0, int against float, numpy scalars and arrays, complex
-    leaves and nested sorted keys included."""
+    Infinity, -0.0, int against float, numpy scalars and arrays (float64 of
+    shape (n,), (n, 1) and (n, 3), empty ones, int64, bool, float32 and
+    complex), complex leaves and nested sorted keys included."""
     assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=cli._json_leaf)

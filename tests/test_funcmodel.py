@@ -347,6 +347,15 @@ def test_sampled_roundtrip_and_interp():
     assert np.array_equal(back.values, sf.values)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sampled_json_refuses_non_finite_samples(bad):
+    d = {"kind": "sampled", "level": 2, "start": 0, "values": [[0.0], [bad], [0.0]]}
+    with pytest.raises(PreconditionError, match="finite"):
+        function_from_json_dict(d)
+    with pytest.raises(PreconditionError, match="finite"):
+        SampledFunction.from_json_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # cascade: exact dyadic refinement
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gibbslab.catalog import bspline_mask, resolve_framelet, resolve_pair
+from gibbslab import quasiproj
+from gibbslab.catalog import bspline_mask, pair_fleet, resolve_framelet, resolve_pair
 from gibbslab.construct import build_dual
 from gibbslab.errors import DimensionMismatchError, PreconditionError
 from gibbslab.framelet import truncated_expansion
@@ -87,6 +88,12 @@ def test_gridspec_rejects_bad_level_and_empty_window():
         GridSpec(17).resolve(0.0, 1.0)
     with pytest.raises(PreconditionError):
         GridSpec(8, 2.0, -2.0).resolve(0.0, 1.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)])
+def test_gridspec_rejects_non_finite_window(lo, hi):
+    with pytest.raises(PreconditionError, match="finite"):
+        GridSpec(8, lo, hi).window(0.0, 1.0)
 
 
 # -- pair bookkeeping ---------------------------------------------------------
@@ -483,6 +490,59 @@ def test_monomial_rejects_negative_degree(b2):
 def test_accuracy_orders(spec, expected):
     pair = resolve_pair(spec)
     assert accuracy_order(pair, m_max=4, tol=1e-8, grid=GridSpec(10)) == expected
+
+
+def _first_failure(residuals: dict, tol: float) -> int:
+    """The order read off the full residual dict: the first degree not < tol."""
+    return next((j for j in sorted(residuals) if not residuals[j] < tol), len(residuals))
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    return pair_fleet(12)
+
+
+def test_accuracy_order_stops_at_the_first_failing_degree(monkeypatch, fleet):
+    """Degrees are tried 0, 1, 2, ... and the first failure ends the search:
+    order + 1 residuals, or m_max when every degree passes."""
+    seen = []
+    residual = quasiproj._reproduction_residual
+
+    def counting(pair, j, grid):
+        seen.append(j)
+        return residual(pair, j, grid)
+
+    monkeypatch.setattr(quasiproj, "_reproduction_residual", counting)
+    for name, pair in fleet:
+        for m_max in (1, 2, 6):
+            seen.clear()
+            order = accuracy_order(pair, m_max=m_max)
+            assert seen == list(range(min(order + 1, m_max))), (name, m_max, order)
+    seen.clear()
+    assert accuracy_order(dict(fleet)["b2,b2"], grid=GridSpec(10)) == 2  # degrees 0, 1, 2 only
+    assert seen == [0, 1, 2]
+
+
+def test_accuracy_order_equals_the_full_residual_scan(fleet):
+    """Same order as scanning poly_reproduction's dict for its first failure,
+    at the default tol and at a tol between two measured residuals."""
+    grid = GridSpec(9)
+    for name, pair in fleet:
+        residuals = poly_reproduction(pair, 6)
+        assert accuracy_order(pair) == _first_failure(residuals, 1e-8), name
+        coarse = poly_reproduction(pair, 6, grid)
+        levels = sorted(set(coarse.values()))
+        for lo, hi in zip(levels, levels[1:]):
+            tol = math.sqrt(lo * hi) if lo > 0 else hi / 2
+            assert accuracy_order(pair, tol=tol, grid=grid) == _first_failure(coarse, tol), (name, tol)
+
+
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_accuracy_order_rejects_no_degrees(b2, m_max):
+    with pytest.raises(PreconditionError, match="positive integer"):
+        accuracy_order(b2, m_max=m_max)
+    with pytest.raises(PreconditionError, match="positive integer"):
+        poly_reproduction(b2, m_max)
 
 
 def test_monomial_coefficients_match_quadrature_route(b2):
