@@ -539,7 +539,10 @@ class SampledFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SampledFunction":
-        values = np.asarray(d["values"], dtype=np.float64)
+        try:
+            values = np.asarray(d["values"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+            raise PreconditionError(f"sampled function values must be an array of numbers: {exc}") from None
         if not np.isfinite(values).all():  # here, not in __post_init__, which every sweep shift pays
             raise PreconditionError("sampled function values must be finite (NaN or infinity found)")
         return cls(int(d["level"]), int(d["start"]), values)
@@ -563,6 +566,12 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
     if mask.support is None:
         raise PreconditionError("refinement mask must be nonzero")
     kmin, kmax = mask.support
+    bad = np.argwhere(~np.isfinite(mask.entries))
+    if bad.size:
+        i, p, q = bad[0]
+        raise PreconditionError(
+            f"refinement mask entry a({kmin + i})[{p}, {q}] = {mask.entries[i, p, q]} is not finite"
+        )
     if kmax - kmin < 1:
         raise PreconditionError("refinement mask must span at least two taps")
     if normalization is None:
@@ -584,18 +593,29 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
 
 
 def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None) -> np.ndarray:
-    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n``, one
-    strided slice per ``(k, a)`` in ``taps`` (``k`` ascending), added from +0:
-    the two-scale sum ``sum_k a(k) f(dilate x - k)`` over the samples ``vals``
-    of ``f``, which is zero left of them and ``beyond`` (None: zero) right.
+    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n``, per
+    ``(k, a)`` in ``taps`` (``k`` ascending), added from +0: the two-scale sum
+    ``sum_k a(k) f(dilate x - k)`` over the samples ``vals`` of ``f``, which is
+    zero left of them and ``beyond`` (None: zero) right.
+
+    Each tap reads one contiguous slice: of ``vals`` itself when ``dilate`` is
+    1, else of the contiguous copy of the phase ``vals[p::dilate]``, ``p = s
+    mod dilate``, made once per phase.  Its product is written into one
+    reused buffer and added into ``out`` from there.
     """
     out = np.zeros((n, taps[0][1].shape[0]))
+    buf = np.empty_like(out)
+    phases = {}
     for k, a in taps:
         s = s0 - k * step
         lo = min(max(-(s // dilate), 0), n)  # first row reading index >= 0
         hi = min(max((len(vals) - 1 - s) // dilate + 1, 0), n)  # rows from hi on read past the end
         if lo < hi:
-            out[lo:hi] += np.einsum("ab,nb->na", a, vals[dilate * lo + s : dilate * hi + s : dilate])
+            q, p = divmod(s, dilate)
+            if p not in phases:
+                phases[p] = np.ascontiguousarray(vals[p::dilate])
+            prod = np.einsum("ab,nb->na", a, phases[p][lo + q : hi + q], out=buf[: hi - lo])
+            out[lo:hi] += prod
         if beyond is not None and hi < n:
             out[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
     return out
@@ -608,20 +628,28 @@ def _refine(
     grid ``kmin + i 2^-level`` over ``[kmin, kmin + W]``, from its values
     ``v0`` (shape (W+1, r)) at the integers.
 
-    Each level keeps the previous samples at its even points and fills its odd
-    points ``x`` from ``f(2x - k)``, which lie on the previous grid; ``f`` is
-    zero left of that grid and ``beyond`` (None: zero) right of it.
+    Each level keeps the previous samples at its even points and fills its
+    ``W 2^(lev-1)`` odd points ``x`` from ``f(2x - k)``, which lie on the
+    previous grid; ``f`` is zero left of that grid and ``beyond`` (None: zero)
+    right of it.  Level 1 reads the integers ``v0``.  At level ``lev >= 2``
+    the odd point ``i`` reads only odd points of level ``lev - 1``, namely odd
+    point ``i + (kmin - k) 2^(lev-2)``, so each level's odd points are one
+    :func:`_tap_sum` with ``dilate = 1`` over the previous level's odd points,
+    kept contiguous, and are written once into the output at stride
+    ``2^(level - lev + 1)``.
     """
+    if level == 0:
+        return v0
     taps = [(k, gain * a) for k, a in taps]
-    vals = v0
-    for lev in range(1, level + 1):
-        half = 2 ** (lev - 1)
-        n = W * half  # odd points of this level; the previous grid has n + 1
-        new = np.empty((2 * n + 1, vals.shape[1]))
-        new[::2] = vals
-        new[1::2] = _tap_sum(taps, vals, n, 2, 1 + kmin * half, half, beyond)
-        vals = new
-    return vals
+    out = np.empty((W * 2**level + 1, v0.shape[1]))
+    out[:: 2**level] = v0
+    odd = _tap_sum(taps, v0, W, 2, 1 + kmin, 1, beyond)
+    out[2 ** (level - 1) :: 2**level] = odd
+    for lev in range(2, level + 1):
+        quarter = 2 ** (lev - 2)
+        odd = _tap_sum(taps, odd, W * 2 * quarter, 1, kmin * quarter, quarter, beyond)
+        out[2 ** (level - lev) :: 2 ** (level - lev + 1)] = odd
+    return out
 
 
 # levels whose largest odd-point increments decide whether the cascade diverges
@@ -721,7 +749,8 @@ def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:
     """
     taps = [(k, 2.0 * mask[k].real) for k in mask.indices()]
     acc = _tap_sum(taps, sf.values, sf.values.shape[0], 2, sf.start, 2**sf.level)
-    return float(np.max(np.abs(sf.values - acc)))
+    np.subtract(sf.values, acc, out=acc)
+    return float(np.max(np.abs(acc, out=acc)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -729,8 +758,11 @@ class RefinableFunction:
     """Compactly supported solution of ``phi = 2 sum_k a(k) phi(2x - k)``.
 
     ``normalization`` fixes ``phihat(0)``.  Samples come from :func:`cascade`
-    at ``level`` (cached per level) and are exact at the grid points; moments
-    and cumulative integrals are exact consequences of the two-scale relation:
+    at ``level`` (cached per level) and are exact at the grid points; a grid
+    at ``level`` or a coarser one reads them at a stride (the refinement is
+    nested, see :func:`_support_samples`), and a finer grid interpolates them.
+    Moments and cumulative integrals are exact consequences of the two-scale
+    relation:
 
     - moments: differentiating ``phihat(2 xi) = ahat(xi) phihat(xi)`` at 0
       gives ``(2^j I - ahat(0)) Mj = sum_{i>=1} C(j,i) ahat^(i)(0) M_{j-i}``;
@@ -947,10 +979,13 @@ def halfline_integral(f: FunctionHandle, k: float, side: str) -> np.ndarray:
 def _support_samples(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
     """``f`` at ``(i0 + i) 2^-level + phase`` over ``dyadic_grid(*f.support, level)``:
     ``i0`` and the values, shape ``(n, r)``.  At phase 0 a refinable function
-    carrying ``level`` hands over its cached samples, the bits ``evaluate`` gives."""
+    carrying ``level`` or a finer level hands over its cached cascade samples
+    at stride ``2^(f.level - level)``.  The refinement is nested and
+    ``np.interp`` returns a sample itself at a grid point, so these are the
+    bits ``evaluate`` gives; any other ``f``, level or phase is evaluated."""
     i0, xs = dyadic_grid(*f.support, level)
-    if not phase and isinstance(f, RefinableFunction) and f.level == level:
-        return i0, f.samples().values
+    if not phase and isinstance(f, RefinableFunction) and level <= f.level:
+        return i0, f.samples().values[:: 2 ** (f.level - level)]
     return i0, f.evaluate(xs + phase)
 
 

@@ -199,6 +199,17 @@ def test_non_finite_samples_exit_2(tmp_path, capsys, bad):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("values", [[[0.0], [0.5, 1.0], [0.0]], "abc", {}])
+def test_malformed_sample_values_exit_2(tmp_path, capsys, values):
+    """Ragged or non-numeric ``values`` in a sampled function file are refused
+    on reading, not reported as an internal error."""
+    phi_file = tmp_path / "phi.json"
+    phi_file.write_text(json.dumps({"kind": "sampled", "level": 2, "start": 0, "values": values}))
+    code, out, err = run_cli(capsys, "construct-dual", "--phi", str(phi_file), "--order", "2")
+    assert code == 2 and out == ""
+    assert "array of numbers" in err and "internal error" not in err
+
+
 def test_bank_file_without_functions_exits_2(tmp_path, capsys):
     path = tmp_path / "bank.json"
     path.write_text(json.dumps(resolve_bank("haar").to_json_dict()))

@@ -11,7 +11,9 @@ Oracles, in rough order of independence:
     Daubechies-4-tap first moment (3 - sqrt(3))/2, ...).
 """
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,9 +31,10 @@ from gibbslab import (
     bspline,
     cascade,
 )
-from gibbslab.catalog import daubechies_mask
+from gibbslab.catalog import bspline_mask, cdf13_mask, daubechies_mask, resolve_function
 from gibbslab.funcmodel import (
     _polyval_pieces,
+    _refine,
     function_from_json_dict,
     function_to_json_dict,
     refinement_residual,
@@ -433,6 +436,20 @@ def test_cascade_rejects_unnormalized_mask():
         cascade(MatrixSeq.scalar(0, [0.3, 0.3]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_mask_entry_is_refused(bad):
+    """A NaN or infinite mask entry is refused by name before any linear
+    algebra runs (it used to end in an SVD that did not converge)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (RefinableFunction, cascade):
+            with pytest.raises(PreconditionError, match=r"a\(1\)\[0, 0\] .* not finite"):
+                build(MatrixSeq.scalar(0, [0.5, bad, 0.5]))
+        ents = np.array([np.eye(2) / 2, [[0.5, 0.0], [bad, 0.5]]])
+        with pytest.raises(PreconditionError, match=r"a\(0\)\[1, 0\] .* not finite"):
+            RefinableFunction(MatrixSeq(-1, ents), [1.0, 0.0])
+
+
 def test_cascade_level_bounds():
     with pytest.raises(PreconditionError):
         cascade(B2_MASK, level=0)
@@ -442,6 +459,100 @@ def test_cascade_level_bounds():
         RefinableFunction(B2_MASK, level=0)
     with pytest.raises(PreconditionError):
         gl.GridSpec(17)
+
+
+def _interleaving_tap_sum(taps, vals, n, dilate, s0, step, beyond=None):
+    """Reference two-scale sum: one strided slice and one fresh einsum per tap."""
+    out = np.zeros((n, taps[0][1].shape[0]))
+    for k, a in taps:
+        s = s0 - k * step
+        lo = min(max(-(s // dilate), 0), n)
+        hi = min(max((len(vals) - 1 - s) // dilate + 1, 0), n)
+        if lo < hi:
+            out[lo:hi] += np.einsum("ab,nb->na", a, vals[dilate * lo + s : dilate * hi + s : dilate])
+        if beyond is not None and hi < n:
+            out[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
+    return out
+
+
+def _interleaving_refine(taps, kmin, W, level, v0, gain, beyond):
+    """Reference refinement: every level a new array, the previous samples
+    copied to its even points and its odd points read at stride 2 from the
+    whole previous grid."""
+    taps = [(k, gain * a) for k, a in taps]
+    vals = v0
+    for lev in range(1, level + 1):
+        half = 2 ** (lev - 1)
+        n = W * half
+        new = np.empty((2 * n + 1, vals.shape[1]))
+        new[::2] = vals
+        new[1::2] = _interleaving_tap_sum(taps, vals, n, 2, 1 + kmin * half, half, beyond)
+        vals = new
+    return vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.sampled_from([1, 2]),
+    ntaps=st.integers(2, 6),
+    kmin=st.integers(-3, 3),
+    level=st.integers(0, 9),
+    gain=st.sampled_from([1.0, 2.0]),
+    with_beyond=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refine_matches_interleaving_reference_bitwise(r, ntaps, kmin, level, gain, with_beyond, seed):
+    """The contiguous per-level refinement gives the bytes of the interleaving
+    one over random real masks, including zero and -0.0 taps and samples."""
+    rng = np.random.default_rng(seed)
+    ents = rng.uniform(-1.0, 1.0, (ntaps, r, r))
+    ents[rng.random(ents.shape) < 0.15] = 0.0
+    ents[rng.random(ents.shape) < 0.1] = -0.0
+    v0 = rng.standard_normal((ntaps, r))
+    v0[rng.random(v0.shape) < 0.2] = -0.0
+    beyond = rng.standard_normal(r) if with_beyond else None
+    taps = [(kmin + i, ents[i]) for i in range(ntaps)]
+    got = _refine(taps, kmin, ntaps - 1, level, v0, gain, beyond)
+    want = _interleaving_refine(taps, kmin, ntaps - 1, level, v0, gain, beyond)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _fine_refinable(spec, level):
+    if spec.startswith("daubechies:"):
+        return resolve_function(spec, level)
+    if spec == "cdf13":
+        return RefinableFunction(cdf13_mask(), level=level)
+    return RefinableFunction(bspline_mask(int(spec.split(":")[1])), level=level)
+
+
+@pytest.mark.parametrize(
+    "spec,level,digest",
+    [
+        ("daubechies:2", 14, "01e87efebf6aafedba48644446d15458f5246c524a56cf05cf166997eea961df"),
+        ("daubechies:2", 15, "643ea1dfbe18d9203957cb0bb2f0222296452daaf95ce3f6fe1d3a5b9bbf7e10"),
+        ("daubechies:2", 16, "d4b55352a42306035db8a5e22e8347794ef1ce43e6fc4f7a28e8ca5b1a98b27a"),
+        ("daubechies:3", 14, "727ecd0f99b0e74511cc195940cf515c599e137f065d72e33d7f690fe6c1ae8f"),
+        ("daubechies:3", 15, "e9c1c292b7390341afe844b75e8cba1598bbc9430ffd4d75c463b41e79eeb59f"),
+        ("daubechies:3", 16, "c7803adf3ea38102e7714dc5c65e5e0e98e3cfaa46129796311695781c4ce56c"),
+        ("cdf13", 14, "9242a72eb681e28e78137369ff81dab79119d98d29d1daaa3c8bc5db0f640f8e"),
+        ("cdf13", 15, "d11b3bd4963cc64ffd5a8ac18a9dbf6cda5e1d71633d839d229e1c77d39954f2"),
+        ("cdf13", 16, "5ac2eeb02a37ec9dbf1466c949e50a3314fb6a6a5d130cd5ff22816f6b2f7b39"),
+        ("bspline:3", 14, "fd242ee60e7698dbfa2e70e7fa811195a379cce12c22b29bb192cde2e6afed56"),
+        ("bspline:3", 15, "0da18e860acdd1ab9abbc28ee689f67eadb6e3ebb2375f86d98d0bbabda15521"),
+        ("bspline:3", 16, "9fe63f13f58698f829bc7e3dd9f78aa8026186cf849039dc8f749110c1368336"),
+        ("bspline:4", 14, "6c0765916ee13dbc4ef2a21d03be60eebce9f7eb2858e553b2d68c70edf846f4"),
+        ("bspline:4", 15, "8dbca17e4bad28b4c4717cd6017570376336a45036ff5b394fd6eb8e40fc8ac4"),
+        ("bspline:4", 16, "59accd1598129bafd244cb129e118db7c3525c65044a4d867834970977fa687a"),
+    ],
+)
+def test_fine_refinement_bytes_are_pinned(spec, level, digest):
+    """sha256 of the samples, the cumulative F and the refinement residual's
+    repr on the fine grids, recorded with the interleaving refinement."""
+    f = _fine_refinable(spec, level)
+    h = hashlib.sha256(f.samples().values.tobytes())
+    h.update(f.cumulative_samples().tobytes())
+    h.update(repr(f.refinement_residual()).encode())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

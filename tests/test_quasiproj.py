@@ -392,14 +392,19 @@ def test_synthesis_matches_naive_loop_bitwise(rows, r, level, log_stride, m0, g0
 
 @pytest.mark.parametrize("spec,carried", [("daubechies:2", 12), ("daubechies:3", 11)])
 def test_refinable_phi_table_reads_the_cached_samples(monkeypatch, spec, carried):
-    """At the level a refinable phi carries, its table holds the cascade
-    samples with the bytes that evaluating at the grid points gave, and no
-    ``evaluate`` runs; at another level it still evaluates."""
+    """At the level a refinable phi carries and at the two levels below it,
+    its table holds the cascade samples (at stride 1, 2 and 4) with the bytes
+    that evaluating at the grid points gave, and no ``evaluate`` runs; at a
+    finer level it still evaluates, once."""
     phi = resolve_pair(spec, carried).phi
-    width = 2**carried
-    m0, xs = dyadic_grid(*phi.support, carried)
-    want = np.zeros((-(-xs.size // width) * width, 1))
-    want[: xs.size] = phi.evaluate(xs)
+    levels = (carried, carried - 1, carried - 2)
+    wants = {}
+    for level in levels:
+        width = 2**level
+        m0, xs = dyadic_grid(*phi.support, level)
+        want = np.zeros((-(-xs.size // width) * width, 1))
+        want[: xs.size] = phi.evaluate(xs)
+        wants[level] = m0, want
     calls = []
     orig = RefinableFunction.evaluate
 
@@ -409,9 +414,11 @@ def test_refinable_phi_table_reads_the_cached_samples(monkeypatch, spec, carried
 
     monkeypatch.setattr(RefinableFunction, "evaluate", counted)
     pair = QuasiProjectionPair(phi, phi)
-    got_m0, got = pair.phi_table(carried)
-    assert calls == [] and got_m0 == m0 and got.tobytes() == want.tobytes()
-    pair.phi_table(carried - 1)
+    for level in levels:
+        got_m0, got = pair.phi_table(level)
+        m0, want = wants[level]
+        assert calls == [] and got_m0 == m0 and got.tobytes() == want.tobytes(), level
+    pair.phi_table(carried + 1)
     assert len(calls) == 1
 
 
