@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .construct import build_dual
 from .errors import PreconditionError
 from .framelet import DualFramelet, FilterBank, derive_wavelets
 from .funcmodel import FunctionHandle, RefinableFunction, bspline
@@ -163,8 +164,6 @@ def resolve_pair(spec: str, level: int = 12) -> QuasiProjectionPair:
 
 def pair_fleet(level: int = 12) -> list[tuple[str, QuasiProjectionPair]]:
     """The standard battery of pairs exercised by the identity checks."""
-    from .construct import build_dual  # late import: construct uses quasiproj
-
     fleet = [
         ("b1,b1", resolve_pair("bspline:1", level)),
         ("b2,b2", resolve_pair("bspline:2", level)),

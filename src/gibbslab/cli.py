@@ -8,6 +8,18 @@ Exit codes: 0 success, 2 rejected input or violated precondition, 1 internal
 failure.  Function and pair specifiers are either builtin names (``haar``,
 ``bspline:m``, ``daubechies:k``) or paths to JSON files in the schemas the
 library itself writes; a specifier naming an existing file is read as a file.
+
+Each subcommand takes ``--level`` (default 12) and only the flags it reads;
+any other flag is a usage error (exit 2):
+
+- ``analyze-pair``: ``--pair`` or ``--phi`` with ``--phi-tilde``
+- ``gibbs-point``: the pair flags, ``--x0``, ``--tol``
+- ``construct-dual``: ``--phi``, ``--order``, ``--knots``
+- ``check-oep``: the bank, ``--tol``
+- ``expand``: the pair flags or ``--bank``, ``--f``, ``--x0``, ``--n``,
+  ``--window``, ``--out``
+- ``overshoot-curve``: the pair flags, ``--num-t``, ``--out``
+- ``bspline-table``: ``--max-order``
 """
 
 from __future__ import annotations
@@ -141,23 +153,21 @@ def _function_from_spec(spec: str, level: int):
 
 
 def _pair_from_args(args) -> QuasiProjectionPair:
-    spec = getattr(args, "pair", None)
-    if spec:
-        if os.path.exists(spec):
-            return QuasiProjectionPair.from_json_dict(_read_json(spec))
-        return resolve_pair(spec, args.level)
-    phi = getattr(args, "phi", None)
-    phi_tilde = getattr(args, "phi_tilde", None)
-    if phi and phi_tilde:
+    if args.pair:
+        if os.path.exists(args.pair):
+            return QuasiProjectionPair.from_json_dict(_read_json(args.pair))
+        return resolve_pair(args.pair, args.level)
+    if args.phi and args.phi_tilde:
         return QuasiProjectionPair(
-            _function_from_spec(phi, args.level), _function_from_spec(phi_tilde, args.level)
+            _function_from_spec(args.phi, args.level), _function_from_spec(args.phi_tilde, args.level)
         )
     raise PreconditionError("a pair is required: pass --pair SPEC, or both --phi and --phi-tilde")
 
 
 def _grid_from_args(args) -> GridSpec:
+    """The ``expand`` grid: ``--level`` over ``--window`` when given."""
     lo = hi = None
-    window = getattr(args, "window", None)
+    window = args.window
     if window:
         parts = window.split(",")
         if len(parts) != 2:
@@ -202,11 +212,10 @@ def _write_function_csv(path: str, sf: SampledFunction) -> None:
 
 
 def _cmd_analyze_pair(args) -> None:
-    grid = _grid_from_args(args)
     pair = _pair_from_args(args)
     qp1 = check_qp1(pair)
     rhs = identity_rhs(pair)  # raises if the pair fails the basic conditions
-    lhs = identity_lhs(pair, level=grid.level)
+    lhs = identity_lhs(pair, level=args.level)
     br = bracket_second_deriv(pair)
     _emit(
         {
@@ -225,10 +234,8 @@ def _cmd_analyze_pair(args) -> None:
 
 
 def _cmd_gibbs_point(args) -> None:
-    grid = _grid_from_args(args)
     pair = _pair_from_args(args)
-    tol = 1e-3 if args.tol is None else args.tol
-    report = gibbs_at_point(pair, args.x0, tol=tol, grid=grid)
+    report = gibbs_at_point(pair, args.x0, tol=args.tol, grid=GridSpec(args.level))
     _emit(report.to_json_dict())
 
 
@@ -254,8 +261,7 @@ def _cmd_check_oep(args) -> None:
         bank = FilterBank.from_json_dict(_read_json(spec))
     else:
         bank = resolve_bank(spec)
-    tol = 1e-12 if args.tol is None else args.tol
-    _emit(oep_check(bank, tol=tol))
+    _emit(oep_check(bank, tol=args.tol))
 
 
 def _framelet_from_args(args):
@@ -300,9 +306,8 @@ def _cmd_expand(args) -> None:
 
 
 def _cmd_overshoot_curve(args) -> None:
-    grid = _grid_from_args(args)
     pair = _pair_from_args(args)
-    ts, R, L = overshoot_curve(pair, num_t=args.num_t, grid=grid)
+    ts, R, L = overshoot_curve(pair, num_t=args.num_t, grid=GridSpec(args.level))
     summary = {
         "num_t": int(args.num_t),
         "max_R": float(np.max(R)),
@@ -349,13 +354,6 @@ def _add_pair_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--phi-tilde", dest="phi_tilde", help="builtin name or function JSON file")
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
-    sp.add_argument("--window", help="evaluation window 'lo,hi'")
-    sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sp.add_argument("--out", help="CSV output path")
-
-
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -365,39 +363,44 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("analyze-pair", help="first-moment identity, bracket, accuracy order")
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     _add_pair_flags(sp)
-    _add_common_flags(sp)
 
     sp = sub.add_parser("gibbs-point", help="overshoot verdict at a jump location")
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     _add_pair_flags(sp)
-    _add_common_flags(sp)
     sp.add_argument("--x0", required=True, help="exact rational 'p/q' or 'irrational'")
+    sp.add_argument("--tol", type=float, default=1e-3, help="R above 1 + tol or L below -1 - tol is Gibbs")
 
     sp = sub.add_parser("construct-dual", help="build a nonnegative dual of prescribed order")
-    _add_common_flags(sp)
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     sp.add_argument("--phi", required=True, help="builtin name or function JSON file")
     sp.add_argument("--order", type=int, required=True, help="accuracy order to match")
     sp.add_argument("--knots", help="explicit knots 'a,b,...' (default equally spaced)")
 
     sp = sub.add_parser("check-oep", help="verify the two filter-bank identities")
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     sp.add_argument("bank", help=f"bank JSON file or builtin ({', '.join(bank_names())})")
-    _add_common_flags(sp)
+    sp.add_argument("--tol", type=float, default=1e-12, help="largest residual that passes")
 
     sp = sub.add_parser("expand", help="sample a truncated expansion or quasi-projection")
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     _add_pair_flags(sp)
-    _add_common_flags(sp)
+    sp.add_argument("--window", help="evaluation window 'lo,hi'")
+    sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--bank", help="bank JSON file or builtin name")
     sp.add_argument("--f", default="sgn", help="signal: sgn | gauss | monomial:j")
     sp.add_argument("--x0", default="0/1", help="jump location for sgn (exact rational)")
     sp.add_argument("--n", type=int, default=0, help="expansion level")
 
     sp = sub.add_parser("overshoot-curve", help="R(t), L(t) over one period of shifts")
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     _add_pair_flags(sp)
-    _add_common_flags(sp)
+    sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--num-t", dest="num_t", type=int, default=64)
 
     sp = sub.add_parser("bspline-table", help="identity/overshoot/dual table for B-splines")
-    _add_common_flags(sp)
+    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
     sp.add_argument("--max-order", dest="max_order", type=int, default=4)
 
     return p

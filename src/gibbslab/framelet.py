@@ -45,6 +45,7 @@ from .funcmodel import (
     fhat_deriv0,
     simpson_sum,
 )
+from .gibbs import bracket_second_deriv, overshoot
 from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
 from .sequences import MatrixSeq, convolve, fourier_deriv
 
@@ -316,8 +317,6 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
     Wavelet moments come from filter sums against exact scaling moments, so
     the vanishing-moment counts carry no cascade error.
     """
-    from .gibbs import bracket_second_deriv, overshoot
-
     vmo_psi = _filter_vmo(df.bank.b, df.phi)
     vmo_psi_tilde = _filter_vmo(df.bank.b_tilde, df.phi_tilde)
     report = {"vmo_psi": vmo_psi, "vmo_psi_tilde": vmo_psi_tilde}

@@ -22,7 +22,8 @@ returns arrays of shape ``(npoints, r)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, comb, factorial, floor
 from typing import Union
 
@@ -152,17 +153,17 @@ def check_level(level: int) -> None:
         raise PreconditionError(f"grid level must satisfy 1 <= level <= {MAX_LEVEL}, got {level}")
 
 
-def dyadic_bounds(lo: float, hi: float, level: int, pad: int = 0) -> tuple[int, int]:
+def dyadic_bounds(lo: float, hi: float, level: int) -> tuple[int, int]:
     """First and last index ``i0, i1`` of the points ``i 2^-level`` covering
-    ``[lo, hi]``, extended by ``pad`` points at each end."""
+    ``[lo, hi]``."""
     h = 2.0**-level
-    return floor(lo / h) - pad, ceil(hi / h) + pad
+    return floor(lo / h), ceil(hi / h)
 
 
-def dyadic_grid(lo: float, hi: float, level: int, pad: int = 0) -> tuple[int, np.ndarray]:
+def dyadic_grid(lo: float, hi: float, level: int) -> tuple[int, np.ndarray]:
     """The points of :func:`dyadic_bounds`; returns the first index ``i0`` and
     the points."""
-    i0, i1 = dyadic_bounds(lo, hi, level, pad)
+    i0, i1 = dyadic_bounds(lo, hi, level)
     return i0, np.arange(i0, i1 + 1) * 2.0**-level
 
 
@@ -265,28 +266,20 @@ class PiecewisePoly:
 
     # -- exact integrals -----------------------------------------------------
 
-    @property
+    @cached_property
     def _antiderivative(self) -> np.ndarray:
-        """Each piece's antiderivative from its left end, ``(m, r, deg+2)``, cached."""
-        cache = self.__dict__.get("_anti")
-        if cache is None:
-            cache = self.__dict__["_anti"] = _polyint_asc(self.coeffs)
-        return cache
+        """Each piece's antiderivative from its left end, ``(m, r, deg+2)``."""
+        return _polyint_asc(self.coeffs)
 
-    @property
+    @cached_property
     def _cumulative_at_breaks(self) -> np.ndarray:
         """C[i] = integral of f over (-inf, breakpoints[i]]; shape (m+1, r)."""
-        cache = self.__dict__.get("_cum")
-        if cache is not None:
-            return cache
         anti = self._antiderivative
         widths = np.diff(self.breakpoints)
         piece = np.stack(
             [_polyval_asc(anti[i], np.array([widths[i]]))[:, 0] for i in range(len(widths))]
         )
-        cum = np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(piece, axis=0)])
-        self.__dict__["_cum"] = cum
-        return cum
+        return np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(piece, axis=0)])
 
     def cumulative(self, s) -> np.ndarray:
         """Integral of f over (-inf, s_i] for each s_i, exactly; shape (n, r)."""
@@ -497,13 +490,10 @@ class SampledFunction:
     def xs(self) -> np.ndarray:
         return (self.start + np.arange(self.values.shape[0])) * self.h
 
-    @property
+    @cached_property
     def _grid(self) -> np.ndarray:
-        """The sample points, cached like ``_cumulative``."""
-        cache = self.__dict__.get("_xs")
-        if cache is None:
-            cache = self.__dict__["_xs"] = self.xs()
-        return cache
+        """The sample points."""
+        return self.xs()
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -514,15 +504,11 @@ class SampledFunction:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
         return simpson_sum(self.values * (self._grid**j)[:, None], self.h, axis=0)
 
-    @property
+    @cached_property
     def _cumulative(self) -> np.ndarray:
-        cache = self.__dict__.get("_cum")
-        if cache is not None:
-            return cache
+        """The trapezoid integral at each sample point."""
         avg = 0.5 * (self.values[1:] + self.values[:-1]) * self.h
-        cum = np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(avg, axis=0)])
-        self.__dict__["_cum"] = cum
-        return cum
+        return np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(avg, axis=0)])
 
     def cumulative(self, s) -> np.ndarray:
         """Integral over (-inf, s_i] (trapezoid on the carried grid); shape (n, r)."""
@@ -757,9 +743,9 @@ def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:
 class RefinableFunction:
     """Compactly supported solution of ``phi = 2 sum_k a(k) phi(2x - k)``.
 
-    ``normalization`` fixes ``phihat(0)``.  Samples come from :func:`cascade`
-    at ``level`` (cached per level) and are exact at the grid points; a grid
-    at ``level`` or a coarser one reads them at a stride (the refinement is
+    ``normalization`` fixes ``phihat(0)``.  Samples come from one
+    :func:`cascade` at ``level`` and are exact at the grid points; a grid at
+    ``level`` or a coarser one reads them at a stride (the refinement is
     nested, see :func:`_support_samples`), and a finer grid interpolates them.
     Moments and cumulative integrals are exact consequences of the two-scale
     relation:
@@ -775,15 +761,14 @@ class RefinableFunction:
     mask: MatrixSeq
     normalization: np.ndarray = None
     level: int = 12
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        kmin, kmax, norm = _check_mask(self.mask, self.normalization)
+        _, _, norm = _check_mask(self.mask, self.normalization)
         check_level(self.level)
         norm = np.ascontiguousarray(norm)
         norm.flags.writeable = False
         object.__setattr__(self, "normalization", norm)
-        self._cache["ksupport"] = (kmin, kmax)
+        object.__setattr__(self, "_fhat", {})  # phihat^(j)(0) per order j
 
     @property
     def ncomponents(self) -> int:
@@ -791,15 +776,16 @@ class RefinableFunction:
 
     @property
     def support(self) -> tuple[float, float]:
-        kmin, kmax = self._cache["ksupport"]
+        kmin, kmax = self.mask.support
         return (float(kmin), float(kmax))
 
-    def samples(self, level: int | None = None) -> SampledFunction:
-        level = self.level if level is None else level
-        key = ("samples", level)
-        if key not in self._cache:
-            self._cache[key] = cascade(self.mask, self.normalization, level)
-        return self._cache[key]
+    @cached_property
+    def _samples(self) -> SampledFunction:
+        return cascade(self.mask, self.normalization, self.level)
+
+    def samples(self) -> SampledFunction:
+        """The exact samples at ``level``."""
+        return self._samples
 
     def evaluate(self, x) -> np.ndarray:
         return self.samples().evaluate(x)
@@ -808,9 +794,8 @@ class RefinableFunction:
 
     def _fhat_deriv0(self, j: int) -> np.ndarray:
         """phihat^(j)(0) from the mask recursion."""
-        key = ("M", j)
-        if key in self._cache:
-            return self._cache[key]
+        if j in self._fhat:
+            return self._fhat[j]
         if j == 0:
             out = self.normalization.astype(np.complex128)
         else:
@@ -825,7 +810,7 @@ class RefinableFunction:
                 raise PreconditionError(
                     f"moment recursion singular at order {j}: mask symbol has eigenvalue 2^{j}"
                 ) from exc
-        self._cache[key] = out
+        self._fhat[j] = out
         return out
 
     def moment(self, j: int) -> np.ndarray:
@@ -838,11 +823,10 @@ class RefinableFunction:
 
     # -- exact cumulative integral ------------------------------------------
 
+    @cached_property
     def _integer_cumulative(self) -> np.ndarray:
         """F at the integers kmin..kmax (shape (W+1, r)), exactly."""
-        if "Fint" in self._cache:
-            return self._cache["Fint"]
-        kmin, kmax = self._cache["ksupport"]
+        kmin, kmax = self.mask.support
         W = kmax - kmin
         r = self.ncomponents
         m0 = np.asarray(self.moment(0), dtype=np.float64).reshape(r)
@@ -870,34 +854,31 @@ class RefinableFunction:
             except np.linalg.LinAlgError as exc:
                 raise PreconditionError("cumulative-integral system is singular") from exc
             F[1:W] = sol.reshape(W - 1, r)
-        self._cache["Fint"] = F
         return F
 
-    def cumulative_samples(self, level: int | None = None) -> np.ndarray:
-        """F on the grid ``kmin + i 2^-level`` over the support, exactly."""
-        level = self.level if level is None else level
-        key = ("F", level)
-        if key in self._cache:
-            return self._cache[key]
-        kmin, kmax = self._cache["ksupport"]
-        Fint = self._integer_cumulative()  # its last row is F = phihat(0) right of the support
+    @cached_property
+    def _F(self) -> np.ndarray:
+        kmin, kmax = self.mask.support
+        Fint = self._integer_cumulative  # its last row is F = phihat(0) right of the support
         taps = [(k, self.mask[k].real) for k in self.mask.indices()]
-        F = _refine(taps, kmin, kmax - kmin, level, Fint, 1.0, Fint[-1])
-        self._cache[key] = F
-        return F
+        return _refine(taps, kmin, kmax - kmin, self.level, Fint, 1.0, Fint[-1])
+
+    @cached_property
+    def _F_grid(self) -> np.ndarray:
+        return self.mask.support[0] + np.arange(self._F.shape[0]) * 2.0**-self.level
+
+    def cumulative_samples(self) -> np.ndarray:
+        """F on the grid ``kmin + i 2^-level`` over the support, exactly."""
+        return self._F
 
     def cumulative(self, s) -> np.ndarray:
         """Integral over (-inf, s_i], interpolating the exact F on the carried grid; shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         F = self.cumulative_samples()
-        key = ("Fgrid", self.level)
-        if key not in self._cache:
-            kmin, _ = self._cache["ksupport"]
-            self._cache[key] = kmin + np.arange(F.shape[0]) * 2.0**-self.level
-        return _interp_columns(s, self._cache[key], F, F[-1])
+        return _interp_columns(s, self._F_grid, F, F[-1])
 
-    def refinement_residual(self, level: int | None = None) -> float:
-        return refinement_residual(self.samples(level), self.mask)
+    def refinement_residual(self) -> float:
+        return refinement_residual(self.samples(), self.mask)
 
     def to_json_dict(self) -> dict:
         return {
@@ -989,20 +970,20 @@ def _support_samples(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple
     return i0, f.evaluate(xs + phase)
 
 
-def _grid_min(f: FunctionHandle, level: int = 10) -> float:
-    """Smallest sample of any component on the dyadic grid over the support."""
-    _, xs = dyadic_grid(*f.support, level)
-    return float(np.min(f.evaluate(xs)))
+def _grid_min(f: FunctionHandle) -> float:
+    """Smallest sample of any component on the level-10 dyadic grid over the
+    support."""
+    return float(np.min(_support_samples(f, 10)[1]))
 
 
 _MAX_SAMPLE_JUMP = 0.05  # a larger _continuity_defect reads as a jump: not continuous
 
 
-def _continuity_defect(f: FunctionHandle, level: int = 10) -> float:
-    """Largest jump between adjacent grid samples of any component, including
-    the steps onto and off the support."""
-    _, xs = dyadic_grid(*f.support, level, pad=1)
-    return float(np.max(np.abs(np.diff(f.evaluate(xs), axis=0))))
+def _continuity_defect(f: FunctionHandle) -> float:
+    """Largest jump between adjacent level-10 grid samples of any component,
+    including the steps onto and off the support (f is zero past the grid)."""
+    vals = np.pad(_support_samples(f, 10)[1], ((1, 1), (0, 0)))
+    return float(np.max(np.abs(np.diff(vals, axis=0))))
 
 
 def _grid_level(*fs) -> int:

@@ -37,7 +37,7 @@ from .funcmodel import (
     halfline_integral,
     simpson_sum,
 )
-from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, check_qp1, poly_reproduction
+from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, _signal_values, apply, check_qp1, poly_reproduction
 
 __all__ = [
     "kappa",
@@ -122,7 +122,7 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
     """
     sf = _sgn_expansion(pair, t, level)
     xs = sf.xs()
-    integrand = xs * (np.sign(xs) + (xs == 0.0) - sf.values[:, 0])
+    integrand = xs * (_signal_values(Sgn(0.0), xs) - sf.values[:, 0])
     return float(simpson_sum(integrand[:, None], 2.0**-level, axis=0)[0])
 
 
@@ -181,7 +181,8 @@ def overshoot(
 ) -> float:
     """R(t) (side='right': sup of Q sgn on x > 0) or L(t) (side='left': inf on
     x < 0).  Beyond the interaction window the expansion equals sgn exactly,
-    so the sup/inf includes +-1."""
+    so the sup/inf includes +-1.  Only ``grid.level`` is read: the window is
+    always the whole interaction zone."""
     if side not in ("right", "left"):
         raise PreconditionError(f"side must be 'right' or 'left', got {side!r}")
     right, left = _overshoot_both(pair, t, grid)
@@ -206,7 +207,8 @@ def overshoot_curve(
     num_t: int = 64,
     grid: GridSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample t -> (R(t), L(t)) on a uniform grid of [0, 1)."""
+    """Sample t -> (R(t), L(t)) on a uniform grid of [0, 1).  Only
+    ``grid.level`` is read, as in :func:`overshoot`."""
     ts = np.arange(num_t) / num_t
     R, L = _sweep(pair, ts, grid)
     return ts, R, L
@@ -303,6 +305,7 @@ def gibbs_at_point(
     cluster set is the whole interval and is swept on a uniform grid, which
     can certify overshoot but never its absence (verdict stays one-sided).
     A cycle longer than the grid's ``2^level`` distinct shifts is refused.
+    Only ``grid.level`` is read, as in :func:`overshoot`.
     """
     if not (math.isfinite(tol) and tol >= 0 and irrational_density >= 1):
         raise PreconditionError(

@@ -60,9 +60,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sgn:
-    """Built-in signal sgn(x - x0)."""
+    """Built-in signal sgn(x - x0), taken as 1 at x0."""
 
     x0: float = 0.0
+
+    def __call__(self, x) -> np.ndarray:
+        d = np.asarray(x, dtype=np.float64) - self.x0
+        return np.sign(d) + (d == 0.0)
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,9 @@ class Monomial:
     """Built-in signal x^degree."""
 
     degree: int = 0
+
+    def __call__(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64) ** self.degree
 
 
 @dataclass(frozen=True)
@@ -423,8 +430,9 @@ def kernel_criterion(
 
 def _reproduction_residual(pair: QuasiProjectionPair, j: int, grid: GridSpec) -> float:
     """Sup-norm residual of Q x^j - x^j on the grid window."""
-    sf = apply(pair, Monomial(j), 0, 0.0, grid)
-    return float(np.max(np.abs(sf.values[:, 0] - sf.xs() ** j)))
+    f = Monomial(j)
+    sf = apply(pair, f, 0, 0.0, grid)
+    return float(np.max(np.abs(sf.values[:, 0] - _signal_values(f, sf.xs()))))
 
 
 def poly_reproduction(pair: QuasiProjectionPair, m: int, grid: GridSpec | None = None) -> dict:

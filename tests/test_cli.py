@@ -175,6 +175,50 @@ def test_level_out_of_range_exits_2(capsys, tmp_path):
         assert "level" in err
 
 
+_BASE_ARGV = {
+    "analyze-pair": ["--pair", "haar"],
+    "gibbs-point": ["--pair", "haar", "--x0", "0/1"],
+    "construct-dual": ["--phi", "bspline:2", "--order", "2"],
+    "check-oep": ["haar"],
+    "expand": ["--pair", "haar"],
+    "overshoot-curve": ["--pair", "haar", "--num-t", "2"],
+    "bspline-table": ["--max-order", "1"],
+}
+_FLAG_VALUES = {"--level": "8", "--window": "-3,3", "--tol": "0.5", "--out": "f.csv"}
+_KEPT_FLAGS = {
+    "analyze-pair": ("--level",),
+    "gibbs-point": ("--level", "--tol"),
+    "construct-dual": ("--level",),
+    "check-oep": ("--level", "--tol"),
+    "expand": ("--level", "--window", "--out"),
+    "overshoot-curve": ("--level", "--out"),
+    "bspline-table": ("--level",),
+}
+_REMOVED_SLOTS = [(cmd, flag) for cmd in _BASE_ARGV for flag in _FLAG_VALUES if flag not in _KEPT_FLAGS[cmd]]
+
+
+def test_removed_flag_slots_are_sixteen():
+    assert len(_REMOVED_SLOTS) == 16
+
+
+@pytest.mark.parametrize("command,flag", _REMOVED_SLOTS)
+def test_flag_a_subcommand_never_reads_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    """A flag the handler would ignore is refused by argparse, not accepted
+    silently."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_BASE_ARGV[command], flag, _FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in _KEPT_FLAGS.items() for f in flags])
+def test_kept_flags_parse(command, flag):
+    args = cli._build_parser().parse_args([command, *_BASE_ARGV[command], f"{flag}={_FLAG_VALUES[flag]}"])
+    assert str(getattr(args, flag[2:])) == _FLAG_VALUES[flag]
+
+
 def test_missing_pair_exits_2(capsys):
     code, _, err = run_cli(capsys, "analyze-pair")
     assert code == 2

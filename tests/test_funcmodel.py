@@ -32,9 +32,13 @@ from gibbslab import (
     cascade,
 )
 from gibbslab.catalog import bspline_mask, cdf13_mask, daubechies_mask, resolve_function
+from gibbslab import funcmodel
 from gibbslab.funcmodel import (
+    _continuity_defect,
+    _grid_min,
     _polyval_pieces,
     _refine,
+    dyadic_bounds,
     function_from_json_dict,
     function_to_json_dict,
     refinement_residual,
@@ -626,6 +630,67 @@ def test_refinable_vector_mask_requires_normalization():
 
 def test_refinable_refinement_residual_small():
     assert RefinableFunction(D4_MASK, level=10).refinement_residual() < 1e-8
+
+
+def test_one_cascade_per_refinable_function(monkeypatch):
+    """Samples, evaluation and the refinement residual all read the one
+    cascade a refinable function makes at its level."""
+    calls = []
+    real = funcmodel.cascade
+    monkeypatch.setattr(funcmodel, "cascade", lambda *args: calls.append(args) or real(*args))
+    rf = RefinableFunction(D4_MASK, level=10)
+    for _ in range(3):
+        rf.samples()
+        rf.evaluate(np.linspace(-1.0, 4.0, 11))
+        rf.refinement_residual()
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# level-10 support grid reads: _grid_min and _continuity_defect
+
+GRID_READ_HANDLES = {
+    "pp-b1": bspline(1),
+    "pp-b3": bspline(3),
+    "pp-b2-off-grid": bspline(2).shift(0.3),
+    "sampled-L6": SampledFunction(6, -3, bspline(2).evaluate(np.arange(-3, 2 * 2**6 + 4) * 2.0**-6) - 0.01),
+    "sampled-L12": SampledFunction(12, 5, np.sin(np.arange(0, 2**12 + 1) * 2.0**-12 * 7.0)),
+    "refinable-haar-L12": RefinableFunction(bspline_mask(1), level=12),
+    "refinable-cdf13-L10": RefinableFunction(cdf13_mask(), level=10),
+    **{f"refinable-d2-L{lev}": RefinableFunction(D4_MASK, level=lev) for lev in range(8, 17)},
+}
+
+
+def _reference_level10_samples(f, pad):
+    """f evaluated on the level-10 points covering its support, with ``pad``
+    more points at each end."""
+    i0, i1 = dyadic_bounds(*f.support, 10)
+    return f.evaluate(np.arange(i0 - pad, i1 + pad + 1) * 2.0**-10)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_READ_HANDLES))
+def test_support_grid_reads_match_evaluate_reference(name):
+    f = GRID_READ_HANDLES[name]
+    want_min = float(np.min(_reference_level10_samples(f, 0)))
+    want_defect = float(np.max(np.abs(np.diff(_reference_level10_samples(f, 1), axis=0))))
+    assert repr(_grid_min(f)) == repr(want_min)
+    assert repr(_continuity_defect(f)) == repr(want_defect)
+
+
+@pytest.mark.parametrize("level", [10, 12, 16])
+def test_support_grid_reads_take_the_cached_cascade(monkeypatch, level):
+    """A refinable function carrying level 10 or finer is read at a stride of
+    its samples, with no call to evaluate."""
+    rf = RefinableFunction(D4_MASK, level=level)
+    rf.samples()
+
+    def refuse(self, x):
+        raise AssertionError("evaluate called")
+
+    for cls in (RefinableFunction, SampledFunction, PiecewisePoly):
+        monkeypatch.setattr(cls, "evaluate", refuse)
+    _grid_min(rf)
+    _continuity_defect(rf)
 
 
 # ---------------------------------------------------------------------------

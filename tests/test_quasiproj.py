@@ -672,3 +672,25 @@ def test_rate_matches_accuracy_order_hat(b2):
     f = lambda x: np.exp(-4.0 * (x - 0.3) ** 2)
     rate = approximation_rate(b2, f, range(2, 7), level=10)
     assert abs(rate - 2.0) < 0.3
+
+
+@pytest.mark.parametrize("spec", ["bspline:2", "daubechies:3"])
+@pytest.mark.parametrize("x0", [0.25, 1.0 / 3.0])
+def test_rate_of_a_jump_is_one_half(spec, x0):
+    """The L2 error of Q_n sgn(. - x0) is a fixed profile squeezed into a
+    2^-n neighbourhood of the jump, so it decays like 2^(-n/2)."""
+    rate = approximation_rate(resolve_pair(spec), Sgn(x0), range(2, 7))
+    assert abs(rate - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("spec,order", [("bspline:2", 2), ("daubechies:3", 3)])
+def test_rate_of_the_first_unreproduced_monomial_is_the_order(spec, order):
+    rate = approximation_rate(resolve_pair(spec), Monomial(order), range(2, 7))
+    assert abs(rate - order) < 0.01
+
+
+def test_builtin_signals_evaluate_like_their_formulas():
+    xs = np.array([-1.5, -0.0, 0.0, 0.25, 1.0 / 3.0, 2.0])
+    assert Sgn(0.0)(xs).tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert Sgn(1.0 / 3.0)(xs).tolist() == [-1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+    assert Monomial(3)(xs).tobytes() == (xs**3).tobytes()
