@@ -18,7 +18,7 @@ from gibbslab.catalog import resolve_pair
 from gibbslab.construct import build_dual
 from gibbslab.funcmodel import bspline
 from gibbslab.gibbs import overshoot_curve
-from gibbslab.quasiproj import GridSpec, QuasiProjectionPair
+from gibbslab.quasiproj import QuasiProjectionPair
 
 PAIRS = ["haar", "bspline:2", "bspline:3", "daubechies:2", "daubechies:3"]
 
@@ -37,7 +37,7 @@ def main() -> None:
 
     print(f"{'pair':14s} {'max R':>10s} {'at t':>8s} {'min L':>10s}")
     for name, pair in jobs:
-        ts, R, L = overshoot_curve(pair, num_t=args.num_t, grid=GridSpec(args.level))
+        ts, R, L = overshoot_curve(pair, num_t=args.num_t, level=args.level)
         path = os.path.join(args.outdir, name.replace(":", "") + ".csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,R,L\n")

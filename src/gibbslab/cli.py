@@ -235,7 +235,7 @@ def _cmd_analyze_pair(args) -> None:
 
 def _cmd_gibbs_point(args) -> None:
     pair = _pair_from_args(args)
-    report = gibbs_at_point(pair, args.x0, tol=args.tol, grid=GridSpec(args.level))
+    report = gibbs_at_point(pair, args.x0, tol=args.tol, level=args.level)
     _emit(report.to_json_dict())
 
 
@@ -307,7 +307,7 @@ def _cmd_expand(args) -> None:
 
 def _cmd_overshoot_curve(args) -> None:
     pair = _pair_from_args(args)
-    ts, R, L = overshoot_curve(pair, num_t=args.num_t, grid=GridSpec(args.level))
+    ts, R, L = overshoot_curve(pair, num_t=args.num_t, level=args.level)
     summary = {
         "num_t": int(args.num_t),
         "max_R": float(np.max(R)),

@@ -177,7 +177,7 @@ def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> di
         in_range = in_range and abs(right - expected) < 1e-9
     pair = QuasiProjectionPair(phi, pt)
     cond = nonneg_sufficient(pair)
-    R0, L0 = _overshoot_both(pair, 0.0, None)
+    R0, L0 = _overshoot_both(pair, 0.0, level=12)
     return {
         "integral_right": right,
         "integral_left": left,

@@ -38,6 +38,7 @@ from .funcmodel import (
     RefinableFunction,
     SampledFunction,
     _continuity_defect,
+    _grid_level,
     _grid_min,
     _support_samples,
     _tap_sum,
@@ -157,7 +158,7 @@ def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, facto
         return PiecewisePoly.combine(
             [(mats[i], f.compose_affine(float(dilate), float(-klo - i))) for i in range(n)]
         )
-    level = getattr(f, "level", 12)
+    level = _grid_level(f)
     flo, fhi = f.support
     i0, i1 = dyadic_bounds((flo + klo) / dilate, (fhi + klo + n - 1) / dilate, level)
     m0, fvals = _support_samples(f, level)

@@ -213,6 +213,7 @@ class PiecewisePoly:
         cf.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", cf)
+        object.__setattr__(self, "_moments", {})  # moment(j) per order j
 
     # -- structure ---------------------------------------------------------
 
@@ -304,10 +305,15 @@ class PiecewisePoly:
         return right - left
 
     def moment(self, j: int) -> np.ndarray:
-        """Exact j-th moment ``integral x^j f(x) dx`` per component."""
+        """Exact j-th moment ``integral x^j f(x) dx`` per component; cached
+        per order, read-only."""
         if not 0 <= j <= MAX_DEGREE:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
-        return self.moment_on(j, self.breakpoints[0], self.breakpoints[-1])
+        if j not in self._moments:
+            m = self.moment_on(j, self.breakpoints[0], self.breakpoints[-1])
+            m.flags.writeable = False
+            self._moments[j] = m
+        return self._moments[j]
 
     def moment_on(self, j: int, a: float, b: float) -> np.ndarray:
         """Exact partial moment ``integral_a^b x^j f(x) dx``."""
@@ -474,6 +480,7 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "level", int(self.level))
         object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "_moments", {})  # moment(j) per order j
 
     @property
     def h(self) -> float:
@@ -500,9 +507,15 @@ class SampledFunction:
         return _interp_columns(x, self._grid, self.values, np.zeros(self.ncomponents))
 
     def moment(self, j: int) -> np.ndarray:
+        """Simpson j-th moment per component; cached per order, read-only
+        (a sweep over a sampled dual reads its mass at every shift)."""
         if not 0 <= j <= MAX_DEGREE:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
-        return simpson_sum(self.values * (self._grid**j)[:, None], self.h, axis=0)
+        if j not in self._moments:
+            m = simpson_sum(self.values * (self._grid**j)[:, None], self.h, axis=0)
+            m.flags.writeable = False
+            self._moments[j] = m
+        return self._moments[j]
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -546,6 +559,8 @@ def _is_real(m: np.ndarray) -> bool:
 
 
 def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
+    """Refuse a mask or normalization that is not square, finite, real and
+    consistent; returns ``kmin, kmax`` and the float64 normalization."""
     r, s = mask.shape
     if r != s:
         raise DimensionMismatchError(f"refinement mask must be square, got shape {mask.shape}")
@@ -570,12 +585,14 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
             raise DimensionMismatchError(
                 f"normalization has {norm.size} entries for a {r}-component mask"
             )
+    if not (_is_real(mask.entries) and _is_real(norm)):
+        raise PreconditionError("refinement mask and normalization must be real")
     a0 = fourier_deriv(mask, 0)
     if np.max(np.abs(a0 @ norm - norm)) > 1e-10:
         raise PreconditionError(
             "normalization must be an eigenvector of the mask symbol at 0 for eigenvalue 1"
         )
-    return kmin, kmax, norm
+    return kmin, kmax, norm.real.copy()
 
 
 def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None) -> np.ndarray:
@@ -693,18 +710,19 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
     and ``v0`` carrying ``normalization`` at ``kmin``, taken as the projection
     of ``v0`` onto ``M``'s eigenvalue-1 eigenspace (so Haar keeps the
     half-open convention ``phi(0) = 1``, ``phi(1) = 0``); each finer level
-    then follows from the two-scale relation.  The mask and normalization
-    must be real.  Raises :class:`ConvergenceError` (carrying a residual
-    >= 1) when that limit does not exist, or when the largest odd-point
-    increment (value minus the mean of its neighbours) is larger at level 10
-    than at level 6 (``_GROWTH_LEVELS``), so that the samples do not come
-    from a bounded function.  The refinement always runs to level 10 at
-    least, so whether a mask is accepted does not depend on ``level``.
+    then follows from the two-scale relation.  Raises :class:`ConvergenceError`
+    (carrying a residual >= 1) when that limit does not exist, or when the
+    largest odd-point increment (value minus the mean of its neighbours) is
+    larger at level 10 than at level 6 (``_GROWTH_LEVELS``), so that the
+    samples do not come from a bounded function.  The refinement always runs
+    to level 10 at least, so whether a mask is accepted does not depend on
+    ``level``.  Raises :class:`PreconditionError` when the values at the
+    integers break the first sum rule ``y . sum_k phi(k) = y . phihat(0)``
+    for every left 1-eigenvector ``y`` of ``ahat(0)``: ``[0.5, 0, 0.5]``
+    samples chi[0, 2), whose integral is 2, not ``phihat(0) = 1``.
     """
     check_level(level)
     kmin, kmax, norm = _check_mask(mask, normalization)
-    if not (_is_real(mask.entries) and _is_real(norm)):
-        raise PreconditionError("cascade needs a real mask and normalization")
     W = kmax - kmin
     r = mask.shape[0]
     ents = mask.entries.real
@@ -713,8 +731,15 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
         for k in range(max(0, 2 * j - W), min(W, 2 * j) + 1):
             M[j, :, k, :] = 2.0 * ents[2 * j - k]
     v0 = np.zeros((W + 1, r))
-    v0[0] = norm.real
+    v0[0] = norm
     ints = _fixed_part(M.reshape(-1, (W + 1) * r), v0.reshape(-1)).reshape(W + 1, r)
+    _, sv, Vh = np.linalg.svd(fourier_deriv(mask, 0).real.T - np.eye(r))
+    d = max(1, int(np.sum(sv <= 1e-10 * max(1.0, sv[0]))))  # norm makes ahat(0) - I singular
+    gap = float(np.max(np.abs(Vh[r - d :] @ (ints.sum(axis=0) - norm))))
+    if gap > 1e-9 * max(1.0, float(np.max(np.abs(norm)))):
+        raise PreconditionError(
+            f"mask breaks the first sum rule: its values at the integers miss phihat(0) by {gap:.3g}"
+        )
     depth = max(level, _GROWTH_LEVELS[1])
     vals = _refine(list(zip(mask.indices(), ents)), kmin, W, depth, ints, 2.0, None)
     coarse, fine = (_max_increment(vals[:: 2 ** (depth - j)]) for j in _GROWTH_LEVELS)
@@ -816,10 +841,8 @@ class RefinableFunction:
     def moment(self, j: int) -> np.ndarray:
         if not 0 <= j <= MAX_DEGREE:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
-        m = (1j) ** j * self._fhat_deriv0(j)
-        if _is_real(m):
-            return m.real.copy()
-        return m
+        # a copy: the strided view of the real parts would sum in another order
+        return ((1j) ** j * self._fhat_deriv0(j)).real.copy()
 
     # -- exact cumulative integral ------------------------------------------
 
@@ -829,7 +852,7 @@ class RefinableFunction:
         kmin, kmax = self.mask.support
         W = kmax - kmin
         r = self.ncomponents
-        m0 = np.asarray(self.moment(0), dtype=np.float64).reshape(r)
+        m0 = self.moment(0)
         F = np.zeros((W + 1, r))
         F[W] = m0
         if W > 1:
@@ -885,7 +908,7 @@ class RefinableFunction:
             "kind": "refinable",
             "mask": self.mask.to_json_dict(),
             "level": self.level,
-            "normalization": [float(v.real) for v in self.normalization],
+            "normalization": self.normalization.tolist(),
         }
 
     @classmethod
@@ -909,38 +932,21 @@ def bspline(m: int) -> PiecewisePoly:
     """Cardinal B-spline of order m, supported on [0, m].
 
     B_1 is the indicator of (0, 1] (up to the half-open evaluation convention);
-    B_m is the running unit average of B_{m-1}, built here by exact
-    antidifferentiation, so all coefficients are closed-form.
+    B_m is the running unit average of B_{m-1}: piece j is C(x) - C(x - 1) on
+    [j, j + 1), with C the exact cumulative of B_{m-1}, so all coefficients
+    are closed-form.
     """
     if not 1 <= m <= 9:
         raise PreconditionError(f"B-spline order must satisfy 1 <= m <= 9, got {m}")
     pp = PiecewisePoly(np.array([0.0, 1.0]), np.array([[[1.0]]]))
     for order in range(2, m + 1):
-        prev = pp
-        npieces = order - 1
-        anti = _polyint_asc(prev.coeffs)  # (npieces, 1, deg+2)
-        piece_totals = np.stack(
-            [_polyval_asc(anti[i], np.array([1.0]))[:, 0] for i in range(npieces)]
-        )
-        cum = np.vstack([np.zeros((1, 1)), np.cumsum(piece_totals, axis=0)])
-        total = cum[-1]
-        deg = anti.shape[-1]
-        coeffs = np.zeros((order, 1, deg))
-        for j in range(order):
-            upper = np.zeros((1, deg))
-            if j <= npieces - 1:
-                upper[:, : anti.shape[-1]] = anti[j]
-                upper[:, 0] += cum[j]
-            else:
-                upper[:, 0] = total
-            lower = np.zeros((1, deg))
-            if 0 <= j - 1 <= npieces - 1:
-                lower[:, : anti.shape[-1]] = anti[j - 1]
-                lower[:, 0] += cum[j - 1]
-            elif j - 1 > npieces - 1:
-                lower[:, 0] = total
-            coeffs[j] = upper - lower
-        pp = PiecewisePoly(np.arange(order + 1, dtype=np.float64), coeffs)
+        # C on each [j, j + 1) in u = x - j; on [order - 1, order) it is the total
+        upper = np.zeros((order,) + pp._antiderivative.shape[1:])
+        upper[:-1] = pp._antiderivative
+        upper[..., 0] += pp._cumulative_at_breaks
+        lower = np.zeros_like(upper)
+        lower[1:] = upper[:-1]  # C(x - 1) on [j, j + 1) is C on [j - 1, j)
+        pp = PiecewisePoly(np.arange(order + 1, dtype=np.float64), upper - lower)
     return pp
 
 
@@ -987,6 +993,7 @@ def _continuity_defect(f: FunctionHandle) -> float:
 
 
 def _grid_level(*fs) -> int:
+    """The finest level carried by ``fs``; 12 when none carries one."""
     levels = [f.level for f in fs if hasattr(f, "level")]
     return max(levels) if levels else 12
 

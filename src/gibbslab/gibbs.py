@@ -34,6 +34,8 @@ from .funcmodel import (
     FunctionHandle,
     _continuity_defect,
     _grid_min,
+    check_level,
+    fhat_deriv0,
     halfline_integral,
     simpson_sum,
 )
@@ -99,10 +101,8 @@ def identity_rhs(pair: QuasiProjectionPair) -> complex:
     _require_qp1(pair)
     k1 = kappa(pair.phi_tilde, 1).astype(np.complex128)
     k2 = kappa(pair.phi_tilde, 2).astype(np.complex128)
-    p0 = pair.fhat0("phi", 0)
-    p1 = pair.fhat0("phi", 1)
-    p2 = pair.fhat0("phi", 2)
-    t0 = pair.fhat0("tilde", 0)
+    p0, p1, p2 = (fhat_deriv0(pair.phi, j) for j in range(3))
+    t0 = fhat_deriv0(pair.phi_tilde, 0)
     val = (
         1.0 / 6.0
         - np.conj(p0) @ (k1 - k2)
@@ -143,11 +143,9 @@ def bracket_second_deriv(pair: QuasiProjectionPair, tol: float = 1e-8) -> Bracke
     minus the first-moment identity value and a zero bracket is the boundary
     between overshoot and no overshoot at the origin.
     """
-    p0, p1, p2 = (pair.fhat0("phi", j) for j in range(3))
-    t0, t1, t2 = (pair.fhat0("tilde", j) for j in range(3))
+    p0, p1, p2 = (fhat_deriv0(pair.phi, j) for j in range(3))
+    t0, t1, t2 = (fhat_deriv0(pair.phi_tilde, j) for j in range(3))
     val = np.conj(p2) @ t0 + 2.0 * (np.conj(p1) @ t1) + np.conj(p0) @ t2
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise PreconditionError("product symbol has a genuinely complex second derivative")
     swapped = poly_reproduction(pair.swapped(), 2, GridSpec(9))
     met = all(r < tol for r in swapped.values())
     return BracketResult(float(val.real), met)
@@ -163,9 +161,9 @@ def _sgn_expansion(pair: QuasiProjectionPair, t: float, level: int):
     return apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
 
 
-def _overshoot_both(pair: QuasiProjectionPair, t: float, grid: GridSpec | None) -> tuple[float, float]:
+def _overshoot_both(pair: QuasiProjectionPair, t: float, level: int) -> tuple[float, float]:
     """(R(t), L(t)) from one expansion of sgn."""
-    sf = _sgn_expansion(pair, t, (grid or GridSpec()).level)
+    sf = _sgn_expansion(pair, t, level)
     zero = -sf.start  # the window starts at an integer, so x = 0 is a sample
     v = sf.values[:, 0]
     right = float(max(np.max(v[zero + 1 :]), 1.0))
@@ -177,19 +175,18 @@ def overshoot(
     pair: QuasiProjectionPair,
     t: float = 0.0,
     side: str = "right",
-    grid: GridSpec | None = None,
+    level: int = 12,
 ) -> float:
     """R(t) (side='right': sup of Q sgn on x > 0) or L(t) (side='left': inf on
-    x < 0).  Beyond the interaction window the expansion equals sgn exactly,
-    so the sup/inf includes +-1.  Only ``grid.level`` is read: the window is
-    always the whole interaction zone."""
+    x < 0), sampled at ``level`` over the whole interaction zone.  Beyond it
+    the expansion equals sgn exactly, so the sup/inf includes +-1."""
     if side not in ("right", "left"):
         raise PreconditionError(f"side must be 'right' or 'left', got {side!r}")
-    right, left = _overshoot_both(pair, t, grid)
+    right, left = _overshoot_both(pair, t, level)
     return right if side == "right" else left
 
 
-def _sweep(pair: QuasiProjectionPair, shifts, grid: GridSpec | None) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(pair: QuasiProjectionPair, shifts, level: int) -> tuple[np.ndarray, np.ndarray]:
     """(R, L) at each shift, one ``apply`` per shift in a plain loop.
 
     Shifts on the ``2^-level`` grid (every curve shift, the irrational sweep,
@@ -198,19 +195,22 @@ def _sweep(pair: QuasiProjectionPair, shifts, grid: GridSpec | None) -> tuple[np
     shifts of a curve or a cluster set are distinct).  One call per shift is
     what a per-shift trace counts.
     """
-    both = [_overshoot_both(pair, t, grid) for t in shifts]
+    both = [_overshoot_both(pair, t, level) for t in shifts]
     return np.array([b[0] for b in both]), np.array([b[1] for b in both])
 
 
 def overshoot_curve(
     pair: QuasiProjectionPair,
     num_t: int = 64,
-    grid: GridSpec | None = None,
+    level: int = 12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample t -> (R(t), L(t)) on a uniform grid of [0, 1).  Only
-    ``grid.level`` is read, as in :func:`overshoot`."""
+    """Sample t -> (R(t), L(t)) on ``num_t >= 1`` uniform shifts of [0, 1),
+    each as in :func:`overshoot`."""
+    check_level(level)
+    if num_t < 1:
+        raise PreconditionError(f"num_t must be >= 1, got {num_t!r}")
     ts = np.arange(num_t) / num_t
-    R, L = _sweep(pair, ts, grid)
+    R, L = _sweep(pair, ts, level)
     return ts, R, L
 
 
@@ -294,7 +294,7 @@ def gibbs_at_point(
     pair: QuasiProjectionPair,
     x0,
     tol: float = 1e-3,
-    grid: GridSpec | None = None,
+    level: int = 12,
     irrational_density: int = 256,
 ) -> GibbsReport:
     """Overshoot verdict at a jump placed at x0.
@@ -304,9 +304,10 @@ def gibbs_at_point(
     cluster set of the doubling orbit of x0; for the irrational marker the
     cluster set is the whole interval and is swept on a uniform grid, which
     can certify overshoot but never its absence (verdict stays one-sided).
-    A cycle longer than the grid's ``2^level`` distinct shifts is refused.
-    Only ``grid.level`` is read, as in :func:`overshoot`.
+    A cycle longer than the ``2^level`` distinct shifts of the grid at
+    ``level`` is refused.
     """
+    check_level(level)
     if not (math.isfinite(tol) and tol >= 0 and irrational_density >= 1):
         raise PreconditionError(
             f"tol must be finite and >= 0, irrational_density >= 1; got {tol!r}, {irrational_density!r}"
@@ -317,7 +318,7 @@ def gibbs_at_point(
         shifts = [i / irrational_density for i in range(irrational_density)]
         cs = FULL_INTERVAL
     else:
-        most = 2 ** (grid or GridSpec()).level
+        most = 2**level
         try:
             cs = list(islice(_cycle(x0), most + 1))
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -333,7 +334,7 @@ def gibbs_at_point(
                 f"primal function; sample jump {defect:.3g} found"
             )
 
-    Rs, Ls = _sweep(pair, shifts, grid)
+    Rs, Ls = _sweep(pair, shifts, level)
     R, L = float(np.max(Rs)), float(np.min(Ls))
     # the first shift within 1e-12 of the extreme: rounding moves R, L by ~1e-14
     iR, iL = int(np.argmax(Rs >= R - 1e-12)), int(np.argmax(Ls <= L + 1e-12))

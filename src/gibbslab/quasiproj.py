@@ -32,6 +32,7 @@ from .funcmodel import (
     FunctionHandle,
     PiecewisePoly,
     SampledFunction,
+    _grid_level,
     _is_real,
     _support_samples,
     check_level,
@@ -106,8 +107,8 @@ class GridSpec:
 
 
 class QuasiProjectionPair:
-    """Immutable primal/dual pair with cached moments, cached phi tables and
-    support bookkeeping.
+    """Immutable primal/dual pair with cached phi tables and support
+    bookkeeping; each member owns its moments.
 
     ``support_bound`` is the smallest integer N with both supports inside
     [-N, N]; the operator applied to a jump signal differs from the signal
@@ -123,23 +124,11 @@ class QuasiProjectionPair:
         self.phi_tilde = phi_tilde
         radius = max(abs(v) for f in (phi, phi_tilde) for v in f.support)
         self.support_bound = max(1, int(math.ceil(radius - 1e-12)))
-        self._moments = {}
         self._tables = {}
 
     @property
     def ncomponents(self) -> int:
         return self.phi.ncomponents
-
-    def moment(self, side: str, j: int) -> np.ndarray:
-        """Cached j-th moment of phi (side='phi') or phi_tilde (side='tilde')."""
-        key = (side, j)
-        if key not in self._moments:
-            f = self.phi if side == "phi" else self.phi_tilde
-            m = f.moment(j)
-            if not _is_real(m):
-                raise PreconditionError(f"moment {j} of {side} is genuinely complex; real pairs expected")
-            self._moments[key] = np.asarray(np.real(m), dtype=np.float64)
-        return self._moments[key]
 
     def phi_table(self, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
         """The :func:`_sample_table` of phi; cached per level at phase 0 only."""
@@ -148,10 +137,6 @@ class QuasiProjectionPair:
         if level not in self._tables:
             self._tables[level] = _sample_table(self.phi, level)
         return self._tables[level]
-
-    def fhat0(self, side: str, j: int) -> np.ndarray:
-        """fhat^(j)(0) of the chosen side, from the cached moments."""
-        return (-1j) ** j * self.moment(side, j).astype(np.complex128)
 
     def swapped(self) -> "QuasiProjectionPair":
         """The dual-role pair: primal and dual functions exchanged."""
@@ -199,7 +184,7 @@ def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray
     pt = pair.phi_tilde
     if isinstance(f, Sgn):
         s = (2.0**n) * f.x0 + t - ks
-        mass = pair.moment("tilde", 0)
+        mass = pt.moment(0)
         tails_right = mass[None, :] - pt.cumulative(s)
         return 2.0 * tails_right - mass[None, :]
     if isinstance(f, Monomial):
@@ -209,7 +194,7 @@ def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray
         out = np.zeros((ks.size, pair.ncomponents))
         base = ks.astype(np.float64) - t
         for i in range(j + 1):
-            out += math.comb(j, i) * (base ** (j - i))[:, None] * pair.moment("tilde", i)[None, :]
+            out += math.comb(j, i) * (base ** (j - i))[:, None] * pt.moment(i)[None, :]
         return out * 2.0 ** (-n * j)
     return _dual_pairings(f, pt, n, t, ks)
 
@@ -231,7 +216,7 @@ def _dual_pairings(
             g = pt.compose_affine(2.0**n, t - k)
             out[i] = (2.0**n) * inner_product(f, g)[0]
         return out
-    level = getattr(pt, "level", 12) if level is None else level
+    level = _grid_level(pt) if level is None else level
     if isinstance(pt, PiecewisePoly):
         # piece-aligned panels: no panel straddles a breakpoint of the dual,
         # so smooth signals keep the full Simpson order
@@ -364,8 +349,8 @@ def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> 
     time domain as constancy of sum_k conj(phi_tilde_hat(0))^T phi(x-k) over
     one period, summed from the pair's phi table.
     """
-    mass = pair.moment("tilde", 0)
-    norm_residual = abs(mass @ pair.moment("phi", 0) - 1.0)
+    mass = pair.phi_tilde.moment(0)
+    norm_residual = abs(mass @ pair.phi.moment(0) - 1.0)
     acc = _synthesis(pair.phi_table(level), 0, 2**level, 1, 0, mass[None, :])
     const_residual = float(np.max(np.abs(acc - 1.0)))
     return {
@@ -402,16 +387,14 @@ def kernel_criterion(
     """
     N = pair.support_bound
     W = float(window) if window is not None else 2.0 * N + 1.0
-    h = 2.0**-level
-    npts = int(math.ceil(W / h))
-    xs = np.arange(-npts, npts + 1) * h
+    i0, xs = dyadic_grid(-W, W, level)
     plo, phi_hi = pair.phi.support
-    mass = pair.moment("tilde", 0)
+    mass = pair.phi_tilde.moment(0)
     klo = int(math.floor(xs[0] - phi_hi))
     ks = np.arange(klo, int(math.ceil(xs[-1] - plo)) + 1)
     tails = mass[None, :] - pair.phi_tilde.cumulative(-ks.astype(np.float64))
-    G = _synthesis(pair.phi_table(level), -npts, xs.size, 1, klo, tails)
-    xs, G = np.delete(xs, npts), np.delete(G, npts)  # x = 0 belongs to neither side
+    G = _synthesis(pair.phi_table(level), i0, xs.size, 1, klo, tails)
+    xs, G = np.delete(xs, -i0), np.delete(G, -i0)  # x = 0 belongs to neither side
     pos = xs > 0
     viol_pos = float(np.max(G[pos] - 1.0))
     viol_neg = float(np.max(-G[~pos]))
@@ -467,7 +450,11 @@ def approximation_rate(
     level: int = 12,
     window: tuple[float, float] = (-4.0, 4.0),
 ) -> float:
-    """Empirical L2 decay exponent: fit of -log2 ||Q_n f - f|| against n."""
+    """Empirical L2 decay exponent: fit of -log2 ||Q_n f - f|| against n.
+
+    An L2 error at rounding level (<= 1e-12, as when Q reproduces f) has no
+    decay to fit and is refused.
+    """
     lo, hi = window
     grid = GridSpec(level, lo, hi)
     errs = []
@@ -476,7 +463,9 @@ def approximation_rate(
         sf = apply(pair, f, n, 0.0, grid)
         xs = sf.xs()
         diff = sf.values[:, 0] - _signal_values(f, xs)
-        err2 = simpson_sum(np.abs(diff)[:, None] ** 2, 2.0**-level, axis=0)[0]
-        errs.append(math.sqrt(max(err2, 1e-300)))
+        err = math.sqrt(simpson_sum(np.abs(diff)[:, None] ** 2, 2.0**-level, axis=0)[0])
+        if err <= 1e-12:
+            raise PreconditionError(f"L2 error {err:.3g} at n = {n} is at rounding level: no rate to fit")
+        errs.append(err)
     slope = np.polyfit(ns, np.log2(errs), 1)[0]
     return float(-slope)

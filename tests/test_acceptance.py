@@ -73,9 +73,8 @@ def test_criterion_03_no_overshoot_cases(acceptance):
     for m in (2, 3, 4):
         dual = build_dual(bspline(m), m).phi_tilde
         pairs.append((f"b{m}-dual", QuasiProjectionPair(bspline(m), dual)))
-    grid = GridSpec(12)
-    worst_r = max(overshoot(p, 0.0, "right", grid) - 1.0 for _, p in pairs)
-    worst_l = max(-1.0 - overshoot(p, 0.0, "left", grid) for _, p in pairs)
+    worst_r = max(overshoot(p, 0.0, "right", 12) - 1.0 for _, p in pairs)
+    worst_l = max(-1.0 - overshoot(p, 0.0, "left", 12) for _, p in pairs)
     ok = worst_r <= 1e-9 and worst_l <= 1e-9
     assert acceptance(
         3,
@@ -91,7 +90,7 @@ def test_criterion_04_gibbs_cases(acceptance):
     verdicts_ok = all(r.verdict == "gibbs" for r in reports.values())
     r0 = reports[0].R_x0
     pair11 = resolve_pair("daubechies:3", level=11)
-    drift = abs(overshoot(pair11, 0.0, "right", GridSpec(11)) - overshoot(pair, 0.0, "right", GridSpec(12)))
+    drift = abs(overshoot(pair11, 0.0, "right", 11) - overshoot(pair, 0.0, "right", 12))
     ok = r0 > 1.01 and verdicts_ok and drift <= 1e-3
     assert acceptance(
         4,

@@ -147,6 +147,13 @@ def test_bad_sweep_settings_exit_2(capsys, extra, match):
     assert match in err
 
 
+@pytest.mark.parametrize("num_t", ["0", "-3"])
+def test_empty_overshoot_curve_exits_2(capsys, num_t):
+    code, out, err = run_cli(capsys, "overshoot-curve", "--pair", "bspline:2", "--num-t", num_t)
+    assert code == 2 and out == ""
+    assert "num_t" in err
+
+
 def test_unknown_builtin_exits_2(capsys):
     code, out, err = run_cli(capsys, "gibbs-point", "--pair", "nosuch", "--x0", "0/1")
     assert code == 2 and out == ""

@@ -435,6 +435,44 @@ def test_cascade_refuses_complex_mask():
         cascade(MatrixSeq.scalar(0, [0.5 + 0.1j, 0.5 - 0.1j]), level=3)
 
 
+@pytest.mark.parametrize("taps", [[0.5, 0.0, 0.5], [0.5, 0.0, 0.0, 0.0, 0.5]])
+def test_cascade_refuses_a_mask_that_breaks_the_sum_rule(taps):
+    """Eigenvalue 1 of the two-scale matrix is double, so the cascade would
+    sample chi[0, 2) or chi[0, 4) (integral 2 or 4) while moment(0) says 1;
+    the refinement residual is 3e-16 on both and would not show it."""
+    with pytest.raises(PreconditionError, match="sum rule"):
+        cascade(MatrixSeq.scalar(0, taps), level=4)
+
+
+def test_ghm_vector_mask_cascades():
+    """The Geronimo-Hardin-Massopust mask: sum_k phi(k) = (0, sqrt 3) is not
+    the normalization (sqrt(2/3), sqrt(1/3)), yet both have the same
+    projection on the one left 1-eigenvector of ahat(0), so the first sum
+    rule holds and the cascade answers."""
+    s2 = math.sqrt(2.0)
+    C = [
+        [[3 / 5, 4 * s2 / 5], [-1 / (10 * s2), -3 / 10]],
+        [[3 / 5, 0.0], [9 / (10 * s2), 1.0]],
+        [[0.0, 0.0], [9 / (10 * s2), -3 / 10]],
+        [[0.0, 0.0], [-1 / (10 * s2), 0.0]],
+    ]
+    f = RefinableFunction(MatrixSeq(0, np.array(C) / 2), [math.sqrt(2 / 3), math.sqrt(1 / 3)], level=10)
+    ints = f.samples().values[:: 2**10]
+    assert ints.sum(axis=0) == pytest.approx([0.0, SQ3], abs=1e-12)
+    assert f.refinement_residual() < 1e-12
+    assert simpson_sum(f.samples().values, f.samples().h) == pytest.approx(f.moment(0), abs=1e-6)
+
+
+def test_bspline_bytes_are_pinned():
+    """sha256 of the breakpoints and coefficients of B_1..B_9, recorded when
+    each order re-derived the previous order's antiderivative by hand."""
+    h = hashlib.sha256()
+    for m in range(1, 10):
+        h.update(bspline(m).breakpoints.tobytes())
+        h.update(bspline(m).coeffs.tobytes())
+    assert h.hexdigest() == "3d90f600ca5629bcf03b0cfa31342fdc541d4cce85a75d4e2067c1ae80706200"
+
+
 def test_cascade_rejects_unnormalized_mask():
     with pytest.raises(PreconditionError):
         cascade(MatrixSeq.scalar(0, [0.3, 0.3]))

@@ -199,15 +199,15 @@ def test_overshoot_rejects_bad_side(b2):
 @given(t=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_overshoot_bounds_always_hold(t):
     pair = resolve_pair("bspline:2")
-    assert overshoot(pair, t, "right", GridSpec(9)) >= 1.0 - 1e-9
-    assert overshoot(pair, t, "left", GridSpec(9)) <= -1.0 + 1e-9
+    assert overshoot(pair, t, "right", 9) >= 1.0 - 1e-9
+    assert overshoot(pair, t, "left", 9) <= -1.0 + 1e-9
 
 
 def test_overshoot_curve_shapes(d3):
-    ts, R, L = overshoot_curve(d3, num_t=8, grid=GridSpec(9))
+    ts, R, L = overshoot_curve(d3, num_t=8, level=9)
     assert ts.shape == R.shape == L.shape == (8,)
     assert np.all(R >= 1.0 - 1e-9) and np.all(L <= -1.0 + 1e-9)
-    assert R[0] == pytest.approx(overshoot(d3, 0.0, "right", GridSpec(9)))
+    assert R[0] == pytest.approx(overshoot(d3, 0.0, "right", 9))
 
 
 def _b3_with_dual3():
@@ -225,7 +225,7 @@ def _b3_with_dual3():
 def test_overshoot_curve_keeps_its_bytes(make, digest):
     """sha256 of the R and L bytes of a 16-shift curve at level 12, recorded
     with the row-by-row synthesis kernel (numpy 2.4 on x86-64)."""
-    _, R, L = overshoot_curve(make(), 16, GridSpec(12))
+    _, R, L = overshoot_curve(make(), 16, 12)
     assert hashlib.sha256(R.tobytes() + L.tobytes()).hexdigest() == digest
 
 
@@ -330,7 +330,7 @@ def test_worst_shift_ignores_rounding_ties(monkeypatch, b3):
     up = math.nextafter(1.0, 2.0)
 
     def fake_sweep(Rs, Ls):
-        monkeypatch.setattr(gibbs, "_sweep", lambda pair, shifts, grid: (np.array(Rs), np.array(Ls)))
+        monkeypatch.setattr(gibbs, "_sweep", lambda pair, shifts, level: (np.array(Rs), np.array(Ls)))
         return gibbs_at_point(b3, Fraction(1, 5))  # shifts 1/5, 2/5, 4/5, 3/5
 
     rep = fake_sweep([1.0, up, up, 1.0], [-1.0] * 4)
@@ -355,12 +355,34 @@ def test_gibbs_at_point_refuses_bad_sweep_settings(d3, kwargs, match):
         gibbs_at_point(d3, "irrational", **kwargs)
 
 
+@pytest.mark.parametrize("level", [0, 17, 10**9])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair, level: gibbs_at_point(pair, "1/3", level=level),
+        lambda pair, level: overshoot_curve(pair, 4, level),
+        lambda pair, level: overshoot(pair, 0.0, "right", level),
+    ],
+    ids=["gibbs_at_point", "overshoot_curve", "overshoot"],
+)
+def test_gibbs_functions_refuse_a_level_outside_the_range(b2, call, level):
+    """Refused before any work: gibbs_at_point would otherwise form 2^level."""
+    with pytest.raises(PreconditionError, match="level"):
+        call(b2, level)
+
+
+@pytest.mark.parametrize("num_t", [0, -3])
+def test_overshoot_curve_refuses_an_empty_curve(b2, num_t):
+    with pytest.raises(PreconditionError, match="num_t"):
+        overshoot_curve(b2, num_t)
+
+
 def test_gibbs_at_point_refuses_a_cycle_longer_than_the_grid(d3):
     """1/1000003 has a cycle of 1000002 shifts, more than the 4096 of level
     12; 1/5 has 4, more than the 2 of level 1 but within the 4 of level 2."""
     with pytest.raises(PreconditionError, match="irrational"):
-        gibbs_at_point(d3, Fraction(1, 5), grid=GridSpec(1))
-    assert len(gibbs_at_point(d3, Fraction(1, 5), grid=GridSpec(2)).cluster_set) == 4
+        gibbs_at_point(d3, Fraction(1, 5), level=1)
+    assert len(gibbs_at_point(d3, Fraction(1, 5), level=2).cluster_set) == 4
     with pytest.raises(PreconditionError, match="irrational"):
         gibbs_at_point(d3, "1/1000003")
 

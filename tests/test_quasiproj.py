@@ -24,7 +24,7 @@ from gibbslab.construct import build_dual
 from gibbslab.errors import DimensionMismatchError, PreconditionError
 from gibbslab.framelet import truncated_expansion
 from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, dyadic_grid
-from gibbslab.gibbs import overshoot, overshoot_curve
+from gibbslab.gibbs import bracket_second_deriv, identity_rhs, overshoot, overshoot_curve
 from gibbslab.quasiproj import (
     GridSpec,
     Monomial,
@@ -434,16 +434,15 @@ def test_overshoot_curve_evaluates_phi_once_per_level(monkeypatch):
 
     monkeypatch.setattr(PiecewisePoly, "evaluate", counted)
     for level in (9, 10):
-        overshoot_curve(pair, 16, GridSpec(level))
-        overshoot_curve(pair, 16, GridSpec(level))
+        overshoot_curve(pair, 16, level)
+        overshoot_curve(pair, 16, level)
     assert len(calls) == 2
 
 
 def test_complex_moment_is_refused():
     """A dual with a genuinely complex mass must not be read as zero."""
-    pair = QuasiProjectionPair(bspline(2), RefinableFunction(bspline_mask(2), normalization=[1j]))
-    with pytest.raises(PreconditionError, match="genuinely complex"):
-        apply(pair, Monomial(0))
+    with pytest.raises(PreconditionError, match="real"):
+        QuasiProjectionPair(bspline(2), RefinableFunction(bspline_mask(2), normalization=[1j]))
 
 
 def test_complex_signal_is_refused(b2):
@@ -654,8 +653,8 @@ def test_kernel_criterion_agrees_with_the_sign_expansion(spec, level):
     sf = apply(pair, Sgn(0.0), 0, 0.0, GridSpec(level, -W, W))
     q = sf.values[round(rep["worst_x"] * 2**level) - sf.start, 0]
     assert abs(rep["worst_value"] - (q + 1.0) / 2.0) <= 1e-12
-    R = overshoot(pair, 0.0, "right", GridSpec(level))
-    L = overshoot(pair, 0.0, "left", GridSpec(level))
+    R = overshoot(pair, 0.0, "right", level)
+    L = overshoot(pair, 0.0, "left", level)
     assert rep["ok"] == (R <= 1.0 + 2e-9 and L >= -1.0 - 2e-9)
 
 
@@ -687,6 +686,38 @@ def test_rate_of_a_jump_is_one_half(spec, x0):
 def test_rate_of_the_first_unreproduced_monomial_is_the_order(spec, order):
     rate = approximation_rate(resolve_pair(spec), Monomial(order), range(2, 7))
     assert abs(rate - order) < 0.01
+
+
+@pytest.mark.parametrize("spec", ["daubechies:3", "bspline:2"])
+def test_rate_of_a_reproduced_monomial_is_refused(spec):
+    """Both operators reproduce x, so the L2 errors sit at rounding level
+    (about 3e-15 for d3, exactly 0 for b2): a slope fitted to them is noise."""
+    with pytest.raises(PreconditionError, match="n = 2"):
+        approximation_rate(resolve_pair(spec), Monomial(1), range(2, 7))
+
+
+def test_piecewise_moments_are_computed_once_per_order(monkeypatch):
+    """A function owns its moments: the pair, its swap and a second pair on
+    the same function all read one cached, read-only array per order; a
+    sampled function caches its Simpson moments the same way."""
+    f, g = bspline(3), build_dual(bspline(3), 3).phi_tilde
+    calls = []
+    orig = PiecewisePoly.moment_on
+
+    def counted(self, j, a, b):
+        if self is f or self is g:
+            calls.append((self is f, j))
+        return orig(self, j, a, b)
+
+    monkeypatch.setattr(PiecewisePoly, "moment_on", counted)
+    for pair in (QuasiProjectionPair(f, g), QuasiProjectionPair(f, g).swapped(), QuasiProjectionPair(f, f)):
+        identity_rhs(pair)
+        bracket_second_deriv(pair)
+        apply(pair, Monomial(2))
+    assert calls and len(calls) == len(set(calls))
+    sampled = apply(QuasiProjectionPair(f, f), Monomial(1))
+    for h, j in ((f, 0), (f, 2), (g, 1), (sampled, 1)):
+        assert h.moment(j) is h.moment(j) and not h.moment(j).flags.writeable
 
 
 def test_builtin_signals_evaluate_like_their_formulas():
