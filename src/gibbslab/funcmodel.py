@@ -888,7 +888,10 @@ class RefinableFunction:
 
     @cached_property
     def _F_grid(self) -> np.ndarray:
-        return self.mask.support[0] + np.arange(self._F.shape[0]) * 2.0**-self.level
+        grid = np.arange(self._F.shape[0], dtype=np.float64)
+        grid *= 2.0**-self.level
+        grid += self.mask.support[0]
+        return grid
 
     def cumulative_samples(self) -> np.ndarray:
         """F on the grid ``kmin + i 2^-level`` over the support, exactly."""
@@ -901,7 +904,16 @@ class RefinableFunction:
         return _interp_columns(s, self._F_grid, F, F[-1])
 
     def refinement_residual(self) -> float:
-        return refinement_residual(self.samples(), self.mask)
+        """sup-norm of ``phi(n) - 2 sum_k a(k) phi(2n - k)`` over the integers
+        ``n`` of the support, the fixed-point residual of the eigenvector solve
+        in :func:`cascade`; it does not depend on ``level``.  At every other
+        grid point the residual is 0.0 by construction: :func:`_refine` made
+        that sample by the same :func:`_tap_sum` over the same taps ``2 a(k)``
+        in the same order.  The module-level :func:`refinement_residual` is the
+        full scan for any samples.
+        """
+        ints = self.samples().values[:: 2**self.level]
+        return refinement_residual(SampledFunction(0, self.mask.support[0], ints), self.mask)
 
     def to_json_dict(self) -> dict:
         return {

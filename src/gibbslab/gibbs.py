@@ -39,7 +39,7 @@ from .funcmodel import (
     halfline_integral,
     simpson_sum,
 )
-from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, _signal_values, apply, check_qp1, poly_reproduction
+from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, check_qp1, poly_reproduction
 
 __all__ = [
     "kappa",
@@ -118,12 +118,18 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
 
     The integrand vanishes identically outside the support-interaction window
     once constants are reproduced, so the integral over the window is the
-    whole integral.
+    whole integral.  The integrand is built in one work array: ``-Q sgn``,
+    then -1 left of x = 0 and +1 from it on (``Sgn(0.0)`` is 1 at 0), then
+    times x.
     """
     sf = _sgn_expansion(pair, t, level)
-    xs = sf.xs()
-    integrand = xs * (_signal_values(Sgn(0.0), xs) - sf.values[:, 0])
-    return float(simpson_sum(integrand[:, None], 2.0**-level, axis=0)[0])
+    zero = -sf.start  # the window [-W, W] holds x = 0 at this index
+    work = np.negative(sf.values[:, 0])
+    del sf  # freed now, so the grid and the quadrature reuse its pages instead of faulting in new ones
+    work[:zero] -= 1.0
+    work[zero:] += 1.0
+    work *= np.arange(-zero, work.size - zero, dtype=np.float64) * 2.0**-level
+    return float(simpson_sum(work[:, None], 2.0**-level, axis=0)[0])
 
 
 @dataclass(frozen=True)

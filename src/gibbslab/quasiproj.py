@@ -52,7 +52,6 @@ __all__ = [
     "QuasiProjectionPair",
     "apply",
     "check_qp1",
-    "kernel_K",
     "kernel_criterion",
     "poly_reproduction",
     "accuracy_order",
@@ -101,9 +100,6 @@ class GridSpec:
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise PreconditionError(f"grid window [{lo}, {hi}] must be finite and nonempty")
         return lo, hi
-
-    def resolve(self, lo_default: float, hi_default: float) -> tuple[int, np.ndarray]:
-        return dyadic_grid(*self.window(lo_default, hi_default), self.level)
 
 
 class QuasiProjectionPair:
@@ -359,20 +355,6 @@ def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> 
     }
 
 
-def kernel_K(pair: QuasiProjectionPair, x: float, y: float) -> complex:
-    """K(x, y) = sum_k conj(phi_tilde(y-k))^T phi(x-k)."""
-    plo, phi_hi = pair.phi.support
-    tlo, thi = pair.phi_tilde.support
-    klo = max(math.floor(x - phi_hi), math.floor(y - thi))
-    khi = min(math.ceil(x - plo), math.ceil(y - tlo))
-    acc = 0.0 + 0.0j
-    for k in range(int(klo), int(khi) + 1):
-        tv = pair.phi_tilde.evaluate(np.array([y - k]))[0]
-        pv = pair.phi.evaluate(np.array([x - k]))[0]
-        acc += np.conj(tv) @ pv
-    return complex(acc)
-
-
 def kernel_criterion(
     pair: QuasiProjectionPair,
     window: float | None = None,
@@ -384,9 +366,12 @@ def kernel_criterion(
     G(x) = integral_0^inf K(x, y) dy = sum_k conj(T(-k))^T phi(x-k) with T the
     right-tail integral of phi_tilde.  No overshoot at 0 iff G <= 1 for x > 0
     and G >= 0 for x < 0 (the identities are exact beyond the window).
+    Refuses a ``window`` that is not finite and positive.
     """
     N = pair.support_bound
     W = float(window) if window is not None else 2.0 * N + 1.0
+    if not (math.isfinite(W) and W > 0.0):
+        raise PreconditionError(f"kernel window must be finite and positive, got {window}")
     i0, xs = dyadic_grid(-W, W, level)
     plo, phi_hi = pair.phi.support
     mass = pair.phi_tilde.moment(0)

@@ -597,6 +597,47 @@ def test_fine_refinement_bytes_are_pinned(spec, level, digest):
     assert h.hexdigest() == digest
 
 
+def _cumulative_probes(f):
+    """On-grid, off-grid, out-of-support and non-finite points for ``f.cumulative``."""
+    kmin, kmax = f.support
+    h = 2.0**-f.level
+    return np.concatenate(
+        [
+            kmin + h * np.array([0.0, 1.0, 2.0, 777.0, 2.0**f.level + 3.0]),
+            [kmax - h, kmax],
+            [1.0 / 3.0, 0.7, math.pi / 2, kmin + 0.5 * h, kmax - 0.25 * h],
+            [kmin - 1.0, kmin - 0.5 * h, kmax + 0.5 * h, kmax + 2.0, -1e300, 1e300],
+            [math.nan, math.inf, -math.inf],
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,level,digest",
+    [
+        ("daubechies:2", 12, "5133eb45012090a13a98ea5899239e2973f8d94d2af1f6da4bc6de0f21e6f6e9"),
+        ("daubechies:3", 12, "33db17f86d6ad3ad5a93d44e58fdb06960d1d521f92fbf3e1e05d611dd566789"),
+        ("daubechies:3", 16, "716031807ecf099ec7cbfb492e2c703c25e5f31f240dc7cb74394af63b5d9230"),
+        ("cdf13", 12, "0b05fc786e8cdaf381a31193e9d60134c37e12dc3dc0fc8afe1462637e2fa1aa"),
+        ("bspline:4", 12, "8b7e2480359cdbdd93818da7800e1568b6869d20f6309691510d331e19c8c479"),
+    ],
+)
+def test_cumulative_bytes_are_pinned(spec, level, digest):
+    """sha256 of ``cumulative`` at on-grid, off-grid, out-of-support and
+    non-finite points, recorded when ``_F_grid`` was ``kmin + arange(n) h``."""
+    f = _fine_refinable(spec, level)
+    assert hashlib.sha256(f.cumulative(_cumulative_probes(f)).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("level", [1, 12, 16])
+@pytest.mark.parametrize("mask", [daubechies_mask(3), cdf13_mask(), MatrixSeq(-3, B3_MASK.entries)])
+def test_cumulative_grid_is_the_dyadic_grid(mask, level):
+    f = RefinableFunction(mask, level=level)
+    n = f.cumulative_samples().shape[0]
+    want = mask.support[0] + np.arange(n) * 2.0**-level
+    assert f._F_grid.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # refinable functions: exact moments and cumulative route
 
@@ -668,6 +709,48 @@ def test_refinable_vector_mask_requires_normalization():
 
 def test_refinable_refinement_residual_small():
     assert RefinableFunction(D4_MASK, level=10).refinement_residual() < 1e-8
+
+
+@st.composite
+def _spline_like_mask(draw, r):
+    """A B-spline mask of order 2..4 convolved with a random three-tap factor
+    summing to one, per component; for r = 2 the two components are mixed by
+    a random invertible S (taps ``S diag(a1(k), a2(k)) S^-1``, normalization
+    ``S (1, 1)``)."""
+    comps = []
+    for _ in range(r):
+        m = draw(st.integers(2, 4))
+        c0, c2 = draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))
+        comps.append(np.convolve([math.comb(m, k) / 2**m for k in range(m + 1)], [c0, 1.0 - c0 - c2, c2]))
+    kmin = draw(st.integers(-3, 2))
+    if r == 1:
+        return MatrixSeq.scalar(kmin, comps[0]), None
+    n = max(len(c) for c in comps)
+    D = np.zeros((n, 2, 2))
+    for i, c in enumerate(comps):
+        D[: len(c), i, i] = c
+    S = np.array([[1.0, draw(st.floats(-0.5, 0.5))], [draw(st.floats(-0.5, 0.5)), 1.0]])
+    return MatrixSeq(kmin, S @ D @ np.linalg.inv(S)), S @ np.ones(2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.sampled_from([1, 2]), level=st.integers(1, 12), data=st.data())
+def test_refinable_residual_reads_the_integers_only(r, level, data):
+    """Off the integers the full scan of ``phi - 2 sum_k a(k) phi(2x - k)``
+    is exactly 0.0, because the refinement made each such sample by that very
+    sum; so the residual over the integers alone equals the full scan, bit
+    for bit."""
+    mask, norm = data.draw(_spline_like_mask(r))
+    f = RefinableFunction(mask, norm, level)
+    try:
+        sf = f.samples()
+    except (ConvergenceError, PreconditionError):
+        assume(False)
+    taps = [(k, 2.0 * mask[k].real) for k in mask.indices()]
+    n = sf.values.shape[0]
+    rows = sf.values - funcmodel._tap_sum(taps, sf.values, n, 2, sf.start, 2**level)
+    assert np.all(rows[np.arange(n) % 2**level != 0] == 0.0)
+    assert repr(f.refinement_residual()) == repr(refinement_residual(sf, mask))
 
 
 def test_one_cascade_per_refinable_function(monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslab import gibbs
-from gibbslab.catalog import resolve_pair
+from gibbslab.catalog import pair_fleet, resolve_pair
 from gibbslab.construct import build_dual
 from gibbslab.errors import PreconditionError
 from gibbslab.funcmodel import PiecewisePoly, bspline
@@ -143,6 +143,34 @@ def test_identity_lhs_with_shift_parameter(b2):
     direct = identity_lhs(b2, t=c)
     via_pair = identity_lhs(b2.shifted(c))
     assert abs(direct - via_pair) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    return dict(pair_fleet())
+
+
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("b1,b1", "249d13df24f7d36e40413cca2853c5ceb024357c90b4229b8cc2af936506b237"),
+        ("b2,b2", "3710e39768a9ee3e182ef6146294015774a2b503e1f296e550e4ac72795f74de"),
+        ("b3,b3", "77caf5d6e768b4bcf15fe9b30839c6c72b925e889872487a01b3f393b876eac0"),
+        ("b2,dual2", "fbc45e65e34ff38e2dca413ce1a714474acec2334bc61bc12b8e667888854a53"),
+        ("b3,dual3", "d723c054d45e364f38b131ba9948142063d3ae2bd421875da9b6fc3b2910d230"),
+        ("d2,d2", "d9a2399e6085815ad8f993331d4f61e01e924dbac382001fc3b56d45aea18c30"),
+        ("d3,d3", "e1a9d4c566d50539434f9e06e1b789ea2037cd50423ff3f9f9253b8716930026"),
+    ],
+)
+def test_identity_lhs_bytes_are_pinned(fleet, name, digest):
+    """sha256 of ``repr(identity_lhs)`` at levels 10 and 12 and shifts 0, 1/4,
+    1/3 and -0.7, recorded when the integrand was ``xs * (sgn(xs) - Q sgn)``
+    with the grid from ``SampledFunction.xs`` and the sign from ``Sgn(0.0)``."""
+    h = hashlib.sha256()
+    for level in (10, 12):
+        for t in (0.0, 0.25, 1.0 / 3.0, -0.7):
+            h.update(repr(identity_lhs(fleet[name], level, t)).encode())
+    assert h.hexdigest() == digest
 
 
 # -- the symbol bracket ------------------------------------------------------------

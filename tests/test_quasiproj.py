@@ -37,7 +37,6 @@ from gibbslab.quasiproj import (
     apply,
     approximation_rate,
     check_qp1,
-    kernel_K,
     kernel_criterion,
     poly_reproduction,
 )
@@ -72,22 +71,22 @@ def d3():
 
 
 def test_gridspec_snaps_to_dyadic_points():
-    i0, xs = GridSpec(3, 0.1, 0.9).resolve(-1.0, 1.0)
+    i0, xs = dyadic_grid(*GridSpec(3, 0.1, 0.9).window(-1.0, 1.0), 3)
     assert i0 == 0
     assert xs[0] == 0.0 and xs[-1] == 1.0
     assert np.allclose(np.diff(xs), 0.125)
 
 
 def test_gridspec_defaults_come_from_caller():
-    _, xs = GridSpec(2).resolve(-1.5, 0.75)
+    _, xs = dyadic_grid(*GridSpec(2).window(-1.5, 0.75), 2)
     assert xs[0] == -1.5 and xs[-1] == 0.75
 
 
 def test_gridspec_rejects_bad_level_and_empty_window():
     with pytest.raises(PreconditionError):
-        GridSpec(17).resolve(0.0, 1.0)
+        dyadic_grid(*GridSpec(17).window(0.0, 1.0), 17)
     with pytest.raises(PreconditionError):
-        GridSpec(8, 2.0, -2.0).resolve(0.0, 1.0)
+        dyadic_grid(*GridSpec(8, 2.0, -2.0).window(0.0, 1.0), 8)
 
 
 @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)])
@@ -605,6 +604,21 @@ def test_check_qp1_detects_bad_normalization():
     assert rep["residuals"]["normalization"] == pytest.approx(1.0, abs=1e-12)
 
 
+def kernel_K(pair: QuasiProjectionPair, x: float, y: float) -> complex:
+    """Reference kernel K(x, y) = sum_k conj(phi_tilde(y-k))^T phi(x-k), one
+    ``evaluate`` per translate."""
+    plo, phi_hi = pair.phi.support
+    tlo, thi = pair.phi_tilde.support
+    klo = max(math.floor(x - phi_hi), math.floor(y - thi))
+    khi = min(math.ceil(x - plo), math.ceil(y - tlo))
+    acc = 0.0 + 0.0j
+    for k in range(int(klo), int(khi) + 1):
+        tv = pair.phi_tilde.evaluate(np.array([y - k]))[0]
+        pv = pair.phi.evaluate(np.array([x - k]))[0]
+        acc += np.conj(tv) @ pv
+    return complex(acc)
+
+
 def test_kernel_values_indicator_pair(haar):
     assert kernel_K(haar, 0.5, 0.5) == pytest.approx(1.0)
     assert kernel_K(haar, 0.5, 1.7) == pytest.approx(0.0)
@@ -628,6 +642,12 @@ def test_kernel_criterion_nonnegative_pairs_pass(haar, b2, b3):
     for pair in (haar, b2, b3):
         rep = kernel_criterion(pair, level=9)
         assert rep["ok"], rep
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -1.0])
+def test_kernel_criterion_refuses_a_bad_window(b2, window):
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        kernel_criterion(b2, window=window, level=9)
 
 
 def test_kernel_criterion_flags_oscillating_duals(d2, d3):
