@@ -96,10 +96,6 @@ class FilterBank:
         return self.a.shape[0]
 
     @property
-    def nwavelets(self) -> int:
-        return self.b.shape[0]
-
-    @property
     def Theta(self) -> MatrixSeq:
         return convolve(self.theta_tilde.transposed(), self.theta.conj_flip())
 

@@ -28,7 +28,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .funcmodel import (
     _MAX_SAMPLE_JUMP,
     FunctionHandle,
@@ -39,7 +39,16 @@ from .funcmodel import (
     halfline_integral,
     simpson_sum,
 )
-from .quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, check_qp1, poly_reproduction
+from .quasiproj import (
+    GridSpec,
+    QuasiProjectionPair,
+    Sgn,
+    _sgn_coefficients,
+    _window_sums,
+    apply,
+    check_qp1,
+    poly_reproduction,
+)
 
 __all__ = [
     "kappa",
@@ -50,7 +59,6 @@ __all__ = [
     "overshoot",
     "overshoot_curve",
     "cluster_set",
-    "doubling_orbit_element",
     "GibbsReport",
     "gibbs_at_point",
     "nonneg_sufficient",
@@ -193,16 +201,116 @@ def overshoot(
 
 
 def _sweep(pair: QuasiProjectionPair, shifts, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, L) at each shift, one ``apply`` per shift in a plain loop.
+    """(R, L) at each shift.
 
-    Shifts on the ``2^-level`` grid (every curve shift, the irrational sweep,
-    dyadic cluster sets) are summed from the pair's cached phi table for that
-    level; an off-grid shift such as 1/3 builds a table at its own phase (the
-    shifts of a curve or a cluster set are distinct).  One call per shift is
-    what a per-shift trace counts.
+    Two or more shifts of one period on the ``2^-level`` grid (every curve
+    shift, the irrational sweep) are summed together by
+    :func:`_sweep_on_grid`.  The shift that :func:`_worst` names among them is
+    then re-derived by the direct route :func:`_overshoot_both`, and the two
+    must agree bit for bit, as both sum the same terms in the same order; a
+    disagreement raises ``ConvergenceError``.  Every other shift, such as 1/3
+    with its own phase table, and a lone on-grid shift (the cluster set {0}
+    of a dyadic point) take the direct route.
     """
-    both = [_overshoot_both(pair, t, level) for t in shifts]
-    return np.array([b[0] for b in both]), np.array([b[1] for b in both])
+    ts = np.asarray(shifts, dtype=np.float64)
+    R, L = np.empty(ts.size), np.empty(ts.size)
+    u = ts * 2.0**level
+    grid = np.isfinite(u) & (u == np.floor(u)) & (np.abs(ts) < 1.0)
+    if np.count_nonzero(grid) < 2:
+        grid[:] = False
+    for i in np.flatnonzero(~grid):
+        R[i], L[i] = _overshoot_both(pair, float(ts[i]), level)
+    if grid.any():
+        batch = np.flatnonzero(grid)
+        R[batch], L[batch] = _sweep_on_grid(pair, ts[batch], level)
+        i = batch[_worst(R[batch], L[batch])]
+        direct = _overshoot_both(pair, float(ts[i]), level)
+        batched = (float(R[i]), float(L[i]))
+        if np.array(direct).tobytes() != np.array(batched).tobytes():
+            raise ConvergenceError(
+                f"at shift {float(ts[i])!r} the batched sweep gives (R, L) = {batched!r}, "
+                f"the direct expansion {direct!r}"
+            )
+    return R, L
+
+
+def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, L) at shifts ``|t| < 1`` on the ``2^-level`` grid from one batched
+    synthesis, term for term the sums of :func:`_overshoot_both`.
+
+    One ``cumulative`` call gives the sgn coefficients of every (shift, k) over
+    the window ``apply`` takes for that shift.  One
+    :func:`~gibbslab.quasiproj._window_sums` call lays the rows of all shifts
+    side by side, counted from the row ``v = 0`` that holds x = 0, dedupes
+    them (the constant rows far from 0 are one window for every shift) and
+    sums the distinct ones in chunks, each chunk's output no larger than one
+    shift's expansion.  Rows ``0 < |v| < W`` lie wholly on one side of 0 and
+    reduce by row min or max.  Only rows ``v = -W`` and ``v = W``, which reach
+    past the window, and ``v = 0``, whose x = 0 belongs to neither side, are
+    cut at x's column ``j0``: each piece is a prefix of the row or of the
+    reversed row, read off a running min or max.
+    """
+    m0, P = pair.phi_table(level)
+    width = 2**level
+    h = 2.0**-level
+    # the arithmetic of apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W)), one entry per shift
+    W = 2 * pair.support_bound + 3 + np.ceil(np.abs(ts)).astype(np.int64)
+    qz, j0 = np.divmod((ts * width).astype(np.int64) - m0, width)  # table row and column of x = 0
+    plo, phi_hi = pair.phi.support
+    klo = np.floor(-W * width * h + ts - phi_hi).astype(np.int64)
+    khi = np.ceil(W * width * h + ts - plo).astype(np.int64)
+    ks = np.minimum(klo[:, None] + np.arange(np.max(khi - klo) + 1), khi[:, None])
+    coeff = _sgn_coefficients(pair.phi_tilde, ((0.0 + ts)[:, None] - ks).reshape(-1))
+    V = int(np.max(W))
+    v = np.arange(-V, V + 1)[:, None]
+    # rows -V .. V of every shift; past its own +-W a shift repeats its end row
+    rel = qz - klo + np.clip(v, -W, W)
+    run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel, 2 * int(np.min(W)))
+
+    # the pieces of rows v = -W, 0 (twice) and W: row, columns kept counted from
+    # the row's start or end, from the end or not, and +1 for a min (x < 0) or
+    # -1 for a max (x > 0), which is minus the min of minus the row
+    n, at = ts.size, np.arange(ts.size)
+    rows = np.concatenate([run[V - W, at], run[V], run[V], run[V + W, at]])
+    kept = np.concatenate([width - j0, j0, width - 1 - j0, j0 + 1])
+    from_end = np.repeat([1, 0, 1, 0], n)
+    side = np.repeat([0, 0, 1, 1], n)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    cut = np.empty(4 * n)
+    arg = np.empty((2, run.max() + 1), dtype=np.int64)  # first min and first max (or NaN) of each row
+    ext = np.empty((2, run.max() + 1))
+    for lo, out in sums:
+        hi, here = lo + len(out), np.arange(len(out))
+        arg[0, lo:hi], arg[1, lo:hi] = np.argmin(out, axis=1), np.argmax(out, axis=1)
+        ext[0, lo:hi], ext[1, lo:hi] = out[here, arg[0, lo:hi]], out[here, arg[1, lo:hi]]
+        sel = order[slice(*np.searchsorted(sorted_rows, [lo, hi]))]
+        a = arg[side[sel], rows[sel]]
+        whole = np.where(from_end[sel], width - 1 - a, a) < kept[sel]  # the piece holds its row's extreme
+        cut[sel[whole]] = ext[side[sel[whole]], rows[sel[whole]]]
+        part = sel[~whole]
+        if part.size:  # a running min over each distinct (row, side, end) of the others
+            key, inv = np.unique(4 * rows[part] + 2 * side[part] + from_end[part], return_inverse=True)
+            vals = out[key // 4 - lo] * np.where(key & 2, -1.0, 1.0)[:, None]
+            vals[key & 1 == 1] = vals[key & 1 == 1, ::-1]
+            running = np.minimum.accumulate(vals, axis=1)
+            n_kept = kept[part]
+            cut[part] = np.where(n_kept > 0, running[inv, n_kept - 1], np.inf) * np.where(side[part], -1.0, 1.0)
+    v_left, v_right = (v > -W) & (v < 0), (v > 0) & (v < W)
+    L = np.min(np.where(v_left, ext[0, run], np.inf), axis=0)
+    R = np.max(np.where(v_right, ext[1, run], -np.inf), axis=0)
+    L = np.minimum(np.minimum(L, np.minimum(cut[:n], cut[n : 2 * n])), -1.0)
+    R = np.maximum(np.maximum(R, np.maximum(cut[2 * n : 3 * n], cut[3 * n :])), 1.0)
+    return R, L
+
+
+def _worst(Rs: np.ndarray, Ls: np.ndarray) -> int:
+    """Index of the worst shift of a sweep: the first one within 1e-12 of the
+    extreme R or L (rounding moves R, L by ~1e-14), on the side with the larger
+    overshoot."""
+    R, L = np.max(Rs), np.min(Ls)
+    iR, iL = int(np.argmax(Rs >= R - 1e-12)), int(np.argmax(Ls <= L + 1e-12))
+    return iR if (R - 1.0) >= (-1.0 - L) else iL
 
 
 def overshoot_curve(
@@ -211,7 +319,9 @@ def overshoot_curve(
     level: int = 12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample t -> (R(t), L(t)) on ``num_t >= 1`` uniform shifts of [0, 1),
-    each as in :func:`overshoot`."""
+    each as in :func:`overshoot`.  On-grid shifts are summed in one batched
+    pass and the worst one is re-derived from its own expansion
+    (:func:`_sweep`)."""
     check_level(level)
     if num_t < 1:
         raise PreconditionError(f"num_t must be >= 1, got {num_t!r}")
@@ -245,13 +355,6 @@ def _cycle(x0):
         a = 2 * a % q
         if a == start:
             return
-
-
-def doubling_orbit_element(x0, n: int) -> Fraction:
-    """2^n x0 mod 1 in exact arithmetic (modular exponentiation, O(log n))."""
-    x0 = Fraction(x0)
-    q = x0.denominator
-    return Fraction((x0.numerator * pow(2, n, q)) % q, q)
 
 
 # -- verdicts ---------------------------------------------------------------------
@@ -311,7 +414,10 @@ def gibbs_at_point(
     cluster set is the whole interval and is swept on a uniform grid, which
     can certify overshoot but never its absence (verdict stays one-sided).
     A cycle longer than the ``2^level`` distinct shifts of the grid at
-    ``level`` is refused.
+    ``level`` is refused.  The shifts are swept by :func:`_sweep`: the
+    irrational grid in one batched pass whose ``worst_shift`` is re-derived
+    from its own expansion, off-grid cluster points (such as 1/3 and 2/3) and
+    a lone shift each from their own expansion.
     """
     check_level(level)
     if not (math.isfinite(tol) and tol >= 0 and irrational_density >= 1):
@@ -342,9 +448,7 @@ def gibbs_at_point(
 
     Rs, Ls = _sweep(pair, shifts, level)
     R, L = float(np.max(Rs)), float(np.min(Ls))
-    # the first shift within 1e-12 of the extreme: rounding moves R, L by ~1e-14
-    iR, iL = int(np.argmax(Rs >= R - 1e-12)), int(np.argmax(Ls <= L + 1e-12))
-    worst = shifts[iR] if (R - 1.0) >= (-1.0 - L) else shifts[iL]
+    worst = shifts[_worst(Rs, Ls)]
     has_gibbs = R > 1.0 + tol or L < -1.0 - tol
     if has_gibbs:
         verdict = "gibbs"

@@ -179,10 +179,7 @@ def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray
     """Rows <f, 2^n phi_tilde(2^n . - k + t)> for each k; shape (len(ks), r)."""
     pt = pair.phi_tilde
     if isinstance(f, Sgn):
-        s = (2.0**n) * f.x0 + t - ks
-        mass = pt.moment(0)
-        tails_right = mass[None, :] - pt.cumulative(s)
-        return 2.0 * tails_right - mass[None, :]
+        return _sgn_coefficients(pt, (2.0**n) * f.x0 + t - ks)
     if isinstance(f, Monomial):
         j = f.degree
         if j < 0:
@@ -193,6 +190,14 @@ def _coefficients(pair: QuasiProjectionPair, f, n: int, t: float, ks: np.ndarray
             out += math.comb(j, i) * (base ** (j - i))[:, None] * pt.moment(i)[None, :]
         return out * 2.0 ** (-n * j)
     return _dual_pairings(f, pt, n, t, ks)
+
+
+def _sgn_coefficients(pt: FunctionHandle, s: np.ndarray) -> np.ndarray:
+    """Rows ``mass - 2 F(s_i)`` (``F`` the cumulative integral of ``pt``): the
+    sgn coefficients at ``s = 2^n x0 + t - k``; one ``cumulative`` call."""
+    mass = pt.moment(0)
+    tails_right = mass[None, :] - pt.cumulative(s)
+    return 2.0 * tails_right - mass[None, :]
 
 
 def _dual_pairings(
@@ -250,35 +255,63 @@ def _synthesis(
     ``level`` (polyphase; at phase ``delta``, ``f(g_i 2^-level + delta - k)``),
     with real ``coeff`` of shape ``(len, r)``.  The one sum of translates at one
     scale: ``apply``, ``check_qp1``, ``kernel_criterion`` and
-    ``construct.build_dual`` call it.  Two-scale sums ``sum_k a(k) f(2x - k)``
-    go through ``funcmodel._tap_sum`` instead.
+    ``construct.build_dual`` call it, and the shift sweep of ``gibbs`` reduces
+    the rows of its core :func:`_window_sums` instead of gathering them.
+    Two-scale sums ``sum_k a(k) f(2x - k)`` go through ``funcmodel._tap_sum``.
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
-    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``: one
-    einsum over every distinct window ``coeff(q - a)``, which adds each row's
-    component sum from +0 with ``a`` descending (``k`` ascending); terms on zero
-    samples add +-0, which moves no bit.  einsum, not np.dot: BLAS may add the
-    terms in another order and move the last bit.  Coefficients outside ``klo
-    .. klo + len(coeff) - 1`` repeat the nearest one, so a caller passes every
-    ``k`` whose translate meets a point, or one row for a constant sequence;
-    the equal windows this makes are adjacent runs, each summed once.
+    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, the
+    sum of the window ``coeff(q - a)``.  Coefficients outside ``klo .. klo +
+    len(coeff) - 1`` repeat the nearest one, so a caller passes every ``k``
+    whose translate meets a point, or one row for a constant sequence.
     """
     m0, P = table
-    rows, width = P.shape[:2]
+    width = P.shape[1]
     q0, j0 = divmod(g0 - m0, width)
     phase = j0 % stride
     cols = P[:, phase::stride]  # a stride beyond 2^level keeps one column ...
     skip = (j0 - phase) // stride
     nq = -(-(skip + count) // cols.shape[1])
     qs = q0 + max(1, stride // width) * np.arange(nq)  # ... of every (stride / 2^level)-th row
-    idx = qs[:, None] - klo + np.arange(1 - rows, 1)
-    windows = np.take(coeff, idx, axis=0, mode="clip")  # (nq, rows, r), k ascending
-    # the first window of each run of equal ones, by bits (0.0 and -0.0 differ)
-    bits = windows.reshape(nq, -1).view(np.int64)
-    first = np.ones(nq, dtype=bool)
+    run, sums = _window_sums(cols, coeff[None], (qs - klo)[:, None])
+    return next(sums)[1][run[:, 0]].reshape(-1)[skip : skip + count]
+
+
+def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: int | None = None):
+    """The window sums of :func:`_synthesis` for ``m`` coefficient sequences at
+    once: row ``u`` of sequence ``i`` is ``sum_a coeff[i, rel[u, i] - a] .
+    cols[a]`` (an index past either end of ``coeff[i]`` repeats the nearest
+    one), for ``coeff`` of shape ``(m, K, r)``, ``rel`` of shape ``(nq, m)`` and
+    the table columns ``cols`` of shape ``(rows, width, r)``.
+
+    The windows are taken in the order of ``rel``'s elements, row by row, and
+    equal windows next to each other (the constant ends of a sequence, the
+    repeats past its edges, the same row of sequences that agree there) are
+    compared by bits (0.0 and -0.0 differ) and summed once.  Returns the index
+    of each ``(u, i)``'s sum among these distinct sums, shape ``(nq, m)``, and
+    an iterator of ``(lo, sums)``: the distinct sums ``lo, lo + 1, ...`` as rows
+    of ``width`` values, at most ``chunk`` of them per item (all at once
+    without ``chunk``).  Each is one einsum row, which adds its component sum
+    from +0 with ``a`` descending (``k`` ascending); terms on zero samples add
+    +-0, which moves no bit, so a row's bits do not depend on how many rows
+    share the call.  einsum, not np.dot: BLAS may add the terms in another
+    order and move the last bit.
+    """
+    m, K, r = coeff.shape
+    rows = cols.shape[0]
+    idx = np.clip(rel[:, :, None] + np.arange(1 - rows, 1), 0, K - 1)
+    idx += K * np.arange(m)[:, None]
+    windows = coeff.reshape(-1, r)[idx.reshape(-1, rows)]  # k ascending
+    bits = windows.reshape(len(windows), -1).view(np.int64)
+    first = np.ones(len(windows), dtype=bool)
     np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
-    out = np.einsum("uar,ajr->uj", windows[first], cols[::-1])
-    return out[np.cumsum(first) - 1].reshape(-1)[skip : skip + count]
+    distinct = windows[first]
+    chunk = chunk or len(distinct)
+    sums = (
+        (lo, np.einsum("uar,ajr->uj", distinct[lo : lo + chunk], cols[::-1]))
+        for lo in range(0, len(distinct), chunk)
+    )
+    return (np.cumsum(first) - 1).reshape(rel.shape), sums
 
 
 def apply(

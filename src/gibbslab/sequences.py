@@ -274,13 +274,6 @@ class SignLikeSeq:
     def shape(self) -> tuple[int, int]:
         return self.finite_part.shape
 
-    @classmethod
-    def pure_sign(cls, limit=1.0, shape: tuple[int, int] = (1, 1)) -> "SignLikeSeq":
-        lim = np.asarray(limit, dtype=np.complex128)
-        if lim.ndim == 0:
-            lim = np.full(shape, complex(lim))
-        return cls(lim, MatrixSeq.zero(*lim.shape))
-
     def at(self, k: int) -> np.ndarray:
         v = 1.0 if k >= 0 else -1.0
         return v * self.limit + self.finite_part[k]

@@ -19,9 +19,9 @@ from gibbslab.construct import build_dual
 from gibbslab.framelet import cascade_identity_check, oep_check, truncated_expansion
 from gibbslab.funcmodel import PiecewisePoly, bspline
 from gibbslab.gibbs import (
+    _cycle,
     bracket_second_deriv,
     cluster_set,
-    doubling_orbit_element,
     gibbs_at_point,
     identity_lhs,
     identity_rhs,
@@ -171,10 +171,13 @@ def test_criterion_08_cluster_sets_exact(acceptance):
         and set(c15) == {Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)}
     )
     t0 = time.perf_counter()
-    far = {
-        x0: doubling_orbit_element(x0, 10**6)
-        for x0 in (Fraction(3, 8), Fraction(1, 3), Fraction(1, 5))
-    }
+    # 2^n x0 mod 1 past the pre-period (the power of 2 in the denominator, at
+    # most 3 here) is entry n - pre mod length of the cycle, which starts there
+    far = {}
+    for x0 in (Fraction(3, 8), Fraction(1, 3), Fraction(1, 5)):
+        cycle = list(_cycle(x0))
+        pre = (x0.denominator & -x0.denominator).bit_length() - 1
+        far[x0] = cycle[(10**6 - pre) % len(cycle)]
     elapsed = time.perf_counter() - t0
     orbit_ok = (
         far[Fraction(3, 8)] == Fraction(0)

@@ -88,7 +88,7 @@ def test_default_theta_is_identity(haar_bank):
     assert haar_bank.theta.allclose(MatrixSeq.dirac(1))
     assert haar_bank.Theta.allclose(MatrixSeq.dirac(1))
     assert haar_bank.nscaling == 1
-    assert haar_bank.nwavelets == 1
+    assert haar_bank.b.shape[0] == 1
 
 
 def test_bank_json_roundtrip(haar_bank):

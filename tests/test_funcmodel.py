@@ -45,6 +45,8 @@ from gibbslab.funcmodel import (
     simpson_sum,
 )
 
+from strategies import spline_like_mask
+
 SQ3 = math.sqrt(3.0)
 B2_MASK = MatrixSeq.scalar(0, [0.25, 0.5, 0.25])
 B3_MASK = MatrixSeq.scalar(0, [0.125, 0.375, 0.375, 0.125])
@@ -711,28 +713,6 @@ def test_refinable_refinement_residual_small():
     assert RefinableFunction(D4_MASK, level=10).refinement_residual() < 1e-8
 
 
-@st.composite
-def _spline_like_mask(draw, r):
-    """A B-spline mask of order 2..4 convolved with a random three-tap factor
-    summing to one, per component; for r = 2 the two components are mixed by
-    a random invertible S (taps ``S diag(a1(k), a2(k)) S^-1``, normalization
-    ``S (1, 1)``)."""
-    comps = []
-    for _ in range(r):
-        m = draw(st.integers(2, 4))
-        c0, c2 = draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))
-        comps.append(np.convolve([math.comb(m, k) / 2**m for k in range(m + 1)], [c0, 1.0 - c0 - c2, c2]))
-    kmin = draw(st.integers(-3, 2))
-    if r == 1:
-        return MatrixSeq.scalar(kmin, comps[0]), None
-    n = max(len(c) for c in comps)
-    D = np.zeros((n, 2, 2))
-    for i, c in enumerate(comps):
-        D[: len(c), i, i] = c
-    S = np.array([[1.0, draw(st.floats(-0.5, 0.5))], [draw(st.floats(-0.5, 0.5)), 1.0]])
-    return MatrixSeq(kmin, S @ D @ np.linalg.inv(S)), S @ np.ones(2)
-
-
 @settings(max_examples=100, deadline=None)
 @given(r=st.sampled_from([1, 2]), level=st.integers(1, 12), data=st.data())
 def test_refinable_residual_reads_the_integers_only(r, level, data):
@@ -740,7 +720,7 @@ def test_refinable_residual_reads_the_integers_only(r, level, data):
     is exactly 0.0, because the refinement made each such sample by that very
     sum; so the residual over the integers alone equals the full scan, bit
     for bit."""
-    mask, norm = data.draw(_spline_like_mask(r))
+    mask, norm = data.draw(spline_like_mask(r))
     f = RefinableFunction(mask, norm, level)
     try:
         sf = f.samples()

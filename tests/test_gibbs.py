@@ -15,20 +15,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gibbslab import gibbs
 from gibbslab.catalog import pair_fleet, resolve_pair
 from gibbslab.construct import build_dual
-from gibbslab.errors import PreconditionError
-from gibbslab.funcmodel import PiecewisePoly, bspline
+from gibbslab.errors import ConvergenceError, PreconditionError
+from gibbslab.funcmodel import (
+    PiecewisePoly,
+    RefinableFunction,
+    SampledFunction,
+    bspline,
+    dyadic_grid,
+    function_from_json_dict,
+    function_to_json_dict,
+)
 from gibbslab.gibbs import (
     FULL_INTERVAL,
     GibbsReport,
     bracket_second_deriv,
     cluster_set,
-    doubling_orbit_element,
     gibbs_at_point,
     identity_lhs,
     identity_rhs,
@@ -38,6 +45,8 @@ from gibbslab.gibbs import (
     overshoot_curve,
 )
 from gibbslab.quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply
+
+from strategies import spline_like_mask
 
 
 def piecewise_constant_dual2():
@@ -267,6 +276,168 @@ def test_irrational_report_keeps_its_bytes(d3):
     )
 
 
+@pytest.mark.parametrize(
+    "spec,level,digest",
+    [
+        ("bspline:2", 11, "c8beb1c908a56d6a4cf3141888f9962ab0f081a3e66e49b86b3ad49b4e643e7a"),
+        ("bspline:2", 12, "c8beb1c908a56d6a4cf3141888f9962ab0f081a3e66e49b86b3ad49b4e643e7a"),
+        ("bspline:4", 11, "c8beb1c908a56d6a4cf3141888f9962ab0f081a3e66e49b86b3ad49b4e643e7a"),
+        ("bspline:4", 12, "c8beb1c908a56d6a4cf3141888f9962ab0f081a3e66e49b86b3ad49b4e643e7a"),
+        ("daubechies:2", 11, "18687147a9977d341bc87e6d75776778e1b563598a287be00404b6e140ab15b6"),
+        ("daubechies:2", 12, "18687147a9977d341bc87e6d75776778e1b563598a287be00404b6e140ab15b6"),
+    ],
+)
+def test_level_curves_keep_their_bytes(spec, level, digest):
+    """sha256 of the R and L bytes of a 64-shift curve of the pair at
+    ``level``, swept at ``level``; recorded with one expansion per shift
+    (numpy 2.4 on x86-64).  The B-spline self pairs read exactly +-1."""
+    _, R, L = overshoot_curve(resolve_pair(spec, level), 64, level)
+    assert hashlib.sha256(R.tobytes() + L.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec,x0,digest",
+    [
+        ("daubechies:3", "1/3", "6990f70cafd91706b9f6f98a25fabb440482d4d88fe95ad3c6eb491409d5cd25"),
+        ("bspline:3", "5/16", "a1986c22ac7f1bc222c602d84be0163dac0d27344f2c3ca0332b2a63926e9667"),
+    ],
+)
+def test_point_reports_keep_their_bytes(spec, x0, digest):
+    """sha256 of the sorted JSON of a verdict whose shifts all take the direct
+    route (two off the grid; one alone), recorded with one expansion per shift
+    (numpy 2.4 on x86-64)."""
+    text = json.dumps(gibbs_at_point(resolve_pair(spec), x0).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- the batched sweep against the direct route ---------------------------------------
+
+
+def _sampled_json_dual3():
+    """The order-3 B-spline dual as level-8 samples, through its JSON form."""
+    dual = build_dual(bspline(3), 3).phi_tilde
+    i0, xs = dyadic_grid(*dual.support, 8)
+    sf = SampledFunction(8, i0, dual.evaluate(xs))
+    return function_from_json_dict(json.loads(json.dumps(function_to_json_dict(sf))))
+
+
+SWEEP_PAIRS = {
+    **{f"b{m}+dual{m}": lambda m=m: QuasiProjectionPair(bspline(m), build_dual(bspline(m), m).phi_tilde) for m in (2, 3, 4)},
+    "b3+sampled-dual3": lambda: QuasiProjectionPair(bspline(3), _sampled_json_dual3()),
+    "daubechies:3": lambda: resolve_pair("daubechies:3"),
+    # duals whose c_{-1} = mass - 2 F(1) peaks (3) or dips (-5) at t = 0, so
+    # the sample at x = 0, which belongs to neither side, beats every x > 0
+    # (every x < 0) next to it
+    "spike-right": lambda: QuasiProjectionPair(bspline(2), PiecewisePoly([0.0, 1.0, 2.0], [[[-1.0]], [[2.0]]])),
+    "spike-left": lambda: QuasiProjectionPair(bspline(2), PiecewisePoly([0.0, 1.0, 2.0], [[[3.0]], [[-2.0]]])),
+}
+
+
+def _edge_pair(lo, values):
+    """A hat primal with a dual of two unit pieces from ``lo``, told a support
+    bound of 4: the window [-11, 11] (at t = 0) then ends inside the
+    interaction zone, and the extreme of the whole expansion sits on the node
+    x = +-11 at the window's end (``edge``) or on x = +-12 past it (``past``)."""
+    dual = PiecewisePoly([lo, lo + 1.0, lo + 2.0], [[[v]] for v in values])
+    pair = QuasiProjectionPair(bspline(2), dual)
+    pair.support_bound = 4
+    return pair
+
+
+SWEEP_PAIRS.update(
+    {
+        "edge-right": lambda: _edge_pair(-11.0, [-1.0, 2.0]),  # R(0) = 3 at x = 11
+        "edge-left": lambda: _edge_pair(11.0, [3.0, -2.0]),  # L(0) = -5 at x = -11
+        "past-right": lambda: _edge_pair(-12.0, [-1.0, 2.0]),
+        "past-left": lambda: _edge_pair(12.0, [3.0, -2.0]),
+    }
+)
+_SWEEP_PAIR_CACHE = {}
+
+
+@st.composite
+def _sweep_shifts(draw, level):
+    """Distinct shifts on the 2^-level grid within one period either side of 0,
+    maybe 0 itself (its window is narrower) and maybe shifts for the direct
+    route: off the grid, or a period or more away."""
+    n = 2**level
+    on = draw(st.lists(st.integers(1 - n, n - 1).filter(bool), min_size=2, max_size=24, unique=True))
+    shifts = [j / n for j in on] + ([0.0] if draw(st.booleans()) else [])
+    shifts += draw(st.lists(st.sampled_from([1 / 3, 2 / 3, 0.2, -0.4, 1.0, 1.5, -1.25]), max_size=3, unique=True))
+    return draw(st.permutations(shifts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(sorted(SWEEP_PAIRS) + ["mask-r1", "mask-r2"]), level=st.integers(4, 12), data=st.data())
+def test_batched_sweep_equals_the_direct_route_bitwise(source, level, data):
+    """Every R and L of ``_sweep`` has the bits of the one-shift expansion
+    ``_overshoot_both``, for random accepted masks (r = 1, 2), B-spline pairs
+    with constructed duals, a JSON sampled dual and duals that peak at x = 0;
+    sets of up to 28 shifts span many chunks of the batched sum."""
+    if source.startswith("mask"):
+        mask, norm = data.draw(spline_like_mask(int(source[-1])))
+        f = RefinableFunction(mask, norm, level)
+        try:
+            f.samples()
+        except (ConvergenceError, PreconditionError):
+            assume(False)
+        pair = QuasiProjectionPair(f, f)
+    else:
+        if source not in _SWEEP_PAIR_CACHE:
+            _SWEEP_PAIR_CACHE[source] = SWEEP_PAIRS[source]()
+        pair = _SWEEP_PAIR_CACHE[source]
+    shifts = data.draw(_sweep_shifts(level))
+    R, L = gibbs._sweep(pair, shifts, level)
+    for t, r, l in zip(shifts, R, L):
+        assert np.array([r, l]).tobytes() == np.array(gibbs._overshoot_both(pair, t, level)).tobytes(), t
+
+
+def test_x0_belongs_to_neither_side():
+    """At t = 0 the spike duals put their extreme on x = 0 itself, and the
+    sweep leaves it out, as the direct route does."""
+    up, down = (SWEEP_PAIRS[name]() for name in ("spike-right", "spike-left"))
+    _, R, _ = overshoot_curve(up, 4, 12)
+    _, _, L = overshoot_curve(down, 4, 12)
+    assert R[0] == 3.0 - 2.0**-11 and L[0] == -5.0 + 2.0**-10
+
+
+@pytest.mark.parametrize("name", ["edge-right", "edge-left", "past-right", "past-left"])
+def test_window_ends_are_cut_where_the_direct_route_cuts(name):
+    """Above all at t = 0, where the window is narrower: the extreme on the
+    window's last (first) sample counts, and the samples past it do not."""
+    pair = SWEEP_PAIRS[name]()
+    ts, R, L = overshoot_curve(pair, 4, 12)
+    direct = np.array([gibbs._overshoot_both(pair, t, 12) for t in ts])
+    assert np.array([R, L]).tobytes() == direct.T.tobytes()
+    assert {"edge-right": R[0] == 3.0, "edge-left": L[0] == -5.0}.get(name, True)
+
+
+def test_a_sweep_expands_one_shift_directly(monkeypatch, d3):
+    """A curve or an irrational sweep expands only its worst shift on its
+    own; off-grid shifts and a lone shift each take the direct route."""
+    calls = []
+    real = gibbs._overshoot_both
+    monkeypatch.setattr(gibbs, "_overshoot_both", lambda pair, t, level: calls.append(t) or real(pair, t, level))
+    ts, R, L = overshoot_curve(d3, 32)
+    assert calls == [ts[gibbs._worst(R, L)]]
+    calls.clear()
+    rep = gibbs_at_point(d3, "irrational", irrational_density=32)
+    assert calls == [rep.worst_shift]
+    calls.clear()
+    gibbs_at_point(d3, Fraction(1, 3))
+    assert calls == [1 / 3, 2 / 3]
+    calls.clear()
+    overshoot_curve(d3, 1)
+    assert calls == [0.0]
+
+
+def test_a_batched_sweep_that_disagrees_with_the_direct_route_raises(monkeypatch, d3):
+    real = gibbs._sweep_on_grid
+    monkeypatch.setattr(gibbs, "_sweep_on_grid", lambda *args: (np.nextafter(real(*args)[0], 2.0), real(*args)[1]))
+    with pytest.raises(ConvergenceError, match=r"at shift 0\.25 the batched sweep"):
+        overshoot_curve(d3, 8)
+
+
 # -- doubling dynamics --------------------------------------------------------------
 
 
@@ -295,15 +466,29 @@ def test_cluster_set_is_doubling_invariant(p, q):
     cs = set(cluster_set(x0))
     assert all(Fraction((2 * c.numerator) % c.denominator, c.denominator) in cs for c in cs)
     # far-out orbit points land exactly in the cluster set
-    assert doubling_orbit_element(x0, 10**6) in cs
-    assert doubling_orbit_element(x0, 10**6 + 1) in cs
+    assert _orbit_element(x0, 10**6) in cs
+    assert _orbit_element(x0, 10**6 + 1) in cs
+
+
+def _orbit_element(x0, n: int) -> Fraction:
+    """2^n x0 mod 1 by modular exponentiation, a reference that shares no code
+    with the cycle walk of ``gibbs._cycle``."""
+    x0 = Fraction(x0)
+    q = x0.denominator
+    return Fraction((x0.numerator * pow(2, n, q)) % q, q)
 
 
 def test_orbit_element_large_exponent_exact():
-    # 10**6 is even so 2^(10**6) = 1 mod 3; and = 1 mod 5 since 4 | 10**6
-    assert doubling_orbit_element(Fraction(1, 3), 10**6) == Fraction(1, 3)
-    assert doubling_orbit_element(Fraction(1, 5), 10**6) == Fraction(1, 5)
-    assert doubling_orbit_element(Fraction(1, 3), 10**6 + 1) == Fraction(2, 3)
+    # 10**6 is even so 2^(10**6) = 1 mod 3; and = 1 mod 5 since 4 | 10**6;
+    # the cycle of an odd denominator starts at x0, so orbit step n is its entry n mod length
+    cases = [
+        (Fraction(1, 3), 10**6, Fraction(1, 3)),
+        (Fraction(1, 5), 10**6, Fraction(1, 5)),
+        (Fraction(1, 3), 10**6 + 1, Fraction(2, 3)),
+    ]
+    for x0, n, want in cases:
+        cycle = list(gibbs._cycle(x0))
+        assert cycle[n % len(cycle)] == _orbit_element(x0, n) == want
 
 
 # -- verdicts ------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def test_signlike_at():
 
 
 def test_pure_sign_scalar_default():
-    c = SignLikeSeq.pure_sign()
+    c = SignLikeSeq(1.0)
     assert c.at(0) == pytest.approx(1.0)
     assert c.at(-3) == pytest.approx(-1.0)
 
@@ -286,14 +286,14 @@ def brute_convolve_sign(c, d, n):
 
 
 def test_tail_sums_requires_vanishing_mean():
-    c = SignLikeSeq.pure_sign()
+    c = SignLikeSeq(1.0)
     d = MatrixSeq.scalar(0, [1.0, 1.0])  # dhat(0) = 2
     with pytest.raises(PreconditionError):
         tail_convolve_sums(c, d)
 
 
 def test_tail_sums_zero_d():
-    c = SignLikeSeq.pure_sign()
+    c = SignLikeSeq(1.0)
     ts = tail_convolve_sums(c, MatrixSeq.zero(1, 1))
     assert ts.product.support is None
     assert ts.sum0 == pytest.approx(0.0)
