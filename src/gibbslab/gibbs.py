@@ -275,8 +275,6 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     kept = np.concatenate([width - j0, j0, width - 1 - j0, j0 + 1])
     from_end = np.repeat([1, 0, 1, 0], n)
     side = np.repeat([0, 0, 1, 1], n)
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
     cut = np.empty(4 * n)
     arg = np.empty((2, run.max() + 1), dtype=np.int64)  # first min and first max (or NaN) of each row
     ext = np.empty((2, run.max() + 1))
@@ -284,7 +282,7 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
         hi, here = lo + len(out), np.arange(len(out))
         arg[0, lo:hi], arg[1, lo:hi] = np.argmin(out, axis=1), np.argmax(out, axis=1)
         ext[0, lo:hi], ext[1, lo:hi] = out[here, arg[0, lo:hi]], out[here, arg[1, lo:hi]]
-        sel = order[slice(*np.searchsorted(sorted_rows, [lo, hi]))]
+        sel = np.flatnonzero((rows >= lo) & (rows < hi))
         a = arg[side[sel], rows[sel]]
         whole = np.where(from_end[sel], width - 1 - a, a) < kept[sel]  # the piece holds its row's extreme
         cut[sel[whole]] = ext[side[sel[whole]], rows[sel[whole]]]
@@ -296,6 +294,7 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
             running = np.minimum.accumulate(vals, axis=1)
             n_kept = kept[part]
             cut[part] = np.where(n_kept > 0, running[inv, n_kept - 1], np.inf) * np.where(side[part], -1.0, 1.0)
+        del out  # before the next chunk is summed: one chunk's output alive at a time
     v_left, v_right = (v > -W) & (v < 0), (v > 0) & (v < W)
     L = np.min(np.where(v_left, ext[0, run], np.inf), axis=0)
     R = np.max(np.where(v_right, ext[1, run], -np.inf), axis=0)
