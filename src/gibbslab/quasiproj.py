@@ -299,7 +299,7 @@ def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: in
     """
     m, K, r = coeff.shape
     rows = cols.shape[0]
-    idx = np.clip(rel[:, :, None] + np.arange(1 - rows, 1), 0, K - 1)
+    idx = np.minimum(np.maximum(rel[:, :, None] + np.arange(1 - rows, 1), 0), K - 1)
     idx += K * np.arange(m)[:, None]
     windows = coeff.reshape(-1, r)[idx.reshape(-1, rows)]  # k ascending
     bits = windows.reshape(len(windows), -1).view(np.int64)
