@@ -8,6 +8,7 @@ independent code paths: moments/kappa vs direct quadrature of the expansion
 error, so their agreement is a strong end-to-end check.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -352,7 +353,11 @@ SWEEP_PAIRS.update(
         "past-left": lambda: _edge_pair(12.0, [3.0, -2.0]),
     }
 )
-_SWEEP_PAIR_CACHE = {}
+
+
+@functools.cache
+def _sweep_pair(name):
+    return SWEEP_PAIRS[name]()
 
 
 @st.composite
@@ -383,9 +388,7 @@ def test_batched_sweep_equals_the_direct_route_bitwise(source, level, data):
             assume(False)
         pair = QuasiProjectionPair(f, f)
     else:
-        if source not in _SWEEP_PAIR_CACHE:
-            _SWEEP_PAIR_CACHE[source] = SWEEP_PAIRS[source]()
-        pair = _SWEEP_PAIR_CACHE[source]
+        pair = _sweep_pair(source)
     shifts = data.draw(_sweep_shifts(level))
     R, L = gibbs._sweep(pair, shifts, level)
     for t, r, l in zip(shifts, R, L):
