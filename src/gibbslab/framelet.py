@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 VMO_TOL = 1e-8
+_VMO_MAX = 6  # moment orders checked; a count of _VMO_MAX + 1 means "more"
 
 
 @dataclass(frozen=True)
@@ -224,12 +225,14 @@ def derive_wavelets(bank: FilterBank, phi: FunctionHandle, phi_tilde: FunctionHa
 # -- vanishing moments ---------------------------------------------------------------
 
 
-def vanishing_moments(psi: FunctionHandle, j_max: int = 6) -> int:
+def _first_moment_above_tol(moment) -> int:
+    """Smallest j <= _VMO_MAX with ``moment(j)`` above tolerance, else _VMO_MAX + 1."""
+    return next((j for j in range(_VMO_MAX + 1) if np.any(np.abs(moment(j)) > VMO_TOL)), _VMO_MAX + 1)
+
+
+def vanishing_moments(psi: FunctionHandle) -> int:
     """Smallest j with a moment above tolerance, minimized over components."""
-    for j in range(j_max + 1):
-        if np.any(np.abs(psi.moment(j)) > VMO_TOL):
-            return j
-    return j_max + 1
+    return _first_moment_above_tol(psi.moment)
 
 
 def filter_moments(coeffs: MatrixSeq, phi: FunctionHandle, j: int) -> np.ndarray:
@@ -244,11 +247,8 @@ def filter_moments(coeffs: MatrixSeq, phi: FunctionHandle, j: int) -> np.ndarray
     return (2.0**-j) * out
 
 
-def _filter_vmo(coeffs: MatrixSeq, phi: FunctionHandle, j_max: int = 6) -> int:
-    for j in range(j_max + 1):
-        if np.any(np.abs(filter_moments(coeffs, phi, j)) > VMO_TOL):
-            return j
-    return j_max + 1
+def _filter_vmo(coeffs: MatrixSeq, phi: FunctionHandle) -> int:
+    return _first_moment_above_tol(lambda j: filter_moments(coeffs, phi, j))
 
 
 # -- expansions -------------------------------------------------------------------
@@ -340,11 +340,11 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
     return report
 
 
-def _fhat_at(f: FunctionHandle, xi: float, depth: int = 30) -> np.ndarray:
-    """phihat(xi); infinite mask product for refinable inputs."""
+def _fhat_at(f: FunctionHandle, xi: float) -> np.ndarray:
+    """phihat(xi); for refinable inputs the mask product over 30 factors."""
     if isinstance(f, RefinableFunction):
         acc = f.normalization.astype(np.complex128)
-        for j in range(depth, 0, -1):
+        for j in range(30, 0, -1):
             acc = fourier_deriv(f.mask, 0, xi * 2.0**-j) @ acc
         return acc
     if isinstance(f, PiecewisePoly):
@@ -353,11 +353,9 @@ def _fhat_at(f: FunctionHandle, xi: float, depth: int = 30) -> np.ndarray:
     return simpson_sum(f.values * np.exp(-1j * xi * xs)[:, None], f.h, axis=0)
 
 
-def symbol_deviation_slope(
-    pair: QuasiProjectionPair, xi_range: tuple[int, int] = (2, 9)
-) -> float:
-    """Log-log decay rate of |conj(phihat)^T phitildehat - 1| as xi -> 0."""
-    xis = 2.0 ** -np.arange(*xi_range, dtype=np.float64)
+def symbol_deviation_slope(pair: QuasiProjectionPair) -> float:
+    """Log-log decay rate of |conj(phihat)^T phitildehat - 1| over xi = 2^-2..2^-8."""
+    xis = 2.0 ** -np.arange(2, 9, dtype=np.float64)
     devs = []
     for xi in xis:
         val = np.conj(_fhat_at(pair.phi, xi)) @ _fhat_at(pair.phi_tilde, xi)

@@ -595,33 +595,29 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
     return kmin, kmax, norm.real.copy()
 
 
-def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None) -> np.ndarray:
-    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n``, per
-    ``(k, a)`` in ``taps`` (``k`` ascending), added from +0: the two-scale sum
-    ``sum_k a(k) f(dilate x - k)`` over the samples ``vals`` of ``f``, which is
-    zero left of them and ``beyond`` (None: zero) right.
+def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None, out=None):
+    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n``, over
+    the ``(k, a)`` in ``taps`` (consecutive ``k``, ascending), added from +0:
+    the two-scale sum ``sum_k a(k) f(dilate x - k)`` over the samples ``vals``
+    of ``f``, which is zero left of them and ``beyond`` (None: zero) right.
 
-    Each tap reads one contiguous slice: of ``vals`` itself when ``dilate`` is
-    1, else of the contiguous copy of the phase ``vals[p::dilate]``, ``p = s
-    mod dilate``, made once per phase.  Its product is written into one
-    reused buffer and added into ``out`` from there.
+    ``vals`` is padded once to cover every index read, and one read-only
+    window view ``view[k, i] = vals[dilate i + s0 - k step]`` feeds one
+    einsum, written into ``out`` (a new array when None).  For each ``i`` the
+    einsum adds each tap's component sum to the running sum, ``k`` ascending;
+    a tap reading the padding adds ``+-0`` (or its product with ``beyond``).
     """
-    out = np.zeros((n, taps[0][1].shape[0]))
-    buf = np.empty_like(out)
-    phases = {}
-    for k, a in taps:
-        s = s0 - k * step
-        lo = min(max(-(s // dilate), 0), n)  # first row reading index >= 0
-        hi = min(max((len(vals) - 1 - s) // dilate + 1, 0), n)  # rows from hi on read past the end
-        if lo < hi:
-            q, p = divmod(s, dilate)
-            if p not in phases:
-                phases[p] = np.ascontiguousarray(vals[p::dilate])
-            prod = np.einsum("ab,nb->na", a, phases[p][lo + q : hi + q], out=buf[: hi - lo])
-            out[lo:hi] += prod
-        if beyond is not None and hi < n:
-            out[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
-    return out
+    k0, K = taps[0][0], len(taps)
+    lo = s0 - (k0 + K - 1) * step  # first index read (row 0, last tap)
+    span = dilate * (n - 1) + (K - 1) * step + 1  # indices read, from lo on
+    left = max(0, -lo)
+    padded = np.empty((left + max(len(vals), lo + span), vals.shape[1]))
+    padded[:left] = 0.0
+    padded[left : left + len(vals)] = vals
+    padded[left + len(vals) :] = 0.0 if beyond is None else beyond
+    win = np.lib.stride_tricks.sliding_window_view(padded, (K - 1) * step + 1, axis=0)
+    view = np.moveaxis(win[lo + left :: dilate][:n, :, ::-step], -1, 0)
+    return np.einsum("kab,knb->na", np.stack([a for _, a in taps]), view, out=out)
 
 
 def _refine(
@@ -638,20 +634,21 @@ def _refine(
     the odd point ``i`` reads only odd points of level ``lev - 1``, namely odd
     point ``i + (kmin - k) 2^(lev-2)``, so each level's odd points are one
     :func:`_tap_sum` with ``dilate = 1`` over the previous level's odd points,
-    kept contiguous, and are written once into the output at stride
-    ``2^(level - lev + 1)``.
+    kept contiguous, and is copied once into the output at stride
+    ``2^(level - lev + 1)``.  The finest level is read by no other, so its
+    :func:`_tap_sum` writes straight into the output's odd points.
     """
     if level == 0:
         return v0
     taps = [(k, gain * a) for k, a in taps]
     out = np.empty((W * 2**level + 1, v0.shape[1]))
     out[:: 2**level] = v0
-    odd = _tap_sum(taps, v0, W, 2, 1 + kmin, 1, beyond)
-    out[2 ** (level - 1) :: 2**level] = odd
+    odd = _tap_sum(taps, v0, W, 2, 1 + kmin, 1, beyond, out[1::2] if level == 1 else None)
     for lev in range(2, level + 1):
+        out[2 ** (level - lev + 1) :: 2 ** (level - lev + 2)] = odd  # level lev - 1
         quarter = 2 ** (lev - 2)
-        odd = _tap_sum(taps, odd, W * 2 * quarter, 1, kmin * quarter, quarter, beyond)
-        out[2 ** (level - lev) :: 2 ** (level - lev + 1)] = odd
+        fine = out[1::2] if lev == level else None
+        odd = _tap_sum(taps, odd, W * 2 * quarter, 1, kmin * quarter, quarter, beyond, fine)
     return out
 
 

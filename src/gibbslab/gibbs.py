@@ -128,7 +128,7 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
     once constants are reproduced, so the integral over the window is the
     whole integral.  The integrand is built in one work array: ``-Q sgn``,
     then -1 left of x = 0 and +1 from it on (``Sgn(0.0)`` is 1 at 0), then
-    times x.
+    times x, itself one array scaled in place.
     """
     sf = _sgn_expansion(pair, t, level)
     zero = -sf.start  # the window [-W, W] holds x = 0 at this index
@@ -136,7 +136,10 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
     del sf  # freed now, so the grid and the quadrature reuse its pages instead of faulting in new ones
     work[:zero] -= 1.0
     work[zero:] += 1.0
-    work *= np.arange(-zero, work.size - zero, dtype=np.float64) * 2.0**-level
+    x = np.arange(-zero, work.size - zero, dtype=np.float64)
+    x *= 2.0**-level
+    work *= x
+    del x
     return float(simpson_sum(work[:, None], 2.0**-level, axis=0)[0])
 
 

@@ -505,17 +505,30 @@ def test_cascade_level_bounds():
         gl.GridSpec(17)
 
 
+def _left_to_right(a, v):
+    """``a . v`` per row of ``v``, each output's component products added left
+    to right from +0.  For r >= 3 it is einsum's own sum, whose order depends
+    on the SIMD build (the r >= 3 FOUND line in CHANGES.md)."""
+    if a.shape[1] > 2:
+        return np.einsum("ab,nb->na", a, v)
+    acc = np.zeros((v.shape[0], a.shape[0]))
+    for b in range(a.shape[1]):
+        acc = acc + v[:, b, None] * a[None, :, b]
+    return acc
+
+
 def _interleaving_tap_sum(taps, vals, n, dilate, s0, step, beyond=None):
-    """Reference two-scale sum: one strided slice and one fresh einsum per tap."""
+    """Reference two-scale sum: one strided slice per tap, its product added
+    into the output, k ascending."""
     out = np.zeros((n, taps[0][1].shape[0]))
     for k, a in taps:
         s = s0 - k * step
         lo = min(max(-(s // dilate), 0), n)
         hi = min(max((len(vals) - 1 - s) // dilate + 1, 0), n)
         if lo < hi:
-            out[lo:hi] += np.einsum("ab,nb->na", a, vals[dilate * lo + s : dilate * hi + s : dilate])
+            out[lo:hi] += _left_to_right(a, vals[dilate * lo + s : dilate * hi + s : dilate])
         if beyond is not None and hi < n:
-            out[hi:] += np.einsum("ab,nb->na", a, beyond[None, :])
+            out[hi:] += _left_to_right(a, beyond[None, :])
     return out
 
 
@@ -558,6 +571,59 @@ def test_refine_matches_interleaving_reference_bitwise(r, ntaps, kmin, level, ga
     taps = [(kmin + i, ents[i]) for i in range(ntaps)]
     got = _refine(taps, kmin, ntaps - 1, level, v0, gain, beyond)
     want = _interleaving_refine(taps, kmin, ntaps - 1, level, v0, gain, beyond)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.sampled_from([1, 2]),
+    ntaps=st.integers(1, 6),
+    k0=st.integers(-4, 4),
+    n=st.integers(1, 40),
+    dilate=st.sampled_from([1, 2]),
+    step=st.integers(1, 8),
+    place=st.sampled_from(["left", "right", "across", "inside"]),
+    with_beyond=st.booleans(),
+    strided_out=st.booleans(),
+    data=st.data(),
+)
+def test_tap_sum_matches_interleaving_reference_bitwise(
+    r, ntaps, k0, n, dilate, step, place, with_beyond, strided_out, data
+):
+    """``_tap_sum`` gives the bytes of the per-tap reference at every dilate
+    its callers use, with the read range wholly left of the samples, wholly
+    right of them, across them or inside them, with zero and -0.0 taps and
+    samples, with and without ``beyond``, and written into a stride-2 view."""
+    span = dilate * (n - 1) + (ntaps - 1) * step + 1  # indices read
+    if place == "left":
+        m = data.draw(st.integers(1, 20))
+        lo = -span - data.draw(st.integers(0, 5))
+    elif place == "right":
+        m = data.draw(st.integers(1, 20))
+        lo = m + data.draw(st.integers(0, 5))
+    elif place == "inside":
+        m = span + data.draw(st.integers(0, 5))
+        lo = data.draw(st.integers(0, m - span))
+    else:
+        assume(span >= 3)
+        m = data.draw(st.integers(1, span - 2))
+        lo = -data.draw(st.integers(1, span - 1 - m))
+    s0 = lo + (k0 + ntaps - 1) * step
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ents = rng.uniform(-1.0, 1.0, (ntaps, r, r))
+    ents[rng.random(ents.shape) < 0.15] = 0.0
+    ents[rng.random(ents.shape) < 0.1] = -0.0
+    vals = rng.standard_normal((m, r))
+    vals[rng.random(vals.shape) < 0.2] = -0.0
+    beyond = rng.standard_normal(r) if with_beyond else None
+    taps = [(k0 + i, ents[i]) for i in range(ntaps)]
+    want = _interleaving_tap_sum(taps, vals, n, dilate, s0, step, beyond)
+    if strided_out:
+        buf = np.full((2 * n, r), np.nan)
+        got = funcmodel._tap_sum(taps, vals, n, dilate, s0, step, beyond, out=buf[1::2])
+        assert np.shares_memory(got, buf) and np.isnan(buf[::2]).all()
+    else:
+        got = funcmodel._tap_sum(taps, vals, n, dilate, s0, step, beyond)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

@@ -328,10 +328,11 @@ def test_vector_pair_expansion_keeps_its_bytes(f, digest):
 
 def _naive_synthesis(table, g0, count, stride, klo, coeff):
     """``_synthesis`` written as a loop: for each point, the rows ``a`` with
-    ``k = q - a`` ascending, added from +0, each row's component sum one term.
-    numpy's einsum adds the r components of one row in an order of its own
-    (on AVX-512 builds ``(p0 + p2) + p1`` for r = 3), so that sum is einsum's
-    on the row alone; the loop pins the order and grouping of the rows."""
+    ``k = q - a`` ascending, added from +0, each row's component sum one term,
+    itself added left to right from +0 for r <= 2.  For r = 3 that sum is
+    einsum's on the row alone: numpy's einsum adds three components in an
+    order that depends on the SIMD build (``(p0 + p2) + p1`` on AVX-512; the
+    r >= 3 FOUND line in CHANGES.md)."""
     m0, P = table
     rows, width, _ = P.shape
     out = np.empty(count)
@@ -340,7 +341,13 @@ def _naive_synthesis(table, g0, count, stride, klo, coeff):
         acc = 0.0
         for a in range(rows - 1, -1, -1):
             c = coeff[min(max(q - a - klo, 0), len(coeff) - 1)]
-            acc = acc + np.einsum("r,r->", c, P[a, j])
+            if c.size > 2:
+                term = np.einsum("r,r->", c, P[a, j])
+            else:
+                term = 0.0
+                for x, y in zip(c, P[a, j]):
+                    term = term + x * y
+            acc = acc + term
         out[i] = acc
     return out
 
