@@ -247,10 +247,6 @@ def filter_moments(coeffs: MatrixSeq, phi: FunctionHandle, j: int) -> np.ndarray
     return (2.0**-j) * out
 
 
-def _filter_vmo(coeffs: MatrixSeq, phi: FunctionHandle) -> int:
-    return _first_moment_above_tol(lambda j: filter_moments(coeffs, phi, j))
-
-
 # -- expansions -------------------------------------------------------------------
 
 
@@ -314,8 +310,8 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
     Wavelet moments come from filter sums against exact scaling moments, so
     the vanishing-moment counts carry no cascade error.
     """
-    vmo_psi = _filter_vmo(df.bank.b, df.phi)
-    vmo_psi_tilde = _filter_vmo(df.bank.b_tilde, df.phi_tilde)
+    vmo_psi = _first_moment_above_tol(lambda j: filter_moments(df.bank.b, df.phi, j))
+    vmo_psi_tilde = _first_moment_above_tol(lambda j: filter_moments(df.bank.b_tilde, df.phi_tilde, j))
     report = {"vmo_psi": vmo_psi, "vmo_psi_tilde": vmo_psi_tilde}
 
     if vmo_psi >= 2 and vmo_psi_tilde >= 1 and _continuity_defect(df.phi) <= _MAX_SAMPLE_JUMP:

@@ -596,16 +596,18 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
 
 
 def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None, out=None):
-    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n``, over
-    the ``(k, a)`` in ``taps`` (consecutive ``k``, ascending), added from +0:
-    the two-scale sum ``sum_k a(k) f(dilate x - k)`` over the samples ``vals``
-    of ``f``, which is zero left of them and ``beyond`` (None: zero) right.
+    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n`` over the
+    ``(k, a)`` in ``taps`` (consecutive ``k``): the two-scale sum ``sum_k a(k)
+    f(dilate x - k)`` over the samples ``vals`` of ``f``, which is zero left of
+    them and ``beyond`` (None: zero) right.
 
-    ``vals`` is padded once to cover every index read, and one read-only
-    window view ``view[k, i] = vals[dilate i + s0 - k step]`` feeds one
-    einsum, written into ``out`` (a new array when None).  For each ``i`` the
-    einsum adds each tap's component sum to the running sum, ``k`` ascending;
-    a tap reading the padding adds ``+-0`` (or its product with ``beyond``).
+    One padded copy of ``vals`` covers every index read, and one read-only
+    window view ``view[k, i] = vals[dilate i + s0 - k step]`` feeds one einsum,
+    written into ``out`` (None: a new array).  For each ``i`` it adds each
+    tap's component sum to a running sum from +0, ``k`` ascending; a tap
+    reading the padding adds ``+-0`` (or its product with ``beyond``).  Summing
+    the components first keeps einsum's inner loop on them, so for r >= 2 the
+    kernel is several times slower than a per-tap loop.
     """
     k0, K = taps[0][0], len(taps)
     lo = s0 - (k0 + K - 1) * step  # first index read (row 0, last tap)
@@ -632,9 +634,9 @@ def _refine(
     previous grid; ``f`` is zero left of that grid and ``beyond`` (None: zero)
     right of it.  Level 1 reads the integers ``v0``.  At level ``lev >= 2``
     the odd point ``i`` reads only odd points of level ``lev - 1``, namely odd
-    point ``i + (kmin - k) 2^(lev-2)``, so each level's odd points are one
-    :func:`_tap_sum` with ``dilate = 1`` over the previous level's odd points,
-    kept contiguous, and is copied once into the output at stride
+    point ``i + (kmin - k) 2^(lev-2)``, so each level's odd points come from
+    one :func:`_tap_sum` with ``dilate = 1`` over the previous level's odd
+    points, are kept contiguous and are copied once into the output at stride
     ``2^(level - lev + 1)``.  The finest level is read by no other, so its
     :func:`_tap_sum` writes straight into the output's odd points.
     """
