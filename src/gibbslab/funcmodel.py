@@ -595,19 +595,19 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
     return kmin, kmax, norm.real.copy()
 
 
-def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None, out=None):
+def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None):
     """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n`` over the
     ``(k, a)`` in ``taps`` (consecutive ``k``): the two-scale sum ``sum_k a(k)
     f(dilate x - k)`` over the samples ``vals`` of ``f``, which is zero left of
     them and ``beyond`` (None: zero) right.
 
     One padded copy of ``vals`` covers every index read, and one read-only
-    window view ``view[k, i] = vals[dilate i + s0 - k step]`` feeds one einsum,
-    written into ``out`` (None: a new array).  For each ``i`` it adds each
-    tap's component sum to a running sum from +0, ``k`` ascending; a tap
-    reading the padding adds ``+-0`` (or its product with ``beyond``).  Summing
-    the components first keeps einsum's inner loop on them, so for r >= 2 the
-    kernel is several times slower than a per-tap loop.
+    window view ``view[k, i] = vals[dilate i + s0 - k step]`` feeds one einsum.
+    For each ``i`` it adds each tap's component sum to a running sum from +0,
+    ``k`` ascending; a tap reading the padding adds ``+-0`` (or its product
+    with ``beyond``).  Summing the components first keeps einsum's inner loop
+    on them, so for r >= 2 the kernel is several times slower than a per-tap
+    loop.
     """
     k0, K = taps[0][0], len(taps)
     lo = s0 - (k0 + K - 1) * step  # first index read (row 0, last tap)
@@ -619,7 +619,7 @@ def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, be
     padded[left + len(vals) :] = 0.0 if beyond is None else beyond
     win = np.lib.stride_tricks.sliding_window_view(padded, (K - 1) * step + 1, axis=0)
     view = np.moveaxis(win[lo + left :: dilate][:n, :, ::-step], -1, 0)
-    return np.einsum("kab,knb->na", np.stack([a for _, a in taps]), view, out=out)
+    return np.einsum("kab,knb->na", np.stack([a for _, a in taps]), view)
 
 
 def _refine(
@@ -627,30 +627,58 @@ def _refine(
 ) -> np.ndarray:
     """Samples of a solution of ``f(x) = gain sum_k a(k) f(2x - k)`` on the
     grid ``kmin + i 2^-level`` over ``[kmin, kmin + W]``, from its values
-    ``v0`` (shape (W+1, r)) at the integers.
+    ``v0`` (shape (W+1, r)) at the integers; ``taps`` are the ``W + 1`` pairs
+    ``(k, a(k))``, ``k = kmin..kmin + W``.
 
     Each level keeps the previous samples at its even points and fills its
     ``W 2^(lev-1)`` odd points ``x`` from ``f(2x - k)``, which lie on the
     previous grid; ``f`` is zero left of that grid and ``beyond`` (None: zero)
-    right of it.  Level 1 reads the integers ``v0``.  At level ``lev >= 2``
-    the odd point ``i`` reads only odd points of level ``lev - 1``, namely odd
-    point ``i + (kmin - k) 2^(lev-2)``, so each level's odd points come from
-    one :func:`_tap_sum` with ``dilate = 1`` over the previous level's odd
-    points, are kept contiguous and are copied once into the output at stride
-    ``2^(level - lev + 1)``.  The finest level is read by no other, so its
-    :func:`_tap_sum` writes straight into the output's odd points.
+    right of it.  Level 1 reads the integers ``v0`` through one
+    :func:`_tap_sum`.  At level ``lev >= 2`` odd point ``i`` reads only odd
+    points of level ``lev - 1``, namely odd point ``i - j q`` with ``q =
+    2^(lev-2)`` and ``j = k - kmin``.  Cut into blocks of ``q`` points, the
+    ``W`` input blocks give ``2W`` output blocks, and output block ``c`` is
+    ``sum_j A_j . in[c - j]``: a block-Toeplitz product, with blocks below 0
+    reading zero and blocks ``W`` and up reading ``beyond``.
+
+    The tap matrix ``T`` (2W, W+1, r, r) is built once.  The input buffer
+    holds the ``W`` data blocks and then one block of 1.0, and the einsum
+    reads its blocks in reverse, so the ones block comes first: ``T[c, 0]``
+    meets it and holds ``diag(s_c)`` with ``s_c = A_0 . beyond + ... +
+    A_(c-W) . beyond``, the taps that read past the samples, which are the
+    smallest ``k``; then ``T[c, W - b]`` meets data block ``b`` and holds
+    ``A_(c-b)``, so ``k`` ascends.  Each output thus adds the terms of
+    :func:`_tap_sum` in its order.  Where ``T`` is zero the einsum adds
+    ``+-0`` to a running sum that starts at +0 and so is never -0, which
+    changes no bit (nor does the sign of a zero ``s_c``).  Each level's odd
+    points are kept contiguous and copied once into the output at stride
+    ``2^(level-lev+1)``, the finest level too: einsum is about twice as slow
+    into a stride-2 view.
     """
     if level == 0:
         return v0
     taps = [(k, gain * a) for k, a in taps]
-    out = np.empty((W * 2**level + 1, v0.shape[1]))
+    A = np.stack([a for _, a in taps])  # A[j] = gain a(kmin + j)
+    r = v0.shape[1]
+    T = np.zeros((2 * W, W + 1, r, r))
+    b = np.arange(W)
+    for j in range(W + 1):
+        T[b + j, W - b] = A[j]
+    if beyond is not None:
+        T[W:, 0, range(r), range(r)] = np.cumsum(np.einsum("jab,b->ja", A[:W], beyond), axis=0)
+    out = np.empty((W * 2**level + 1, r))
     out[:: 2**level] = v0
-    odd = _tap_sum(taps, v0, W, 2, 1 + kmin, 1, beyond, out[1::2] if level == 1 else None)
+    buf = np.empty((W + 1, r))
+    buf[:W] = _tap_sum(taps, v0, W, 2, 1 + kmin, 1, beyond)
     for lev in range(2, level + 1):
-        out[2 ** (level - lev + 1) :: 2 ** (level - lev + 2)] = odd  # level lev - 1
-        quarter = 2 ** (lev - 2)
-        fine = out[1::2] if lev == level else None
-        odd = _tap_sum(taps, odd, W * 2 * quarter, 1, kmin * quarter, quarter, beyond, fine)
+        q = 2 ** (lev - 2)
+        buf[W * q :] = 1.0
+        out[2 ** (level - lev + 1) :: 2 ** (level - lev + 2)] = buf[: W * q]  # level lev - 1
+        nxt = np.empty(((W + 1) * 2 * q, r))
+        odd = nxt[: 2 * W * q].reshape(2 * W, q, r)  # level lev, in 2W blocks
+        np.einsum("cbxy,bty->ctx", T, buf.reshape(W + 1, q, r)[::-1], out=odd)
+        buf = nxt
+    out[1::2] = buf[: W * 2 ** (level - 1)]
     return out
 
 
@@ -907,9 +935,9 @@ class RefinableFunction:
         ``n`` of the support, the fixed-point residual of the eigenvector solve
         in :func:`cascade`; it does not depend on ``level``.  At every other
         grid point the residual is 0.0 by construction: :func:`_refine` made
-        that sample by the same :func:`_tap_sum` over the same taps ``2 a(k)``
-        in the same order.  The module-level :func:`refinement_residual` is the
-        full scan for any samples.
+        that sample by the same tap sum, same taps ``2 a(k)``, same order.
+        The module-level :func:`refinement_residual` is the full scan for any
+        samples.
         """
         ints = self.samples().values[:: 2**self.level]
         return refinement_residual(SampledFunction(0, self.mask.support[0], ints), self.mask)

@@ -257,7 +257,7 @@ def _synthesis(
     scale: ``apply``, ``check_qp1``, ``kernel_criterion`` and
     ``construct.build_dual`` call it, and the shift sweep of ``gibbs`` reduces
     the rows of its core :func:`_window_sums` instead of gathering them.
-    Two-scale sums ``sum_k a(k) f(2x - k)`` go through ``funcmodel._tap_sum``.
+    Two-scale sums ``sum_k a(k) f(2x - k)`` live in ``funcmodel`` (``_tap_sum``, ``_refine``).
 
     With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
     ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, the

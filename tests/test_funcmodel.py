@@ -446,11 +446,8 @@ def test_cascade_refuses_a_mask_that_breaks_the_sum_rule(taps):
         cascade(MatrixSeq.scalar(0, taps), level=4)
 
 
-def test_ghm_vector_mask_cascades():
-    """The Geronimo-Hardin-Massopust mask: sum_k phi(k) = (0, sqrt 3) is not
-    the normalization (sqrt(2/3), sqrt(1/3)), yet both have the same
-    projection on the one left 1-eigenvector of ahat(0), so the first sum
-    rule holds and the cascade answers."""
+def _ghm(level):
+    """The Geronimo-Hardin-Massopust r = 2 refinable function."""
     s2 = math.sqrt(2.0)
     C = [
         [[3 / 5, 4 * s2 / 5], [-1 / (10 * s2), -3 / 10]],
@@ -458,7 +455,15 @@ def test_ghm_vector_mask_cascades():
         [[0.0, 0.0], [9 / (10 * s2), -3 / 10]],
         [[0.0, 0.0], [-1 / (10 * s2), 0.0]],
     ]
-    f = RefinableFunction(MatrixSeq(0, np.array(C) / 2), [math.sqrt(2 / 3), math.sqrt(1 / 3)], level=10)
+    return RefinableFunction(MatrixSeq(0, np.array(C) / 2), [math.sqrt(2 / 3), math.sqrt(1 / 3)], level=level)
+
+
+def test_ghm_vector_mask_cascades():
+    """The Geronimo-Hardin-Massopust mask: sum_k phi(k) = (0, sqrt 3) is not
+    the normalization (sqrt(2/3), sqrt(1/3)), yet both have the same
+    projection on the one left 1-eigenvector of ahat(0), so the first sum
+    rule holds and the cascade answers."""
+    f = _ghm(10)
     ints = f.samples().values[:: 2**10]
     assert ints.sum(axis=0) == pytest.approx([0.0, SQ3], abs=1e-12)
     assert f.refinement_residual() < 1e-12
@@ -584,16 +589,13 @@ def test_refine_matches_interleaving_reference_bitwise(r, ntaps, kmin, level, ga
     step=st.integers(1, 8),
     place=st.sampled_from(["left", "right", "across", "inside"]),
     with_beyond=st.booleans(),
-    strided_out=st.booleans(),
     data=st.data(),
 )
-def test_tap_sum_matches_interleaving_reference_bitwise(
-    r, ntaps, k0, n, dilate, step, place, with_beyond, strided_out, data
-):
+def test_tap_sum_matches_interleaving_reference_bitwise(r, ntaps, k0, n, dilate, step, place, with_beyond, data):
     """``_tap_sum`` gives the bytes of the per-tap reference at every dilate
     its callers use, with the read range wholly left of the samples, wholly
     right of them, across them or inside them, with zero and -0.0 taps and
-    samples, with and without ``beyond``, and written into a stride-2 view."""
+    samples, and with and without ``beyond``."""
     span = dilate * (n - 1) + (ntaps - 1) * step + 1  # indices read
     if place == "left":
         m = data.draw(st.integers(1, 20))
@@ -618,16 +620,13 @@ def test_tap_sum_matches_interleaving_reference_bitwise(
     beyond = rng.standard_normal(r) if with_beyond else None
     taps = [(k0 + i, ents[i]) for i in range(ntaps)]
     want = _interleaving_tap_sum(taps, vals, n, dilate, s0, step, beyond)
-    if strided_out:
-        buf = np.full((2 * n, r), np.nan)
-        got = funcmodel._tap_sum(taps, vals, n, dilate, s0, step, beyond, out=buf[1::2])
-        assert np.shares_memory(got, buf) and np.isnan(buf[::2]).all()
-    else:
-        got = funcmodel._tap_sum(taps, vals, n, dilate, s0, step, beyond)
+    got = funcmodel._tap_sum(taps, vals, n, dilate, s0, step, beyond)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _fine_refinable(spec, level):
+    if spec == "ghm":
+        return _ghm(level)
     if spec.startswith("daubechies:"):
         return resolve_function(spec, level)
     if spec == "cdf13":
@@ -653,11 +652,14 @@ def _fine_refinable(spec, level):
         ("bspline:4", 14, "6c0765916ee13dbc4ef2a21d03be60eebce9f7eb2858e553b2d68c70edf846f4"),
         ("bspline:4", 15, "8dbca17e4bad28b4c4717cd6017570376336a45036ff5b394fd6eb8e40fc8ac4"),
         ("bspline:4", 16, "59accd1598129bafd244cb129e118db7c3525c65044a4d867834970977fa687a"),
+        ("ghm", 12, "84cf469408583d2a4910cbef084cd5e38755a2e38e15878befe767b9ce4d8a75"),
+        ("ghm", 16, "d07c872c5821c8937739c62d813094eab3afa2eaddca5582218b02b1079219f2"),
     ],
 )
 def test_fine_refinement_bytes_are_pinned(spec, level, digest):
     """sha256 of the samples, the cumulative F and the refinement residual's
-    repr on the fine grids, recorded with the interleaving refinement."""
+    repr on the fine grids, recorded with the interleaving refinement (the
+    r = 2 GHM rows with the one-einsum tap sum)."""
     f = _fine_refinable(spec, level)
     h = hashlib.sha256(f.samples().values.tobytes())
     h.update(f.cumulative_samples().tobytes())
