@@ -3,6 +3,9 @@
 Verdicts are printed to stdout as JSON with sorted keys (identical invocations
 produce byte-identical output); sampled data goes to ``--out`` as CSV with
 fixed columns, ``x,value`` for functions and ``t,R,L`` for overshoot curves.
+Both are written in chunks of at most ``2^16`` values' text, so a long
+expansion never exists as one string; every check runs before the first
+byte, so a refused command prints nothing to stdout.
 
 Exit codes: 0 success, 2 rejected input or violated precondition, 1 internal
 failure.  Function and pair specifiers are either builtin names (``haar``,
@@ -51,7 +54,7 @@ from .framelet import (
     symbol_deviation_slope,
     truncated_expansion,
 )
-from .funcmodel import SampledFunction, bspline, check_level, function_from_json_dict
+from .funcmodel import bspline, check_level, function_from_json_dict
 from .gibbs import (
     bracket_second_deriv,
     gibbs_at_point,
@@ -85,13 +88,37 @@ def _json_leaf(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _float_rows(obj, pad: str) -> str | None:
-    """The text ``json.dumps(indent=2)`` writes at indent ``pad`` for a
-    float64 array of one or two dimensions, or a list of floats or of
-    equal-length float lists, built by joining ``float.__repr__`` strings:
-    one per distinct bit pattern (so 0.0 and -0.0 stay apart), mapped back in
-    order.  None for any other value, or when a value is not finite (json
-    spells those NaN and Infinity)."""
+_CHUNK = 2**16  # values formatted per piece: no string the writer holds is longer than their text
+
+
+def _text_chunks(columns, open_: str, cell_sep: str, close: str, row_sep: str):
+    """The text of the float64 ``columns`` (1-D or 2-D, equal length, read
+    side by side), up to :data:`_CHUNK` values per piece: each row is
+    ``open_``, its cells joined by ``cell_sep``, then ``close``, and rows are
+    joined by ``row_sep``.  ``float.__repr__`` runs once per distinct bit
+    pattern in a piece (so 0.0 and -0.0 stay apart), and a one-cell row's
+    text is built once per distinct value."""
+    n = len(columns[0])
+    step = max(1, _CHUNK // sum(c.shape[1] if c.ndim == 2 else 1 for c in columns))
+    for lo in range(0, n, step):
+        if lo:
+            yield row_sep
+        block = np.column_stack([c[lo : lo + step] for c in columns])
+        bits, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
+        reprs = map(float.__repr__, bits.view(np.float64).tolist())
+        if block.shape[1] == 1:
+            rows = np.array([open_ + r + close for r in reprs], dtype=object)[inverse].tolist()
+        else:
+            cells = np.array(list(reprs), dtype=object)[inverse].reshape(block.shape).tolist()
+            rows = [open_ + cell_sep.join(row) + close for row in cells]
+        yield row_sep.join(rows)
+
+
+def _float_array(obj) -> np.ndarray | None:
+    """``obj`` as a finite float64 array of one or two nonempty dimensions,
+    when it is one or is a list of floats or of equal-length float lists;
+    None for any other value, or when a value is not finite (json spells
+    those NaN and Infinity)."""
     if type(obj) is list:
         kinds = set(map(type, obj))
         if kinds == {list} and len(set(map(len, obj))) == 1:
@@ -99,46 +126,59 @@ def _float_rows(obj, pad: str) -> str | None:
         if kinds != {float}:
             return None
         obj = np.array(obj)
-    if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size:
+    if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size or not np.isfinite(obj).all():
         return None
-    bits, inverse = np.unique(obj.ravel().view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    if not np.isfinite(distinct).all():
-        return None
-    text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[inverse]
-    inner = pad + "  "
-    if obj.ndim == 1:
-        body = (",\n" + inner).join(text.tolist())
-    else:
-        cell = inner + "  "
-        rows = text.tolist() if obj.shape[1] == 1 else map((",\n" + cell).join, text.reshape(obj.shape).tolist())
-        row_sep = "\n" + inner + "],\n" + inner + "[\n" + cell
-        body = "[\n" + cell + row_sep.join(rows) + "\n" + inner + "]"
-    return "[\n" + inner + body + "\n" + pad + "]"
+    return obj
 
 
-def _dumps(obj, pad: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf)`` at
-    indent ``pad``, byte for byte.  Dicts with string keys, lists and arrays
-    are written here, so that long float arrays go through
-    :func:`_float_rows` straight from the ndarray instead of the pure-Python
-    encoder, which ``indent`` forces, one value at a time; everything else is
-    left to ``json.dumps``."""
+def _pieces(obj, pad: str = ""):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2,
+    default=_json_leaf)`` at indent ``pad``, byte for byte, as pieces of at
+    most one chunk's text each.  Dicts with string keys, lists and arrays are
+    written here, so that long float arrays go through :func:`_text_chunks`
+    straight from the ndarray instead of the pure-Python encoder, which
+    ``indent`` forces, one value at a time; everything else is left to
+    ``json.dumps``."""
     inner = pad + "  "
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        items = (f"{json.dumps(k)}: {_dumps(obj[k], inner)}" for k in sorted(obj))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if type(obj) is list and obj or isinstance(obj, np.ndarray) and obj.ndim and obj.size:
-        text = _float_rows(obj, pad)
-        if text is None:
-            text = "[\n" + inner + (",\n" + inner).join(_dumps(v, inner) for v in obj) + "\n" + pad + "]"
-        return text
-    # json strings hold no raw newline, so each one starts an indented line
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf).replace("\n", "\n" + pad)
+        sep = "{\n" + inner
+        for k in sorted(obj):
+            yield sep + json.dumps(k) + ": "
+            yield from _pieces(obj[k], inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif type(obj) is list and obj or isinstance(obj, np.ndarray) and obj.ndim and obj.size:
+        yield "[\n" + inner
+        arr = _float_array(obj)
+        if arr is None:
+            for i, v in enumerate(obj):
+                if i:
+                    yield ",\n" + inner
+                yield from _pieces(v, inner)
+        elif arr.ndim == 1:
+            yield from _text_chunks((arr,), "", "", "", ",\n" + inner)
+        else:
+            cell = inner + "  "
+            yield from _text_chunks((arr,), "[\n" + cell, ",\n" + cell, "\n" + inner + "]", ",\n" + inner)
+        yield "\n" + pad + "]"
+    else:
+        # json strings hold no raw newline, so each one starts an indented line
+        yield json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf).replace("\n", "\n" + pad)
+
+
+def _dumps(obj) -> str:
+    """All of :func:`_pieces` as one string."""
+    return "".join(_pieces(obj))
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(_dumps(obj) + "\n")
+    """Write ``obj`` and a newline to stdout piece by piece; a handler calls
+    this only once its answer is complete, so a refused command writes
+    nothing."""
+    write = sys.stdout.write
+    for piece in _pieces(obj):
+        write(piece)
+    write("\n")
 
 
 def _read_json(path: str) -> dict:
@@ -200,12 +240,12 @@ def _signal_from_args(args):
     raise PreconditionError(f"unknown signal {spec!r} (have sgn, gauss, monomial:j)")
 
 
-def _write_function_csv(path: str, sf: SampledFunction) -> None:
-    xs = sf.xs()
+def _write_csv(path: str, header: str, columns) -> None:
+    """``header`` and one line per row of the float64 ``columns``, each value
+    as its ``float.__repr__``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,value\n")
-        for x, row in zip(xs, sf.values):
-            fh.write(f"{float(x)!r},{float(row[0])!r}\n")
+        fh.write(header + "\n")
+        fh.writelines(_text_chunks(columns, "", ",", "\n", ""))
 
 
 # -- command handlers ----------------------------------------------------------
@@ -290,7 +330,7 @@ def _cmd_expand(args) -> None:
         sf = apply(pair, f, args.n, 0.0, grid)
         verdict = None
     if args.out:
-        _write_function_csv(args.out, sf)
+        _write_csv(args.out, "x,value", (sf.xs(), sf.values[:, 0]))
         payload = {
             "out": args.out,
             "rows": int(sf.values.shape[0]),
@@ -315,10 +355,7 @@ def _cmd_overshoot_curve(args) -> None:
         "argmax_t": float(ts[int(np.argmax(R))]),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t,R,L\n")
-            for t, r, l in zip(ts, R, L):
-                fh.write(f"{float(t)!r},{float(r)!r},{float(l)!r}\n")
+        _write_csv(args.out, "t,R,L", (ts, R, L))
         summary["out"] = args.out
     else:
         summary.update(t=ts, R=R, L=L)

@@ -265,7 +265,7 @@ def truncated_expansion(df: DualFramelet, f, n: int = 0, grid: GridSpec | None =
         wpair = QuasiProjectionPair(df.psi, df.psi_tilde)
         for j in range(n):
             layer = apply(wpair, f, j, 0.0, fixed)
-            total = total + layer.values
+            total += layer.values
     return SampledFunction(base.level, base.start, total)
 
 

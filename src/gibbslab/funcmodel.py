@@ -495,7 +495,9 @@ class SampledFunction:
         return (self.start * self.h, (self.start + self.values.shape[0] - 1) * self.h)
 
     def xs(self) -> np.ndarray:
-        return (self.start + np.arange(self.values.shape[0])) * self.h
+        xs = np.arange(self.start, self.start + self.values.shape[0], dtype=np.float64)
+        xs *= self.h
+        return xs
 
     @cached_property
     def _grid(self) -> np.ndarray:
@@ -1009,9 +1011,9 @@ def _support_samples(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple
     at stride ``2^(f.level - level)``.  The refinement is nested and
     ``np.interp`` returns a sample itself at a grid point, so these are the
     bits ``evaluate`` gives; any other ``f``, level or phase is evaluated."""
-    i0, xs = dyadic_grid(*f.support, level)
     if not phase and isinstance(f, RefinableFunction) and level <= f.level:
-        return i0, f.samples().values[:: 2 ** (f.level - level)]
+        return dyadic_bounds(*f.support, level)[0], f.samples().values[:: 2 ** (f.level - level)]
+    i0, xs = dyadic_grid(*f.support, level)
     return i0, f.evaluate(xs + phase)
 
 

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gibbslab import cli
-from gibbslab.catalog import resolve_bank
+from gibbslab.catalog import resolve_bank, resolve_pair
 from gibbslab.cli import main
 from gibbslab.funcmodel import bspline
+from gibbslab.gibbs import overshoot_curve
+from gibbslab.quasiproj import GridSpec, Sgn, apply
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +396,54 @@ def test_overshoot_curve_csv(tmp_path, capsys):
     assert summary["min_L"] == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("chunk,level", [(5, 8), (cli._CHUNK, 12)])
+def test_csv_outputs_match_the_per_row_reference(tmp_path, capsys, monkeypatch, chunk, level):
+    """Both CSV files hold the bytes of one f-string per row, with chunk
+    boundaries every row or two and at the real chunk size (106,497 rows of
+    ``expand`` at level 12: four chunks)."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    pair = resolve_pair("daubechies:3", level)
+    sf = apply(pair, Sgn(0.0), 0, 0.0, GridSpec(level))
+    want = "x,value\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(sf.xs().tolist(), sf.values[:, 0].tolist()))
+    path = tmp_path / "expand.csv"
+    assert run_cli(capsys, "expand", "--pair", "daubechies:3", "--level", str(level), "--out", str(path))[0] == 0
+    assert path.read_bytes() == want.encode()
+    ts, R, L = overshoot_curve(pair, num_t=12, level=level)
+    want = "t,R,L\n" + "".join(f"{t!r},{r!r},{l!r}\n" for t, r, l in zip(ts.tolist(), R.tolist(), L.tolist()))
+    path = tmp_path / "curve.csv"
+    args = ("overshoot-curve", "--pair", "daubechies:3", "--num-t", "12", "--level", str(level), "--out", str(path))
+    assert run_cli(capsys, *args)[0] == 0
+    assert path.read_bytes() == want.encode()
+
+
+class _Recorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_expand_streams_in_bounded_pieces(monkeypatch):
+    """A level-14 expansion (425,985 values, seven chunks) reaches stdout in
+    writes of at most one chunk's text that concatenate to the whole
+    document, and a refused command writes nothing."""
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["expand", "--pair", "daubechies:3", "--level", "14"]) == 0
+    # a row of an (n, 1) column: a repr of at most 24 characters, 20 of brackets and indentation
+    assert len(out.writes) > 1 and max(map(len, out.writes)) <= cli._CHUNK * 44
+    sf = apply(resolve_pair("daubechies:3", 14), Sgn(0.0), 0, 0.0, GridSpec(14))
+    assert sf.values.shape == (425985, 1)
+    assert "".join(out.writes) == cli._dumps(sf._json_dict(sf.values)) + "\n"
+    out.writes.clear()
+    assert main(["expand", "--pair", "daubechies:3", "--window", "nan,1"]) == 2
+    assert out.writes == []
+
+
 def test_bspline_table(capsys):
     code, out, _ = run_cli(capsys, "bspline-table", "--max-order", "2", "--level", "9")
     assert code == 0
@@ -463,8 +513,21 @@ _json_like = st.recursive(
 )
 
 
+_N = cli._CHUNK
+
+
 @settings(max_examples=200, deadline=None)
 @given(_json_like)
+@example(  # chunk boundaries inside a run of equal values, between -0.0 and 0.0, and inside a row of three
+    {
+        "run": np.r_[np.arange(_N - 2) / 7, np.full(5, 0.5)],
+        "signs": np.r_[np.full(_N, -0.0), 0.0, -0.0],
+        "column": np.r_[np.full(_N, -0.0), 0.0, -0.0][:, None],
+        "rows": (np.arange(3 * (_N // 3 + 2)) / 7).reshape(-1, 3),
+        "list": (np.arange(_N + 3) % 5 * 0.25).tolist(),
+    }
+)
+@example({"array": np.r_[np.ones(_N), math.nan], "list": [0.5] * _N + [math.nan]})  # NaN past the first chunk
 @example({"a": [math.nan, 1.0], "b": [[math.inf], [-0.0]], "c": np.array([[1.0, -math.inf]]), "d": [1, 1.0]})
 @example({"a": [0.0, -0.0, 0.5, 0.0, 0.5, -0.0], "b": np.array([[0.0, -0.0], [-0.0, 0.0], [0.1, 0.1]])})
 @example({"a": np.array([[-0.0], [0.1], [-0.0]]), "b": np.array([1.0, math.nan]), "c": np.array([[math.inf], [0.5]])})
@@ -482,5 +545,6 @@ def test_json_writer_matches_json_dumps(obj):
     """The row-aware writer gives the bytes of the stock encoder: NaN,
     Infinity, -0.0, int against float, numpy scalars and arrays (float64 of
     shape (n,), (n, 1) and (n, 3), empty ones, int64, bool, float32 and
-    complex), complex leaves and nested sorted keys included."""
+    complex), complex leaves, nested sorted keys and arrays longer than one
+    chunk included."""
     assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=cli._json_leaf)
