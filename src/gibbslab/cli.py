@@ -4,8 +4,8 @@ Verdicts are printed to stdout as JSON with sorted keys (identical invocations
 produce byte-identical output); sampled data goes to ``--out`` as CSV with
 fixed columns, ``x,value`` for functions and ``t,R,L`` for overshoot curves.
 Both are written in chunks of at most ``2^16`` values' text, so a long
-expansion never exists as one string; every check runs before the first
-byte, so a refused command prints nothing to stdout.
+expansion never exists as one string; every refusal happens before the
+first byte, so a refused command prints nothing to stdout.
 
 Exit codes: 0 success, 2 rejected input or violated precondition, 1 internal
 failure.  Function and pair specifiers are either builtin names (``haar``,
