@@ -191,8 +191,9 @@ def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> di
     }
 
 
-def optimality_witness(obj, kmax: int = 3, tol: float = 1e-8) -> dict:
-    """Evaluate [phitildehat]'(2 pi k) for k != 0.
+def optimality_witness(obj) -> dict:
+    """Evaluate [phitildehat]'(2 pi k) for 0 < |k| <= 3; "violated" means one
+    exceeds 1e-8 in modulus.
 
     Order-m matching with a dual supported on two cells cannot also flatten
     the symbol's derivative at the nonzero even-pi frequencies once m >= 3;
@@ -206,7 +207,7 @@ def optimality_witness(obj, kmax: int = 3, tol: float = 1e-8) -> dict:
     else:
         pt = obj
     values = {}
-    for k in range(-kmax, kmax + 1):
+    for k in range(-3, 4):
         if k == 0:
             continue
         val = pt.fourier(2.0 * math.pi * k, deriv=1)
@@ -214,7 +215,7 @@ def optimality_witness(obj, kmax: int = 3, tol: float = 1e-8) -> dict:
     worst_k = max(values, key=lambda k: abs(values[k]))
     return {
         "applicable": True,
-        "violated": bool(abs(values[worst_k]) > tol),
+        "violated": bool(abs(values[worst_k]) > 1e-8),
         "worst_k": worst_k,
         "values": {str(k): [v.real, v.imag] for k, v in values.items()},
     }

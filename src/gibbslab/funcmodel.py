@@ -133,13 +133,11 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def simpson_sum(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    """Composite-Simpson integral of uniformly spaced samples along ``axis``."""
+def simpson_sum(y: np.ndarray, h: float) -> np.ndarray:
+    """Composite-Simpson integral of uniformly spaced samples along the first axis."""
     y = np.asarray(y)
-    w = _simpson_weights(y.shape[axis], h)
-    shape = [1] * y.ndim
-    shape[axis] = -1
-    return np.sum(y * w.reshape(shape), axis=axis)
+    w = _simpson_weights(y.shape[0], h)
+    return np.sum(y * w.reshape((-1,) + (1,) * (y.ndim - 1)), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +512,7 @@ class SampledFunction:
         if not 0 <= j <= MAX_DEGREE:
             raise PreconditionError(f"moment order must satisfy 0 <= j <= {MAX_DEGREE}, got {j}")
         if j not in self._moments:
-            m = simpson_sum(self.values * (self._grid**j)[:, None], self.h, axis=0)
+            m = simpson_sum(self.values * (self._grid**j)[:, None], self.h)
             m.flags.writeable = False
             self._moments[j] = m
         return self._moments[j]
@@ -1059,7 +1057,7 @@ def inner_product(
     _, xs = dyadic_grid(lo, hi, level)
     fv = f.evaluate(xs)
     gv = g.evaluate(xs - shift)
-    return simpson_sum(np.einsum("na,nb->nab", fv, gv), 2.0**-level, axis=0)
+    return simpson_sum(np.einsum("na,nb->nab", fv, gv), 2.0**-level)
 
 
 def _pp_inner(f: PiecewisePoly, g: PiecewisePoly, shift: float) -> np.ndarray:

@@ -140,7 +140,7 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
     x *= 2.0**-level
     work *= x
     del x
-    return float(simpson_sum(work[:, None], 2.0**-level, axis=0)[0])
+    return float(simpson_sum(work[:, None], 2.0**-level)[0])
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,11 @@ class BracketResult:
     hypotheses_met: bool
 
 
-def bracket_second_deriv(pair: QuasiProjectionPair, tol: float = 1e-8) -> BracketResult:
+def bracket_second_deriv(pair: QuasiProjectionPair) -> BracketResult:
     """[conj(phihat)^T phitildehat]''(0) from exact moments.
 
-    When the swapped pair reproduces degree <= 1 (hypotheses_met), this equals
+    When the swapped pair reproduces degree <= 1 (hypotheses_met: both
+    reproduction residuals below 1e-8 on the level-9 grid), this equals
     minus the first-moment identity value and a zero bracket is the boundary
     between overshoot and no overshoot at the origin.
     """
@@ -164,7 +165,7 @@ def bracket_second_deriv(pair: QuasiProjectionPair, tol: float = 1e-8) -> Bracke
     t0, t1, t2 = (fhat_deriv0(pair.phi_tilde, j) for j in range(3))
     val = np.conj(p2) @ t0 + 2.0 * (np.conj(p1) @ t1) + np.conj(p0) @ t2
     swapped = poly_reproduction(pair.swapped(), 2, GridSpec(9))
-    met = all(r < tol for r in swapped.values())
+    met = all(r < 1e-8 for r in swapped.values())
     return BracketResult(float(val.real), met)
 
 
@@ -469,13 +470,15 @@ def gibbs_at_point(
     )
 
 
-def nonneg_sufficient(pair: QuasiProjectionPair, tol: float = 1e-9) -> dict:
+def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
     """The two checkable sufficient conditions for no overshoot at the origin.
 
     item_i : primal nonnegative and every integer-split half-line integral of
              the dual nonnegative (both sides, all integer split points);
-    item_ii: both functions nonnegative pointwise.
+    item_ii: both functions nonnegative pointwise;
+    "nonnegative" allows values down to -1e-9.
     """
+    tol = 1e-9
     phi_nonneg = _grid_min(pair.phi) >= -tol
     tlo, thi = pair.phi_tilde.support
     splits = range(int(math.floor(tlo)), int(math.ceil(thi)) + 1)

@@ -229,7 +229,7 @@ def _dual_pairings(
     tvals = pt.evaluate(us)
     for i, k in enumerate(ks):
         fv = _signal_values(f, (us + k - t) * 2.0**-n)
-        out[i] = simpson_sum(fv[:, None] * tvals, 2.0**-level, axis=0)
+        out[i] = simpson_sum(fv[:, None] * tvals, 2.0**-level)
     return out
 
 
@@ -370,14 +370,15 @@ def apply(
     return SampledFunction(grid.level, i0, acc[:, None])
 
 
-def check_qp1(pair: QuasiProjectionPair, level: int = 10, tol: float = 1e-9) -> dict:
-    """Verify the two conditions equivalent to Q1 = 1.
+def check_qp1(pair: QuasiProjectionPair) -> dict:
+    """Verify the two conditions equivalent to Q1 = 1, each to within 1e-9.
 
     The zero-frequency condition conj(phi_tilde_hat(0))^T phi_hat(0) = 1 is
     checked exactly from moments; the remaining frequencies are checked in the
     time domain as constancy of sum_k conj(phi_tilde_hat(0))^T phi(x-k) over
-    one period, summed from the pair's phi table.
+    one period, summed from the pair's level-10 phi table.
     """
+    level, tol = 10, 1e-9
     mass = pair.phi_tilde.moment(0)
     norm_residual = abs(mass @ pair.phi.moment(0) - 1.0)
     acc = _synthesis(pair.phi_table(level), 0, 2**level, 1, 0, mass[None, :])
@@ -392,14 +393,14 @@ def kernel_criterion(
     pair: QuasiProjectionPair,
     window: float | None = None,
     level: int = 12,
-    tol: float = 1e-9,
 ) -> dict:
     """Half-line kernel test for absence of overshoot at the origin.
 
     G(x) = integral_0^inf K(x, y) dy = sum_k conj(T(-k))^T phi(x-k) with T the
     right-tail integral of phi_tilde.  No overshoot at 0 iff G <= 1 for x > 0
-    and G >= 0 for x < 0 (the identities are exact beyond the window).
-    Refuses a ``window`` that is not finite and positive.
+    and G >= 0 for x < 0 (the identities are exact beyond the window); "ok"
+    allows each a violation of 1e-9.  Refuses a ``window`` that is not finite
+    and positive.
     """
     N = pair.support_bound
     W = float(window) if window is not None else 2.0 * N + 1.0
@@ -423,7 +424,7 @@ def kernel_criterion(
         idx = int(np.argmax(-G[~pos]))
         worst_x, worst_value = float(xs[~pos][idx]), float(G[~pos][idx])
     return {
-        "ok": bool(max(viol_pos, viol_neg) <= tol),
+        "ok": bool(max(viol_pos, viol_neg) <= 1e-9),
         "worst_x": worst_x,
         "worst_value": worst_value,
     }
@@ -466,22 +467,21 @@ def approximation_rate(
     f,
     n_range=range(2, 8),
     level: int = 12,
-    window: tuple[float, float] = (-4.0, 4.0),
 ) -> float:
-    """Empirical L2 decay exponent: fit of -log2 ||Q_n f - f|| against n.
+    """Empirical L2 decay exponent: fit of -log2 ||Q_n f - f|| on [-4, 4]
+    against n.
 
     An L2 error at rounding level (<= 1e-12, as when Q reproduces f) has no
     decay to fit and is refused.
     """
-    lo, hi = window
-    grid = GridSpec(level, lo, hi)
+    grid = GridSpec(level, -4.0, 4.0)
     errs = []
     ns = list(n_range)
     for n in ns:
         sf = apply(pair, f, n, 0.0, grid)
         xs = sf.xs()
         diff = sf.values[:, 0] - _signal_values(f, xs)
-        err = math.sqrt(simpson_sum(np.abs(diff)[:, None] ** 2, 2.0**-level, axis=0)[0])
+        err = math.sqrt(simpson_sum(np.abs(diff)[:, None] ** 2, 2.0**-level)[0])
         if err <= 1e-12:
             raise PreconditionError(f"L2 error {err:.3g} at n = {n} is at rounding level: no rate to fit")
         errs.append(err)

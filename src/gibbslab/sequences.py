@@ -297,10 +297,10 @@ class TailSums:
     closed1: np.ndarray
 
 
-def tail_convolve_sums(c: SignLikeSeq, d: MatrixSeq, tol: float = 1e-12) -> TailSums:
+def tail_convolve_sums(c: SignLikeSeq, d: MatrixSeq) -> TailSums:
     """Convolve a sign-tailed sequence with ``d`` and sum the result two ways.
 
-    Requires ``dhat(0) = 0`` (within ``tol``); otherwise ``c * d`` has
+    Requires ``dhat(0) = 0`` (within 1e-12); otherwise ``c * d`` has
     non-decaying tails and the sums diverge.
     """
     pc, rc = c.shape
@@ -310,7 +310,7 @@ def tail_convolve_sums(c: SignLikeSeq, d: MatrixSeq, tol: float = 1e-12) -> Tail
             f"inner dimensions must match: c has shape {c.shape}, d has shape {d.shape}"
         )
     dhat0 = fourier_deriv(d, 0)
-    if np.max(np.abs(dhat0)) > tol:
+    if np.max(np.abs(dhat0)) > 1e-12:
         raise PreconditionError(
             f"dhat(0) must vanish for summable tails; |dhat(0)| = {np.max(np.abs(dhat0)):.3e}"
         )
