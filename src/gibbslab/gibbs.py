@@ -174,7 +174,9 @@ def bracket_second_deriv(pair: QuasiProjectionPair) -> BracketResult:
 
 def _sgn_expansion(pair: QuasiProjectionPair, t: float, level: int):
     """[Q_{0,t} sgn] sampled at ``level`` on a window holding its whole
-    interaction zone."""
+    interaction zone; a non-finite ``t`` is refused before the window is sized."""
+    if not math.isfinite(t):
+        raise PreconditionError(f"shift t must be finite, got {t!r}")
     W = 2 * pair.support_bound + 3 + int(math.ceil(abs(t)))
     return apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
 
@@ -321,14 +323,14 @@ def overshoot_curve(
     num_t: int = 64,
     level: int = 12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample t -> (R(t), L(t)) on ``num_t >= 1`` uniform shifts of [0, 1),
-    each as in :func:`overshoot`.  On-grid shifts are summed in one batched
-    pass and the worst one is re-derived from its own expansion
-    (:func:`_sweep`)."""
+    """Sample t -> (R(t), L(t)) on ``num_t`` uniform shifts of [0, 1), an
+    integer ``num_t >= 1``, each as in :func:`overshoot`.  On-grid shifts are
+    summed in one batched pass and the worst one is re-derived from its own
+    expansion (:func:`_sweep`)."""
     check_level(level)
-    if num_t < 1:
-        raise PreconditionError(f"num_t must be >= 1, got {num_t!r}")
-    ts = np.arange(num_t) / num_t
+    if not (num_t >= 1 and float(num_t).is_integer()):
+        raise PreconditionError(f"num_t must be an integer >= 1, got {num_t!r}")
+    ts = np.arange(int(num_t)) / int(num_t)
     R, L = _sweep(pair, ts, level)
     return ts, R, L
 
@@ -414,23 +416,25 @@ def gibbs_at_point(
     x0 is an exact rational (Fraction/int/str "p/q") or the marker
     "irrational".  The limiting overshoot is the extreme of R/L over the
     cluster set of the doubling orbit of x0; for the irrational marker the
-    cluster set is the whole interval and is swept on a uniform grid, which
-    can certify overshoot but never its absence (verdict stays one-sided).
-    A cycle longer than the ``2^level`` distinct shifts of the grid at
-    ``level`` is refused.  The shifts are swept by :func:`_sweep`: the
-    irrational grid in one batched pass whose ``worst_shift`` is re-derived
-    from its own expansion, off-grid cluster points (such as 1/3 and 2/3) and
-    a lone shift each from their own expansion.
+    cluster set is the whole interval and is swept on a uniform grid of
+    ``irrational_density`` shifts (an integer >= 1), which can certify
+    overshoot but never its absence (verdict stays one-sided).  A cycle
+    longer than the ``2^level`` distinct shifts of the grid at ``level`` is
+    refused.  The shifts are swept by :func:`_sweep`: the irrational grid in
+    one batched pass whose ``worst_shift`` is re-derived from its own
+    expansion, off-grid cluster points (such as 1/3 and 2/3) and a lone shift
+    each from their own expansion.
     """
     check_level(level)
-    if not (math.isfinite(tol) and tol >= 0 and irrational_density >= 1):
+    density_ok = irrational_density >= 1 and float(irrational_density).is_integer()
+    if not (math.isfinite(tol) and tol >= 0 and density_ok):
         raise PreconditionError(
-            f"tol must be finite and >= 0, irrational_density >= 1; got {tol!r}, {irrational_density!r}"
+            f"tol must be finite and >= 0, irrational_density an integer >= 1; got {tol!r}, {irrational_density!r}"
         )
     _require_qp1(pair)
     irrational = isinstance(x0, str) and x0.strip().lower() == "irrational"
     if irrational:
-        shifts = [i / irrational_density for i in range(irrational_density)]
+        shifts = [i / irrational_density for i in range(int(irrational_density))]
         cs = FULL_INTERVAL
     else:
         most = 2**level

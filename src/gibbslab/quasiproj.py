@@ -399,9 +399,10 @@ def kernel_criterion(
     G(x) = integral_0^inf K(x, y) dy = sum_k conj(T(-k))^T phi(x-k) with T the
     right-tail integral of phi_tilde.  No overshoot at 0 iff G <= 1 for x > 0
     and G >= 0 for x < 0 (the identities are exact beyond the window); "ok"
-    allows each a violation of 1e-9.  Refuses a ``window`` that is not finite
-    and positive.
+    allows each a violation of 1e-9.  Refuses a ``level`` outside
+    ``1..MAX_LEVEL`` and a ``window`` that is not finite and positive.
     """
+    check_level(level)
     N = pair.support_bound
     W = float(window) if window is not None else 2.0 * N + 1.0
     if not (math.isfinite(W) and W > 0.0):
@@ -471,12 +472,15 @@ def approximation_rate(
     """Empirical L2 decay exponent: fit of -log2 ||Q_n f - f|| on [-4, 4]
     against n.
 
-    An L2 error at rounding level (<= 1e-12, as when Q reproduces f) has no
-    decay to fit and is refused.
+    Fewer than two distinct levels ``n`` leave no line to fit, and an L2 error
+    at rounding level (<= 1e-12, as when Q reproduces f) has no decay to fit;
+    both are refused.
     """
+    ns = list(n_range)
+    if len(set(ns)) < 2:
+        raise PreconditionError(f"a rate needs at least two distinct levels n, got {ns!r}")
     grid = GridSpec(level, -4.0, 4.0)
     errs = []
-    ns = list(n_range)
     for n in ns:
         sf = apply(pair, f, n, 0.0, grid)
         xs = sf.xs()

@@ -45,7 +45,7 @@ from gibbslab.gibbs import (
     overshoot,
     overshoot_curve,
 )
-from gibbslab.quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply
+from gibbslab.quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, approximation_rate, kernel_criterion
 
 from strategies import spline_like_mask
 
@@ -601,6 +601,48 @@ def test_gibbs_at_point_refuses_a_cycle_longer_than_the_grid(d3):
     assert len(gibbs_at_point(d3, Fraction(1, 5), level=2).cluster_set) == 4
     with pytest.raises(PreconditionError, match="irrational"):
         gibbs_at_point(d3, "1/1000003")
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [lambda pair, t: overshoot(pair, t), lambda pair, t: identity_lhs(pair, 12, t)],
+    ids=["overshoot", "identity_lhs"],
+)
+def test_sign_expansions_refuse_a_non_finite_shift(b2, call, t):
+    """Refused before the window is sized from ceil(|t|), which raised
+    ValueError for NaN and OverflowError for an infinite t."""
+    with pytest.raises(PreconditionError, match="finite"):
+        call(b2, t)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda pair: kernel_criterion(pair, level=0), "level"),
+        (lambda pair: kernel_criterion(pair, level=17), "level"),
+        (lambda pair: approximation_rate(pair, Sgn(0.25), []), "two distinct levels"),
+        (lambda pair: approximation_rate(pair, Sgn(0.25), range(2, 3)), "two distinct levels"),
+        (lambda pair: approximation_rate(pair, Sgn(0.25), [3, 3]), "two distinct levels"),
+        (lambda pair: overshoot_curve(pair, num_t=2.5), "num_t"),
+        (lambda pair: gibbs_at_point(pair, "irrational", irrational_density=2.5), "irrational_density"),
+    ],
+    ids=[
+        "kernel_criterion-level-0",
+        "kernel_criterion-level-17",
+        "approximation_rate-no-level",
+        "approximation_rate-one-level",
+        "approximation_rate-one-distinct-level",
+        "overshoot_curve-fractional-num_t",
+        "gibbs_at_point-fractional-density",
+    ],
+)
+def test_inputs_past_the_range_checks_are_refused(b2, call, match):
+    """Each of these ran at a level outside 1..16, fitted a slope to fewer
+    than two levels, swept a non-uniform grid of shifts or ended in a
+    TypeError."""
+    with pytest.raises(PreconditionError, match=match):
+        call(b2)
 
 
 def test_report_json_shape(d3):
