@@ -270,12 +270,13 @@ def truncated_expansion(df: DualFramelet, f, n: int = 0, grid: GridSpec | None =
 
 
 def cascade_identity_check(df: DualFramelet, f, g, n: int = 1) -> float:
-    """Residual of the two-level balance, each inner product not computed
-    exactly taken by quadrature on the level-10 grid:
+    """Residual of the two-level balance
 
     sum_k <f, phitilde_{n-1;k}><phi_{n-1;k}, g>
       + sum_k <f, psitilde_{n-1;k}><psi_{n-1;k}, g>
       = sum_k <f, phitilde_{n;k}><phi_{n;k}, g>.
+
+    Inner products that are not exact are Simpson sums on the level-10 grid.
     """
     def layer(hf, ht, j):
         lo_f = min(_support_of(f)[0], _support_of(g)[0])
