@@ -3,9 +3,12 @@
 Verdicts are printed to stdout as JSON with sorted keys (identical invocations
 produce byte-identical output); sampled data goes to ``--out`` as CSV with
 fixed columns, ``x,value`` for functions and ``t,R,L`` for overshoot curves.
-Both are written in chunks of at most ``2^16`` values' text, so a long
-expansion never exists as one string; every refusal happens before the
-first byte, so a refused command prints nothing to stdout.
+The long parts, the JSON's top-level float arrays (``expand``'s ``values``,
+``overshoot-curve``'s ``t``, ``R`` and ``L``) and the CSV rows, are written
+in chunks of at most ``2^16`` values' text, so a long expansion never exists
+as one string; every other JSON value is one ``json.dumps`` call.  Every
+refusal happens before the first byte, so a refused command prints nothing
+to stdout.
 
 Exit codes: 0 success, 2 rejected input or violated precondition, 1 internal
 failure.  Function and pair specifiers are either builtin names (``haar``,
@@ -13,7 +16,8 @@ failure.  Function and pair specifiers are either builtin names (``haar``,
 library itself writes; a specifier naming an existing file is read as a file.
 
 Each subcommand takes ``--level`` (default 12) and only the flags it reads;
-any other flag is a usage error (exit 2):
+``--level`` and the pair flags (``--pair``, ``--phi``, ``--phi-tilde``) are
+declared once, in parent parsers.  Any other flag is a usage error (exit 2):
 
 - ``analyze-pair``: ``--pair`` or ``--phi`` with ``--phi-tilde``
 - ``gibbs-point``: the pair flags, ``--x0``, ``--tol``
@@ -33,7 +37,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -114,56 +117,35 @@ def _text_chunks(columns, open_: str, cell_sep: str, close: str, row_sep: str):
         yield row_sep.join(rows)
 
 
-def _float_array(obj) -> np.ndarray | None:
-    """``obj`` as a finite float64 array of one or two nonempty dimensions,
-    when it is one or is a list of floats or of equal-length float lists;
-    None for any other value, or when a value is not finite (json spells
-    those NaN and Infinity)."""
-    if type(obj) is list:
-        kinds = set(map(type, obj))
-        if kinds == {list} and len(set(map(len, obj))) == 1:
-            kinds = set(map(type, chain.from_iterable(obj)))
-        if kinds != {float}:
-            return None
-        obj = np.array(obj)
-    if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size or not np.isfinite(obj).all():
-        return None
-    return obj
-
-
-def _pieces(obj, pad: str = ""):
+def _pieces(obj):
     """The text of ``json.dumps(obj, sort_keys=True, indent=2,
-    default=_json_leaf)`` at indent ``pad``, byte for byte, as pieces of at
-    most one chunk's text each.  Dicts with string keys, lists and arrays are
-    written here, so that long float arrays go through :func:`_text_chunks`
-    straight from the ndarray instead of the pure-Python encoder, which
-    ``indent`` forces, one value at a time; everything else is left to
-    ``json.dumps``."""
-    inner = pad + "  "
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        sep = "{\n" + inner
-        for k in sorted(obj):
-            yield sep + json.dumps(k) + ": "
-            yield from _pieces(obj[k], inner)
-            sep = ",\n" + inner
-        yield "\n" + pad + "}"
-    elif type(obj) is list and obj or isinstance(obj, np.ndarray) and obj.ndim and obj.size:
-        yield "[\n" + inner
-        arr = _float_array(obj)
-        if arr is None:
-            for i, v in enumerate(obj):
-                if i:
-                    yield ",\n" + inner
-                yield from _pieces(v, inner)
-        elif arr.ndim == 1:
-            yield from _text_chunks((arr,), "", "", "", ",\n" + inner)
+    default=_json_leaf)``, byte for byte, in pieces.  Only a nonempty dict
+    with string keys is split, one value at a time in key order: a value
+    that is a nonempty, finite float64 array of one or two dimensions
+    (``expand``'s ``values``, ``overshoot-curve``'s ``t``, ``R`` and ``L``)
+    goes through :func:`_text_chunks` straight from the ndarray, at most one
+    chunk's text per piece, instead of the pure-Python encoder that
+    ``indent`` forces.  Every other value, and every other document, is one
+    ``json.dumps`` call."""
+    if not (type(obj) is dict and obj and all(type(k) is str for k in obj)):
+        yield json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf)
+        return
+    sep = "{\n  "
+    for k in sorted(obj):
+        yield sep + json.dumps(k) + ": "
+        sep = ",\n  "
+        v = obj[k]
+        if isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim in (1, 2) and v.size and np.isfinite(v).all():
+            yield "[\n    "
+            if v.ndim == 1:
+                yield from _text_chunks((v,), "", "", "", ",\n    ")
+            else:
+                yield from _text_chunks((v,), "[\n      ", ",\n      ", "\n    ]", ",\n    ")
+            yield "\n  ]"
         else:
-            cell = inner + "  "
-            yield from _text_chunks((arr,), "[\n" + cell, ",\n" + cell, "\n" + inner + "]", ",\n" + inner)
-        yield "\n" + pad + "]"
-    else:
-        # json strings hold no raw newline, so each one starts an indented line
-        yield json.dumps(obj, sort_keys=True, indent=2, default=_json_leaf).replace("\n", "\n" + pad)
+            # json strings hold no raw newline, so each one starts an indented line
+            yield json.dumps(v, sort_keys=True, indent=2, default=_json_leaf).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def _dumps(obj) -> str:
@@ -385,44 +367,37 @@ def _cmd_bspline_table(args) -> None:
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_pair_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--pair", help="builtin name or pair JSON file")
-    sp.add_argument("--phi", help="builtin name or function JSON file")
-    sp.add_argument("--phi-tilde", dest="phi_tilde", help="builtin name or function JSON file")
-
-
 @cache
 def _build_parser() -> argparse.ArgumentParser:
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
+    pair = argparse.ArgumentParser(add_help=False, parents=[level])
+    pair.add_argument("--pair", help="builtin name or pair JSON file")
+    pair.add_argument("--phi", help="builtin name or function JSON file")
+    pair.add_argument("--phi-tilde", dest="phi_tilde", help="builtin name or function JSON file")
+
     p = argparse.ArgumentParser(
         prog="gibbslab",
         description="Quasi-projection expansions, overshoot analysis, dual construction.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze-pair", help="first-moment identity, bracket, accuracy order")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
-    _add_pair_flags(sp)
+    sub.add_parser("analyze-pair", parents=[pair], help="first-moment identity, bracket, accuracy order")
 
-    sp = sub.add_parser("gibbs-point", help="overshoot verdict at a jump location")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
-    _add_pair_flags(sp)
+    sp = sub.add_parser("gibbs-point", parents=[pair], help="overshoot verdict at a jump location")
     sp.add_argument("--x0", required=True, help="exact rational 'p/q' or 'irrational'")
     sp.add_argument("--tol", type=float, default=1e-3, help="R above 1 + tol or L below -1 - tol is Gibbs")
 
-    sp = sub.add_parser("construct-dual", help="build a nonnegative dual of prescribed order")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
+    sp = sub.add_parser("construct-dual", parents=[level], help="build a nonnegative dual of prescribed order")
     sp.add_argument("--phi", required=True, help="builtin name or function JSON file")
     sp.add_argument("--order", type=int, required=True, help="accuracy order to match")
     sp.add_argument("--knots", help="explicit knots 'a,b,...' (default equally spaced)")
 
-    sp = sub.add_parser("check-oep", help="verify the two filter-bank identities")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
+    sp = sub.add_parser("check-oep", parents=[level], help="verify the two filter-bank identities")
     sp.add_argument("bank", help=f"bank JSON file or builtin ({', '.join(bank_names())})")
     sp.add_argument("--tol", type=float, default=1e-12, help="largest residual that passes")
 
-    sp = sub.add_parser("expand", help="sample a truncated expansion or quasi-projection")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
-    _add_pair_flags(sp)
+    sp = sub.add_parser("expand", parents=[pair], help="sample a truncated expansion or quasi-projection")
     sp.add_argument("--window", help="evaluation window 'lo,hi'")
     sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--bank", help="bank JSON file or builtin name")
@@ -430,14 +405,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", default="0/1", help="jump location for sgn (exact rational)")
     sp.add_argument("--n", type=int, default=0, help="expansion level")
 
-    sp = sub.add_parser("overshoot-curve", help="R(t), L(t) over one period of shifts")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
-    _add_pair_flags(sp)
+    sp = sub.add_parser("overshoot-curve", parents=[pair], help="R(t), L(t) over one period of shifts")
     sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--num-t", dest="num_t", type=int, default=64)
 
-    sp = sub.add_parser("bspline-table", help="identity/overshoot/dual table for B-splines")
-    sp.add_argument("--level", type=int, default=12, help="dyadic grid level (1..16)")
+    sp = sub.add_parser("bspline-table", parents=[level], help="identity/overshoot/dual table for B-splines")
     sp.add_argument("--max-order", dest="max_order", type=int, default=4)
 
     return p
