@@ -334,12 +334,15 @@ def apply(
     as 1/3, whose samples ``phi(fl(j 2^-level + delta))`` may differ in the
     last bit from ``phi(fl(fl(2^n x + t) - k))``.
     """
-    if n < 0 or n != int(n):
+    if not 0 <= n < math.inf or n != int(n):
         raise PreconditionError(f"level n must be a nonnegative integer, got {n}")
     n = int(n)
     if not math.isfinite(t) or (isinstance(f, Sgn) and not math.isfinite(f.x0)):
         raise PreconditionError(f"shift t and jump x0 must be finite, got t={t!r}, f={f!r}")
     grid = grid or GridSpec()
+    limit = 2.0 ** (53 - grid.level)
+    if abs(t) >= limit:  # before any window arithmetic, which a huge t overflows
+        raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
     N = pair.support_bound
     if isinstance(f, Sgn):
         margin = (2 * N + 3) * 2.0**-n
@@ -358,7 +361,7 @@ def apply(
             )
 
     zlo, zhi = (2.0**n) * (i0 * h) + t, (2.0**n) * (i1 * h) + t
-    if max(-zlo, zhi, abs(t)) >= 2.0 ** (53 - grid.level):
+    if max(-zlo, zhi) >= limit:
         raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
     plo, phi_hi = pair.phi.support
     klo = int(math.floor(zlo - phi_hi))

@@ -617,6 +617,19 @@ def test_sign_expansions_refuse_a_non_finite_shift(b2, call, t):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [lambda pair: overshoot(pair, 1e308), lambda pair: identity_lhs(pair, 12, 1e308)],
+    ids=["overshoot", "identity_lhs"],
+)
+def test_a_huge_finite_shift_is_refused_before_the_window_is_sized(b2, call):
+    """A window sized from ceil(1e308) overflowed in ``dyadic_bounds``; the
+    shift is now held to the exact-grid bound first, as t = 1e300 already
+    was."""
+    with pytest.raises(PreconditionError, match=r"window reaches 2\^41"):
+        call(b2)
+
+
+@pytest.mark.parametrize(
     "call,match",
     [
         (lambda pair: kernel_criterion(pair, level=0), "level"),

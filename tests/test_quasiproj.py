@@ -308,6 +308,19 @@ def test_apply_refuses_a_window_past_exact_grid_points(d3):
         apply(d3, Monomial(0), 0, 0.0, GridSpec(12, 2.0**41 - 1, 2.0**41))
 
 
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [lambda pair, n: apply(pair, Sgn(0.25), n), lambda pair, n: approximation_rate(pair, Sgn(0.25), [2, n])],
+    ids=["apply", "approximation_rate"],
+)
+def test_a_non_finite_level_n_is_refused(b2, call, n):
+    """``n != int(n)`` raised ValueError for NaN and OverflowError for an
+    infinite n; the range test now refuses them first."""
+    with pytest.raises(PreconditionError, match="level n must be a nonnegative integer"):
+        call(b2, n)
+
+
 @pytest.mark.parametrize(
     "f,digest",
     [
