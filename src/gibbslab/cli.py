@@ -148,11 +148,6 @@ def _pieces(obj):
     yield "\n}"
 
 
-def _dumps(obj) -> str:
-    """All of :func:`_pieces` as one string."""
-    return "".join(_pieces(obj))
-
-
 def _emit(obj) -> None:
     """Write ``obj`` and a newline to stdout piece by piece; a handler calls
     this only once its answer is complete, so a refused command writes
@@ -163,22 +158,22 @@ def _emit(obj) -> None:
     write("\n")
 
 
-def _read_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _from_spec(spec: str, from_json, builtin):
+    """``from_json`` of the JSON document in the file ``spec`` names, or
+    ``builtin(spec)`` when no such file exists."""
+    if os.path.exists(spec):
+        with open(spec, encoding="utf-8") as fh:
+            return from_json(json.load(fh))
+    return builtin(spec)
 
 
 def _function_from_spec(spec: str, level: int):
-    if os.path.exists(spec):
-        return function_from_json_dict(_read_json(spec))
-    return resolve_function(spec, level)
+    return _from_spec(spec, function_from_json_dict, lambda name: resolve_function(name, level))
 
 
 def _pair_from_args(args) -> QuasiProjectionPair:
     if args.pair:
-        if os.path.exists(args.pair):
-            return QuasiProjectionPair.from_json_dict(_read_json(args.pair))
-        return resolve_pair(args.pair, args.level)
+        return _from_spec(args.pair, QuasiProjectionPair.from_json_dict, lambda name: resolve_pair(name, args.level))
     if args.phi and args.phi_tilde:
         return QuasiProjectionPair(
             _function_from_spec(args.phi, args.level), _function_from_spec(args.phi_tilde, args.level)
@@ -278,18 +273,12 @@ def _cmd_construct_dual(args) -> None:
 
 
 def _cmd_check_oep(args) -> None:
-    spec = args.bank
-    if os.path.exists(spec):
-        bank = FilterBank.from_json_dict(_read_json(spec))
-    else:
-        bank = resolve_bank(spec)
-    _emit(oep_check(bank, tol=args.tol))
+    _emit(oep_check(_from_spec(args.bank, FilterBank.from_json_dict, resolve_bank), tol=args.tol))
 
 
 def _framelet_from_args(args):
-    spec = args.bank
-    if os.path.exists(spec):
-        bank = FilterBank.from_json_dict(_read_json(spec))
+    def from_json(d):
+        bank = FilterBank.from_json_dict(d)
         if not (args.phi and args.phi_tilde):
             raise PreconditionError("bank files need --phi and --phi-tilde to attach functions")
         return derive_wavelets(
@@ -297,7 +286,8 @@ def _framelet_from_args(args):
             _function_from_spec(args.phi, args.level),
             _function_from_spec(args.phi_tilde, args.level),
         )
-    return resolve_framelet(spec, args.level)
+
+    return _from_spec(args.bank, from_json, lambda name: resolve_framelet(name, args.level))
 
 
 def _cmd_expand(args) -> None:
@@ -347,8 +337,9 @@ def _cmd_overshoot_curve(args) -> None:
 def _cmd_bspline_table(args) -> None:
     rows = []
     for m in range(1, args.max_order + 1):
-        pair = QuasiProjectionPair(bspline(m), bspline(m))
-        construction = build_dual(bspline(m), m)
+        b = bspline(m)
+        pair = QuasiProjectionPair(b, b)
+        construction = build_dual(b, m)
         rows.append(
             {
                 "m": m,

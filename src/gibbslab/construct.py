@@ -210,8 +210,7 @@ def optimality_witness(obj) -> dict:
     for k in range(-3, 4):
         if k == 0:
             continue
-        val = pt.fourier(2.0 * math.pi * k, deriv=1)
-        values[k] = complex(val[0] if np.ndim(val) else val)
+        values[k] = complex(pt.fourier(2.0 * math.pi * k, deriv=1)[0])
     worst_k = max(values, key=lambda k: abs(values[k]))
     return {
         "applicable": True,

@@ -32,19 +32,16 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, PreconditionError
 from .funcmodel import (
-    _MAX_SAMPLE_JUMP,
     FunctionHandle,
     PiecewisePoly,
-    RefinableFunction,
     SampledFunction,
-    _continuity_defect,
     _grid_level,
-    _grid_min,
+    _grid_nonneg,
+    _sample_jump,
     _support_samples,
     _tap_sum,
     dyadic_bounds,
     fhat_deriv0,
-    simpson_sum,
 )
 from .gibbs import bracket_second_deriv, overshoot
 from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
@@ -316,7 +313,7 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
     vmo_psi_tilde = _first_moment_above_tol(lambda j: filter_moments(df.bank.b_tilde, df.phi_tilde, j))
     report = {"vmo_psi": vmo_psi, "vmo_psi_tilde": vmo_psi_tilde}
 
-    if vmo_psi >= 2 and vmo_psi_tilde >= 1 and _continuity_defect(df.phi) <= _MAX_SAMPLE_JUMP:
+    if vmo_psi >= 2 and vmo_psi_tilde >= 1 and _sample_jump(df.phi) is None:
         res = bracket_second_deriv(df.mathring_pair)
         if abs(res.value) > 1e-6:
             raise ConvergenceError(
@@ -325,7 +322,7 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
             )
         report.update(verdict="gibbs-everywhere", bracket=res.value)
         return report
-    if _grid_min(df.phi) >= -1e-9 and _grid_min(df.mathring_pair.phi_tilde) >= -1e-9:
+    if _grid_nonneg(df.phi) and _grid_nonneg(df.mathring_pair.phi_tilde):
         report.update(
             verdict="no-gibbs-at-origin",
             single_moment_pair=bool(vmo_psi == 1 and vmo_psi_tilde == 1),
@@ -338,25 +335,13 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
     return report
 
 
-def _fhat_at(f: FunctionHandle, xi: float) -> np.ndarray:
-    """phihat(xi); for refinable inputs the mask product over 30 factors."""
-    if isinstance(f, RefinableFunction):
-        acc = f.normalization.astype(np.complex128)
-        for j in range(30, 0, -1):
-            acc = fourier_deriv(f.mask, 0, xi * 2.0**-j) @ acc
-        return acc
-    if isinstance(f, PiecewisePoly):
-        return np.atleast_1d(f.fourier(xi))
-    xs = f.xs()
-    return simpson_sum(f.values * np.exp(-1j * xi * xs)[:, None], f.h)
-
-
 def symbol_deviation_slope(pair: QuasiProjectionPair) -> float:
     """Log-log decay rate of |conj(phihat)^T phitildehat - 1| over xi = 2^-2..2^-8."""
     xis = 2.0 ** -np.arange(2, 9, dtype=np.float64)
     devs = []
     for xi in xis:
-        val = np.conj(_fhat_at(pair.phi, xi)) @ _fhat_at(pair.phi_tilde, xi)
-        devs.append(max(abs(val - 1.0), 1e-300))
+        ph = pair.phi.fourier(xi)
+        pt = ph if pair.phi_tilde is pair.phi else pair.phi_tilde.fourier(xi)
+        devs.append(max(abs(np.conj(ph) @ pt - 1.0), 1e-300))
     slope = np.polyfit(np.log2(xis), np.log2(devs), 1)[0]
     return float(slope)

@@ -1,7 +1,7 @@
 """Models of compactly supported functions on the real line.
 
 Three representations share one informal interface (``support``,
-``ncomponents``, ``evaluate``, ``moment``, ``cumulative``):
+``ncomponents``, ``evaluate``, ``moment``, ``cumulative``, ``fourier``):
 
 - :class:`PiecewisePoly` — exact piecewise polynomials (B-splines, constructed
   duals, wavelets built from them).  All integrals, moments, products and
@@ -529,6 +529,10 @@ class SampledFunction:
         cum = self._cumulative
         return _interp_columns(s, self._grid, cum, cum[-1])
 
+    def fourier(self, xi: float) -> np.ndarray:
+        """fhat(xi) per component by composite Simpson over the samples."""
+        return simpson_sum(self.values * np.exp(-1j * xi * self._grid)[:, None], self.h)
+
     def to_json_dict(self) -> dict:
         return self._json_dict(self.values.tolist())
 
@@ -871,6 +875,13 @@ class RefinableFunction:
         # a copy: the strided view of the real parts would sum in another order
         return ((1j) ** j * self._fhat_deriv0(j)).real.copy()
 
+    def fourier(self, xi: float) -> np.ndarray:
+        """phihat(xi): the mask symbols at xi 2^-j, j = 30..1, applied to phihat(0)."""
+        acc = self.normalization.astype(np.complex128)
+        for j in range(30, 0, -1):
+            acc = fourier_deriv(self.mask, 0, xi * 2.0**-j) @ acc
+        return acc
+
     # -- exact cumulative integral ------------------------------------------
 
     @cached_property
@@ -1021,6 +1032,11 @@ def _grid_min(f: FunctionHandle) -> float:
     return float(np.min(_support_samples(f, 10)[1]))
 
 
+def _grid_nonneg(f: FunctionHandle) -> bool:
+    """True when no :func:`_grid_min` sample is below -1e-9: ``f`` reads as nonnegative."""
+    return _grid_min(f) >= -1e-9
+
+
 _MAX_SAMPLE_JUMP = 0.05  # a larger _continuity_defect reads as a jump: not continuous
 
 
@@ -1029,6 +1045,12 @@ def _continuity_defect(f: FunctionHandle) -> float:
     including the steps onto and off the support (f is zero past the grid)."""
     vals = np.pad(_support_samples(f, 10)[1], ((1, 1), (0, 0)))
     return float(np.max(np.abs(np.diff(vals, axis=0))))
+
+
+def _sample_jump(f: FunctionHandle) -> float | None:
+    """None when ``f`` reads as continuous, else its :func:`_continuity_defect`."""
+    defect = _continuity_defect(f)
+    return None if defect <= _MAX_SAMPLE_JUMP else defect
 
 
 def _grid_level(*fs) -> int:

@@ -30,10 +30,9 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .funcmodel import (
-    _MAX_SAMPLE_JUMP,
     FunctionHandle,
-    _continuity_defect,
-    _grid_min,
+    _grid_nonneg,
+    _sample_jump,
     check_level,
     fhat_deriv0,
     halfline_integral,
@@ -446,11 +445,11 @@ def gibbs_at_point(
             raise PreconditionError(f'cycle of {x0} exceeds the {most} grid shifts; use "irrational"')
         shifts = [float(c) for c in cs]
     if cs == FULL_INTERVAL or cs != [Fraction(0)]:
-        defect = _continuity_defect(pair.phi)
-        if defect > _MAX_SAMPLE_JUMP:
+        jump = _sample_jump(pair.phi)
+        if jump is not None:
             raise PreconditionError(
                 "cluster-set analysis away from dyadic points needs a continuous "
-                f"primal function; sample jump {defect:.3g} found"
+                f"primal function; sample jump {jump:.3g} found"
             )
 
     Rs, Ls = _sweep(pair, shifts, level)
@@ -483,7 +482,7 @@ def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
     "nonnegative" allows values down to -1e-9.
     """
     tol = 1e-9
-    phi_nonneg = _grid_min(pair.phi) >= -tol
+    phi_nonneg = _grid_nonneg(pair.phi)
     tlo, thi = pair.phi_tilde.support
     splits = range(int(math.floor(tlo)), int(math.ceil(thi)) + 1)
     halves_ok = all(
@@ -492,5 +491,5 @@ def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
         for side in ("left", "right")
     )
     item_i = phi_nonneg and halves_ok
-    item_ii = phi_nonneg and _grid_min(pair.phi_tilde) >= -tol
+    item_ii = phi_nonneg and _grid_nonneg(pair.phi_tilde)
     return {"item_i": bool(item_i), "item_ii": bool(item_ii)}

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,8 +104,8 @@ class GridSpec:
 
 
 class QuasiProjectionPair:
-    """Immutable primal/dual pair with cached phi tables and support
-    bookkeeping; each member owns its moments.
+    """Immutable primal/dual pair with cached phi tables, QP1 residuals and
+    support bookkeeping; each member owns its moments and Fourier transform.
 
     ``support_bound`` is the smallest integer N with both supports inside
     [-N, N]; the operator applied to a jump signal differs from the signal
@@ -133,6 +134,14 @@ class QuasiProjectionPair:
         if level not in self._tables:
             self._tables[level] = _sample_table(self.phi, level)
         return self._tables[level]
+
+    @cached_property
+    def _qp1_residuals(self) -> tuple[float, float]:
+        """The normalization and constancy residuals of :func:`check_qp1`."""
+        mass = self.phi_tilde.moment(0)
+        norm_residual = abs(mass @ self.phi.moment(0) - 1.0)
+        acc = _synthesis(self.phi_table(10), 0, 2**10, 1, 0, mass[None, :])
+        return float(norm_residual), float(np.max(np.abs(acc - 1.0)))
 
     def swapped(self) -> "QuasiProjectionPair":
         """The dual-role pair: primal and dual functions exchanged."""
@@ -254,7 +263,7 @@ def _synthesis(
     ``i < count``, from the :func:`_sample_table` ``(m0, P)`` of ``f`` at
     ``level`` (polyphase; at phase ``delta``, ``f(g_i 2^-level + delta - k)``),
     with real ``coeff`` of shape ``(len, r)``.  The one sum of translates at one
-    scale: ``apply``, ``check_qp1``, ``kernel_criterion`` and
+    scale: ``apply``, ``check_qp1``'s residuals, ``kernel_criterion`` and
     ``construct.build_dual`` call it, and the shift sweep of ``gibbs`` reduces
     the rows of its core :func:`_window_sums` instead of gathering them.
     Two-scale sums ``sum_k a(k) f(2x - k)`` live in ``funcmodel`` (``_tap_sum``, ``_refine``).
@@ -340,9 +349,6 @@ def apply(
     if not math.isfinite(t) or (isinstance(f, Sgn) and not math.isfinite(f.x0)):
         raise PreconditionError(f"shift t and jump x0 must be finite, got t={t!r}, f={f!r}")
     grid = grid or GridSpec()
-    limit = 2.0 ** (53 - grid.level)
-    if abs(t) >= limit:  # before any window arithmetic, which a huge t overflows
-        raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
     N = pair.support_bound
     if isinstance(f, Sgn):
         margin = (2 * N + 3) * 2.0**-n
@@ -350,6 +356,10 @@ def apply(
     else:
         lo_default, hi_default = -(2 * N + 3), 2 * N + 3
     lo, hi = grid.window(lo_default, hi_default)
+    limit = 2.0 ** (53 - grid.level)
+    # before any window arithmetic, which a huge t or a window end with an infinite grid index overflows
+    if abs(t) >= limit or not math.isfinite(max(-lo, hi) * 2.0**grid.level):
+        raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
     i0, i1 = dyadic_bounds(lo, hi, grid.level)
     h = 2.0**-grid.level
     if isinstance(f, Sgn):
@@ -360,7 +370,8 @@ def apply(
                 f"interaction zone [{f.x0 - zone:g}, {f.x0 + zone:g}]"
             )
 
-    zlo, zhi = (2.0**n) * (i0 * h) + t, (2.0**n) * (i1 * h) + t
+    # 2.0**n overflows from n = 1024 on, where every window reaches past the limit
+    zlo, zhi = ((2.0**n) * (i0 * h) + t, (2.0**n) * (i1 * h) + t) if n < 1024 else (-math.inf, math.inf)
     if max(-zlo, zhi) >= limit:
         raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
     plo, phi_hi = pair.phi.support
@@ -379,16 +390,14 @@ def check_qp1(pair: QuasiProjectionPair) -> dict:
     The zero-frequency condition conj(phi_tilde_hat(0))^T phi_hat(0) = 1 is
     checked exactly from moments; the remaining frequencies are checked in the
     time domain as constancy of sum_k conj(phi_tilde_hat(0))^T phi(x-k) over
-    one period, summed from the pair's level-10 phi table.
+    one period, summed from the pair's level-10 phi table.  The pair computes
+    both residuals once and keeps them.
     """
-    level, tol = 10, 1e-9
-    mass = pair.phi_tilde.moment(0)
-    norm_residual = abs(mass @ pair.phi.moment(0) - 1.0)
-    acc = _synthesis(pair.phi_table(level), 0, 2**level, 1, 0, mass[None, :])
-    const_residual = float(np.max(np.abs(acc - 1.0)))
+    norm_residual, const_residual = pair._qp1_residuals
+    tol = 1e-9
     return {
         "ok": bool(norm_residual <= tol and const_residual <= tol),
-        "residuals": {"normalization": float(norm_residual), "constancy": const_residual},
+        "residuals": {"normalization": norm_residual, "constancy": const_residual},
     }
 
 

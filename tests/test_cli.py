@@ -241,6 +241,14 @@ def test_bad_window_exits_2(capsys):
         assert "window" in err
 
 
+@pytest.mark.parametrize("flag", ["--window=-1e308,1e308", "--n=1024"])
+def test_a_window_or_level_that_overflows_exits_2(capsys, flag):
+    """Both raised OverflowError inside ``apply`` and exited 1 with "internal
+    error"; both are refused before any output."""
+    code, out, err = run_cli(capsys, "expand", "--pair", "bspline:2", flag)
+    assert (code, out, err) == (2, "", "error: window reaches 2^41, beyond exact grid points\n")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_samples_exit_2(tmp_path, capsys, bad):
     """A sampled function file holding NaN or Infinity is refused on reading."""
@@ -321,6 +329,8 @@ def test_readme_commands_run(tmp_path, capsys):
         ("analyze-pair --pair daubechies:3", "0d4b1f731b1f97c9e1fe7d45d8a8065612fa6dc81098d3e308f10bb7e6b6fa3d"),
         ("bspline-table --max-order 4", "48f70dd2b95168fec29c8c10393aa1961ecf59cb35bc44959c9254a6402a72fa"),
         ("expand --bank daubechies:3 --n 3", "9dc344a1d9dbbb69be13d796d381d50d8b74c15ea86b523df1e64b20d0b408e2"),
+        ("analyze-pair --pair daubechies:2", "68231e5c27395f55167cbc7d48937f94f302ef53578d6d8e6210ca3225b3d264"),
+        ("analyze-pair --pair bspline:3", "5771aa76934cbf6b3f9ff03f31c937922d1c4a9b049fbd702cd4ed7da5d69884"),
     ],
 )
 def test_stdout_keeps_its_bytes(capsys, argv, digest):
@@ -329,7 +339,8 @@ def test_stdout_keeps_its_bytes(capsys, argv, digest):
     once (numpy 2.4 on x86-64); the off-grid ``2/7`` entry was recorded once
     off-grid shifts were summed from a phi table at their phase, and the last
     three before ``accuracy_order`` stopped at its first failing degree and
-    the writer formatted arrays without ``tolist()``."""
+    the writer formatted arrays without ``tolist()``; the two ``analyze-pair``
+    entries after them before each function model owned its ``fourier``."""
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -438,7 +449,7 @@ def test_expand_streams_in_bounded_pieces(monkeypatch):
     assert len(out.writes) > 1 and max(map(len, out.writes)) <= cli._CHUNK * 44
     sf = apply(resolve_pair("daubechies:3", 14), Sgn(0.0), 0, 0.0, GridSpec(14))
     assert sf.values.shape == (425985, 1)
-    assert "".join(out.writes) == cli._dumps(sf._json_dict(sf.values)) + "\n"
+    assert "".join(out.writes) == "".join(cli._pieces(sf._json_dict(sf.values))) + "\n"
     out.writes.clear()
     assert main(["expand", "--pair", "daubechies:3", "--window", "nan,1"]) == 2
     assert out.writes == []
@@ -547,4 +558,4 @@ def test_json_writer_matches_json_dumps(obj):
     shape (n,), (n, 1) and (n, 3), empty ones, int64, bool, float32 and
     complex), complex leaves, nested sorted keys and arrays longer than one
     chunk included."""
-    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2, default=cli._json_leaf)
+    assert "".join(cli._pieces(obj)) == json.dumps(obj, sort_keys=True, indent=2, default=cli._json_leaf)

@@ -21,6 +21,7 @@ from gibbslab.catalog import (
     daubechies_mask,
     resolve_bank,
     resolve_framelet,
+    resolve_function,
 )
 from gibbslab.errors import ConvergenceError, DimensionMismatchError, PreconditionError
 from gibbslab.framelet import (
@@ -35,7 +36,7 @@ from gibbslab.framelet import (
     truncated_expansion,
     vanishing_moments,
 )
-from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline
+from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, SampledFunction, bspline
 from gibbslab.quasiproj import GridSpec, Monomial, QuasiProjectionPair, apply
 from gibbslab.sequences import MatrixSeq
 
@@ -424,3 +425,46 @@ def test_symbol_deviation_orders_match_moment_structure():
     fast = symbol_deviation_slope(resolve_framelet("mixed13").pair())
     assert slow == pytest.approx(2.0, abs=0.05)
     assert fast > slow + 1.5
+
+
+_SLOPE_XIS = 2.0 ** -np.arange(2, 9, dtype=np.float64)  # the xi of symbol_deviation_slope
+
+
+@pytest.mark.parametrize(
+    "make,kind,digest",
+    [
+        (lambda: resolve_function("daubechies:3"), RefinableFunction, "237ee34f1814b3d24d5c9e249bb18921ad18a23267127f2d2d2b5dbb96a586d6"),
+        (lambda: resolve_framelet("daubechies:3").psi, SampledFunction, "175b658dcf8d0cf4d38691eea396b5884fd36feb3e298146b4586d90381f37b8"),
+        (lambda: bspline(3), PiecewisePoly, "c944eae7d8cb97acad984023064d7bf83937399aaa28b088f18024e6f5d456e2"),
+    ],
+    ids=["d3-mask-product", "d3-bank-psi-simpson", "b3-exact"],
+)
+def test_each_model_owns_its_fourier_transform(make, kind, digest):
+    """sha256 of ``fourier(xi)`` at the seven xi of ``symbol_deviation_slope``,
+    recorded when ``framelet`` computed the transforms itself (numpy 2.4 on
+    x86-64): the mask product, the Simpson sum and the exact piecewise
+    transform give the same bits from their models."""
+    f = make()
+    assert type(f) is kind
+    vals = np.array([f.fourier(xi) for xi in _SLOPE_XIS])
+    assert vals.shape == (7, 1) and vals.dtype == np.complex128
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
+
+
+def test_symbol_deviation_slope_transforms_a_self_pair_once_per_xi(monkeypatch):
+    """A pair whose dual is its primal takes 7 transforms, not 14; two equal
+    but distinct members take 14, and the slope keeps its bits."""
+    calls = []
+    real = PiecewisePoly.fourier
+
+    def spy(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(PiecewisePoly, "fourier", spy)
+    b3 = bspline(3)
+    once = symbol_deviation_slope(QuasiProjectionPair(b3, b3))
+    assert [xi for (xi,) in calls] == list(_SLOPE_XIS)
+    calls.clear()
+    twice = symbol_deviation_slope(QuasiProjectionPair(b3, bspline(3)))
+    assert len(calls) == 14 and repr(once) == repr(twice)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gibbslab import gibbs
+from gibbslab import gibbs, quasiproj
 from gibbslab.catalog import pair_fleet, resolve_pair
 from gibbslab.construct import build_dual
 from gibbslab.errors import ConvergenceError, PreconditionError
@@ -45,7 +45,15 @@ from gibbslab.gibbs import (
     overshoot,
     overshoot_curve,
 )
-from gibbslab.quasiproj import GridSpec, QuasiProjectionPair, Sgn, apply, approximation_rate, kernel_criterion
+from gibbslab.quasiproj import (
+    GridSpec,
+    QuasiProjectionPair,
+    Sgn,
+    apply,
+    approximation_rate,
+    check_qp1,
+    kernel_criterion,
+)
 
 from strategies import spline_like_mask
 
@@ -120,6 +128,31 @@ def test_identity_rhs_frozen(haar, b2, b3):
 def test_identity_rhs_flat_dual(b2):
     pair = QuasiProjectionPair(bspline(2), piecewise_constant_dual2())
     assert identity_rhs(pair) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["bspline:2", "daubechies:3"])
+def test_one_qp1_synthesis_per_pair(monkeypatch, spec):
+    """``check_qp1``, ``identity_rhs`` and ``gibbs_at_point`` read one
+    constant-reproduction report kept on the pair: its level-10 constancy sum
+    (2^10 points of the level-10 table) runs once, and a new pair runs its
+    own."""
+    calls = []
+    real = quasiproj._synthesis
+
+    def spy(table, g0, count, stride, klo, coeff):
+        if table[1].shape[1] == 2**10 and count == 2**10:
+            calls.append(coeff.shape)
+        return real(table, g0, count, stride, klo, coeff)
+
+    monkeypatch.setattr(quasiproj, "_synthesis", spy)
+    pair = resolve_pair(spec)
+    report = check_qp1(pair)
+    identity_rhs(pair)
+    gibbs_at_point(pair, "1/4")
+    assert check_qp1(pair) == report and report["ok"]
+    assert calls == [(1, 1)]
+    check_qp1(resolve_pair(spec))
+    assert len(calls) == 2
 
 
 def test_identity_rhs_needs_constant_reproduction():

@@ -321,6 +321,38 @@ def test_a_non_finite_level_n_is_refused(b2, call, n):
         call(b2, n)
 
 
+@pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-1.0, 1e308), (-1e308, -1e307), (-1e300, 1e300)])
+def test_a_window_without_finite_grid_indices_is_refused_before_it_is_sized(b2, lo, hi):
+    """``dyadic_bounds`` raised OverflowError on a window end whose grid index
+    ``lo 2^level`` or ``hi 2^level`` is infinite; such a window now gets the
+    refusal a far window with finite indices, such as ``[-1e300, 1e300]``,
+    already got."""
+    with pytest.raises(PreconditionError, match=r"window reaches 2\^41, beyond exact grid points"):
+        apply(b2, Monomial(0), 0, 0.0, GridSpec(12, lo, hi))
+
+
+def test_a_far_window_that_the_shift_brings_back_is_accepted(b2):
+    back = apply(b2, Monomial(0), 0, -(2.0**40), GridSpec(12, 2.0**40, 2.0**40 + 1))
+    assert back.values.shape == (4097, 1) and np.max(np.abs(back.values - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 5000])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pair, n: apply(pair, Sgn(0.25), n, 0.0, GridSpec(12, -4.0, 4.0)),
+        lambda pair, n: approximation_rate(pair, Sgn(0.25), [2, n]),
+    ],
+    ids=["apply", "approximation_rate"],
+)
+def test_a_level_n_whose_power_of_two_overflows_is_refused(b2, call, n):
+    """``2.0**n`` raised OverflowError from n = 1024 on; such an n gets the
+    refusal n = 53..1023 get, since its window reaches past exact grid
+    points."""
+    with pytest.raises(PreconditionError, match=r"window reaches 2\^41, beyond exact grid points"):
+        call(b2, n)
+
+
 @pytest.mark.parametrize(
     "f,digest",
     [
