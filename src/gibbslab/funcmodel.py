@@ -1033,7 +1033,7 @@ def _grid_min(f: FunctionHandle) -> float:
 
 
 def _grid_nonneg(f: FunctionHandle) -> bool:
-    """True when no :func:`_grid_min` sample is below -1e-9: ``f`` reads as nonnegative."""
+    """True when :func:`_grid_min` of ``f`` is at least -1e-9: ``f`` reads as nonnegative."""
     return _grid_min(f) >= -1e-9
 
 
