@@ -175,9 +175,9 @@ def _pair_from_args(args) -> QuasiProjectionPair:
     if args.pair:
         return _from_spec(args.pair, QuasiProjectionPair.from_json_dict, lambda name: resolve_pair(name, args.level))
     if args.phi and args.phi_tilde:
-        return QuasiProjectionPair(
-            _function_from_spec(args.phi, args.level), _function_from_spec(args.phi_tilde, args.level)
-        )
+        phi = _function_from_spec(args.phi, args.level)
+        phi_tilde = phi if args.phi_tilde == args.phi else _function_from_spec(args.phi_tilde, args.level)
+        return QuasiProjectionPair(phi, phi_tilde)  # one object for one spec: one cascade
     raise PreconditionError("a pair is required: pass --pair SPEC, or both --phi and --phi-tilde")
 
 

@@ -197,15 +197,17 @@ def optimality_witness(obj) -> dict:
 
     Order-m matching with a dual supported on two cells cannot also flatten
     the symbol's derivative at the nonzero even-pi frequencies once m >= 3;
-    this measures that obstruction.  Accepts a construction or a bare
-    function handle.
+    this measures that obstruction.  Accepts a :class:`DualConstruction` or a
+    :class:`PiecewisePoly`; anything else raises :class:`PreconditionError`.
     """
     if isinstance(obj, DualConstruction):
         if obj.m < 3:
             return {"applicable": False, "violated": None, "worst_k": None, "values": {}}
         pt = obj.phi_tilde
-    else:
+    elif isinstance(obj, PiecewisePoly):
         pt = obj
+    else:
+        raise PreconditionError(f"the witness needs a DualConstruction or a PiecewisePoly, got {type(obj).__name__}")
     values = {}
     for k in range(-3, 4):
         if k == 0:

@@ -289,8 +289,9 @@ def cascade_identity_check(df: DualFramelet, f, g, n: int = 1) -> float:
         cg = scale * _dual_pairings(g, hf, j, 0.0, ks, 10)
         return sum(float(a @ b) for a, b in zip(cf, cg))
 
-    fine = layer(df.phi, df.phi_tilde, n)
-    coarse = layer(df.phi, df.phi_tilde, n - 1) + layer(df.psi, df.psi_tilde, n - 1)
+    dual = df.mathring_pair.phi_tilde  # the theta-modified dual; df.phi_tilde when Theta = I
+    fine = layer(df.phi, dual, n)
+    coarse = layer(df.phi, dual, n - 1) + layer(df.psi, df.psi_tilde, n - 1)
     return abs(fine - coarse)
 
 

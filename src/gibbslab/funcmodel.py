@@ -220,10 +220,6 @@ class PiecewisePoly:
         return self.coeffs.shape[1]
 
     @property
-    def degree(self) -> int:
-        return self.coeffs.shape[2] - 1
-
-    @property
     def support(self) -> tuple[float, float]:
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
@@ -474,6 +470,7 @@ class SampledFunction:
         if vals.ndim != 2 or vals.shape[0] < 2:
             raise DimensionMismatchError("values must be an (n >= 2, r) array")
         vals = np.ascontiguousarray(vals)
+        object.__setattr__(self, "_interp_values", vals.view())  # np.interp copies a read-only input per call
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "level", int(self.level))
@@ -504,7 +501,7 @@ class SampledFunction:
 
     def evaluate(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return _interp_columns(x, self._grid, self.values, np.zeros(self.ncomponents))
+        return _interp_columns(x, self._grid, self._interp_values, np.zeros(self.ncomponents))
 
     def moment(self, j: int) -> np.ndarray:
         """Simpson j-th moment per component; cached per order, read-only
@@ -696,6 +693,25 @@ def _max_increment(g: np.ndarray) -> float:
     return float(np.max(np.abs(g[1::2] - 0.5 * (g[:-1:2] + g[2::2]))))
 
 
+def _refined(mask: MatrixSeq, ints: np.ndarray, level: int, gain: float, beyond, what: str) -> SampledFunction:
+    """Read-only level-``level`` samples of ``f = gain sum_k a(k) f(2x - k)``
+    from its values ``ints`` at the integers, ``beyond`` (None: zero) right of
+    them.  :func:`_refine` runs to level 10 at least, so acceptance does not
+    depend on ``level``; raises :class:`ConvergenceError` ending in ``what``
+    when the largest odd-point increment grows from level 6 to level 10."""
+    kmin, kmax = mask.support
+    depth = max(level, _GROWTH_LEVELS[1])
+    vals = _refine(list(zip(mask.indices(), mask.entries.real)), kmin, kmax - kmin, depth, ints, gain, beyond)
+    coarse, fine = (_max_increment(vals[:: 2 ** (depth - j)]) for j in _GROWTH_LEVELS)
+    if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * float(np.max(np.abs(ints))):
+        raise ConvergenceError(
+            f"refinement increments grow from {coarse:.3e} at level {_GROWTH_LEVELS[0]} to "
+            f"{fine:.3e} at level {_GROWTH_LEVELS[1]}: {what}",
+            residual=fine / coarse if coarse > 0 else np.inf,
+        )
+    return SampledFunction(level, kmin * 2**level, vals[:: 2 ** (depth - level)])
+
+
 def _fixed_part(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Limit of ``M^n v``: the projection of ``v`` onto the eigenvalue-1
     eigenspace of ``M`` along its other eigenvectors.
@@ -741,13 +757,11 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
     and ``v0`` carrying ``normalization`` at ``kmin``, taken as the projection
     of ``v0`` onto ``M``'s eigenvalue-1 eigenspace (so Haar keeps the
     half-open convention ``phi(0) = 1``, ``phi(1) = 0``); each finer level
-    then follows from the two-scale relation.  Raises :class:`ConvergenceError`
-    (carrying a residual >= 1) when that limit does not exist, or when the
-    largest odd-point increment (value minus the mean of its neighbours) is
-    larger at level 10 than at level 6 (``_GROWTH_LEVELS``), so that the
-    samples do not come from a bounded function.  The refinement always runs
-    to level 10 at least, so whether a mask is accepted does not depend on
-    ``level``.  Raises :class:`PreconditionError` when the values at the
+    then follows from the two-scale relation (:func:`_refined`, gain 2).
+    Raises :class:`ConvergenceError` (carrying a residual >= 1) when that
+    limit does not exist, or when the refinement's increments grow, so that
+    the samples do not come from a bounded function.  Raises
+    :class:`PreconditionError` when the values at the
     integers break the first sum rule ``y . sum_k phi(k) = y . phihat(0)``
     for every left 1-eigenvector ``y`` of ``ahat(0)``: ``[0.5, 0, 0.5]``
     samples chi[0, 2), whose integral is 2, not ``phihat(0) = 1``.
@@ -771,16 +785,7 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
         raise PreconditionError(
             f"mask breaks the first sum rule: its values at the integers miss phihat(0) by {gap:.3g}"
         )
-    depth = max(level, _GROWTH_LEVELS[1])
-    vals = _refine(list(zip(mask.indices(), ents)), kmin, W, depth, ints, 2.0, None)
-    coarse, fine = (_max_increment(vals[:: 2 ** (depth - j)]) for j in _GROWTH_LEVELS)
-    if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * float(np.max(np.abs(ints))):
-        raise ConvergenceError(
-            f"refinement increments grow from {coarse:.3e} at level {_GROWTH_LEVELS[0]} to "
-            f"{fine:.3e} at level {_GROWTH_LEVELS[1]}: the two-scale solution is not a function",
-            residual=fine / coarse if coarse > 0 else np.inf,
-        )
-    return SampledFunction(level, kmin * 2**level, vals[:: 2 ** (depth - level)])
+    return _refined(mask, ints, level, 2.0, None, "the two-scale solution is not a function")
 
 
 def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:
@@ -810,8 +815,8 @@ class RefinableFunction:
       gives ``(2^j I - ahat(0)) Mj = sum_{i>=1} C(j,i) ahat^(i)(0) M_{j-i}``;
     - the cumulative integral ``F(x) = integral_{-inf}^x phi`` satisfies
       ``F(x) = sum_k a(k) F(2x - k)``, which pins its values at integers by a
-      linear solve and then on each dyadic refinement (the kernel of
-      :func:`cascade`, with gain 1 and ``F = phihat(0)`` right of the support).
+      linear solve; F then shares phi's refinement and its growth test
+      (:func:`_refined`, gain 1, ``F = phihat(0)`` right of the support).
     """
 
     mask: MatrixSeq
@@ -918,28 +923,19 @@ class RefinableFunction:
         return F
 
     @cached_property
-    def _F(self) -> np.ndarray:
-        kmin, kmax = self.mask.support
+    def _F(self) -> SampledFunction:
         Fint = self._integer_cumulative  # its last row is F = phihat(0) right of the support
-        taps = [(k, self.mask[k].real) for k in self.mask.indices()]
-        return _refine(taps, kmin, kmax - kmin, self.level, Fint, 1.0, Fint[-1])
-
-    @cached_property
-    def _F_grid(self) -> np.ndarray:
-        grid = np.arange(self._F.shape[0], dtype=np.float64)
-        grid *= 2.0**-self.level
-        grid += self.mask.support[0]
-        return grid
+        return _refined(self.mask, Fint, self.level, 1.0, Fint[-1], "the cumulative integral does not converge")
 
     def cumulative_samples(self) -> np.ndarray:
-        """F on the grid ``kmin + i 2^-level`` over the support, exactly."""
-        return self._F
+        """F on the grid ``kmin + i 2^-level`` over the support, exactly; read-only."""
+        return self._F.values
 
     def cumulative(self, s) -> np.ndarray:
         """Integral over (-inf, s_i], interpolating the exact F on the carried grid; shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        F = self.cumulative_samples()
-        return _interp_columns(s, self._F_grid, F, F[-1])
+        F = self._F._interp_values
+        return _interp_columns(s, self._F._grid, F, F[-1])
 
     def refinement_residual(self) -> float:
         """sup-norm of ``phi(n) - 2 sum_k a(k) phi(2n - k)`` over the integers

@@ -19,12 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gibbslab import cli
+from gibbslab import cli, funcmodel
 from gibbslab.catalog import resolve_bank, resolve_pair
 from gibbslab.cli import main
-from gibbslab.funcmodel import bspline
+from gibbslab.funcmodel import RefinableFunction, bspline
 from gibbslab.gibbs import overshoot_curve
 from gibbslab.quasiproj import GridSpec, Sgn, apply
+from gibbslab.sequences import MatrixSeq
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +125,27 @@ def test_analyze_pair_from_phi_flags(capsys):
     )
     assert code == 0
     assert json.loads(out)["accuracy_order"] == 1
+
+
+def test_phi_flags_naming_one_spec_build_one_function(capsys, monkeypatch):
+    """``--phi X --phi-tilde X`` resolves X once: one cascade, and the bytes
+    of ``--pair X``."""
+    calls = []
+    real = funcmodel.cascade
+    monkeypatch.setattr(funcmodel, "cascade", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run_cli(capsys, "analyze-pair", "--phi", "daubechies:3", "--phi-tilde", "daubechies:3")
+    assert code == 0 and len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == "0d4b1f731b1f97c9e1fe7d45d8a8065612fa6dc81098d3e308f10bb7e6b6fa3d"
+
+
+def test_a_dual_whose_cumulative_integral_diverges_exits_1(tmp_path, capsys):
+    """The CDF (4, 2) dual of ``bspline:4`` is refused, as a divergent primal is."""
+    mask = MatrixSeq.scalar(-1, np.array([3.0, -12.0, 5.0, 40.0, 5.0, -12.0, 3.0]) / 32)
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(RefinableFunction(mask).to_json_dict()))
+    code, out, err = run_cli(capsys, "gibbs-point", "--phi", "bspline:4", "--phi-tilde", str(path), "--x0", "1/3")
+    assert code == 1 and out == ""
+    assert "does not converge" in err
 
 
 # -- error paths --------------------------------------------------------------------

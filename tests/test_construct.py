@@ -189,6 +189,11 @@ def test_witness_clean_for_smooth_spline():
     assert rep["applicable"] and not rep["violated"]
 
 
+def test_witness_refuses_a_function_that_is_not_piecewise():
+    with pytest.raises(PreconditionError, match="DualConstruction or a PiecewisePoly, got RefinableFunction"):
+        optimality_witness(RefinableFunction(daubechies_mask(3)))
+
+
 # -- serialization ---------------------------------------------------------------------
 
 

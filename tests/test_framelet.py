@@ -8,6 +8,7 @@ high-pass by s shifts the central zero-shift coefficient by (s-1)/2, which is
 also the residual since the edge defects are half as large).
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -362,6 +363,32 @@ def test_cascade_identity_detects_wrong_wavelet(haar_framelet, haar_bank):
     )
     g = lambda x: np.exp(-((x - 0.5) ** 2))
     assert cascade_identity_check(df, gaussian, g, n=1) > 1e-4
+
+
+def theta_framelet():
+    """A tight oblique-extension bank on the hat function whose Theta(xi) =
+    (4 - cos xi) / 3 is not the identity: theta_tilde = [-1, 8, -1] / 6 at -1,
+    the vanishing-moment-recovery choice, and two high-pass rows at -2."""
+    rows = [math.sqrt(42) / 168 * np.array([1.0, 2, 0, -10, 7]), math.sqrt(7) / 28 * np.array([1.0, 2, -7, 4, 0])]
+    b = MatrixSeq(-2, np.stack(rows, axis=1)[:, :, None])
+    theta_tilde = MatrixSeq.scalar(-1, np.array([-1.0, 8.0, -1.0]) / 6)
+    bank = FilterBank(a=bspline_mask(2), a_tilde=bspline_mask(2), b=b, b_tilde=b, theta_tilde=theta_tilde)
+    return derive_wavelets(bank, bspline(2), bspline(2))
+
+
+def test_cascade_identity_reads_theta():
+    """The balance holds with the Theta-modified dual in both scaling layers;
+    pairing phi with phi_tilde instead leaves 0.0738, 0.0339 and 0.0100."""
+    df = theta_framelet()
+    assert not df.bank.Theta.allclose(MatrixSeq.dirac(1))
+    oep = oep_check(df.bank)
+    assert oep["ok"] and oep["residual0"] < 1e-15 and oep["residual_pi"] < 1e-15
+    assert framelet_gibbs_verdict(df)["verdict"] == "gibbs-everywhere"
+    g = lambda x: np.cos(x) * np.exp(-x * x / 2)
+    unmodified = dataclasses.replace(df, mathring_pair=df.pair())
+    for n, bound, old in [(1, 1e-12, 0.0738), (2, 1e-13, 0.0339), (3, 1e-14, 0.0100)]:
+        assert cascade_identity_check(df, gaussian, g, n) < bound
+        assert cascade_identity_check(unmodified, gaussian, g, n) == pytest.approx(old, abs=1e-4)
 
 
 # -- verdicts ----------------------------------------------------------------------

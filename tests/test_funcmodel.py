@@ -415,6 +415,41 @@ def test_cascade_growing_increments_raise(level):
     assert exc.value.residual >= 1.0
 
 
+# the dual of the order-4 B-spline mask at CDF (4, 2), offset -1: cascade
+# refuses it as a primal, and its cumulative integral F does not converge
+CDF42_DUAL = MatrixSeq.scalar(-1, np.array([3.0, -12.0, 5.0, 40.0, 5.0, -12.0, 3.0]) / 32)
+# the CDF (2, 2) dual of the hat mask: refused as a primal, yet F converges
+CDF22_DUAL = MatrixSeq.scalar(-1, np.array([-1.0, 2.0, 6.0, 2.0, -1.0]) / 8)
+
+
+@pytest.mark.parametrize("level", [1, 4, 12])
+def test_cumulative_that_does_not_converge_raises(level):
+    """F runs phi's growth test: its odd-point increment grows from 0.934 at
+    level 6 to 1.499 at level 10, whatever the level asked for."""
+    f = RefinableFunction(CDF42_DUAL, level=level)
+    msg = "9.341e-01 at level 6 to 1.499e[+]00 at level 10: the cumulative integral does not converge"
+    with pytest.raises(ConvergenceError, match=msg) as exc:
+        f.cumulative(0.0)
+    assert exc.value.residual >= 1.0
+    with pytest.raises(ConvergenceError, match="does not converge"):
+        f.cumulative_samples()
+
+
+@pytest.mark.parametrize("level", [1, 12])
+def test_cumulative_of_a_dual_refused_as_a_primal_converges(level):
+    f = RefinableFunction(CDF22_DUAL, level=level)
+    with pytest.raises(ConvergenceError, match="the cascade diverges"):
+        f.samples()
+    F = f.cumulative_samples()
+    assert F[:: 2**level, 0].tolist() == pytest.approx([0.0, -1 / 12, 1 / 2, 13 / 12, 1.0], abs=1e-15)
+
+
+def test_cumulative_samples_are_read_only():
+    F = RefinableFunction(daubechies_mask(3), level=8).cumulative_samples()
+    with pytest.raises(ValueError, match="read-only"):
+        F[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("theta", [0.05, 0.51, 0.6, 1.0, 2.43])
 def test_cascade_defective_eigenvalue_one_raises(theta):
     # 2 a(0) = S J S^-1 with J a 2x2 Jordan block at 1 and 2 a(1) nilpotent,
@@ -705,7 +740,7 @@ def test_cumulative_grid_is_the_dyadic_grid(mask, level):
     f = RefinableFunction(mask, level=level)
     n = f.cumulative_samples().shape[0]
     want = mask.support[0] + np.arange(n) * 2.0**-level
-    assert f._F_grid.tobytes() == want.tobytes()
+    assert f._F._grid.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from gibbslab.quasiproj import (
     check_qp1,
     kernel_criterion,
 )
+from gibbslab.sequences import MatrixSeq
 
 from strategies import spline_like_mask
 
@@ -634,6 +635,27 @@ def test_gibbs_at_point_refuses_a_cycle_longer_than_the_grid(d3):
     assert len(gibbs_at_point(d3, Fraction(1, 5), level=2).cluster_set) == 4
     with pytest.raises(PreconditionError, match="irrational"):
         gibbs_at_point(d3, "1/1000003")
+
+
+@pytest.mark.parametrize("x0", [0.0, "1/3", "irrational"])
+def test_gibbs_at_point_refuses_a_dual_whose_cumulative_integral_diverges(x0):
+    """The CDF (4, 2) dual of ``bspline:4`` has no convergent F, so no sgn
+    coefficient exists; it used to read R = 1.092, 1.209 and 2.237."""
+    dual = RefinableFunction(MatrixSeq.scalar(-1, np.array([3.0, -12.0, 5.0, 40.0, 5.0, -12.0, 3.0]) / 32))
+    with pytest.raises(ConvergenceError, match="the cumulative integral does not converge"):
+        gibbs_at_point(QuasiProjectionPair(bspline(4), dual), x0)
+
+
+@pytest.mark.parametrize(
+    "x0,R", [("0/1", 1.1666666666666665), ("1/3", 1.2444248547097312), ("irrational", 1.3098707993825278)]
+)
+def test_gibbs_at_point_answers_for_a_convergent_refinable_dual(x0, R):
+    """The CDF (2, 2) dual of the hat function: F converges, so it answers,
+    with the R recorded before F ran the growth test."""
+    dual = RefinableFunction(MatrixSeq.scalar(-1, np.array([-1.0, 2.0, 6.0, 2.0, -1.0]) / 8))
+    report = gibbs_at_point(QuasiProjectionPair(bspline(2), dual), x0)
+    assert report.verdict == "gibbs"
+    assert report.R_x0 == R
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
