@@ -1,11 +1,12 @@
 """Named masks, functions, filter banks, and primal/dual pairs used across
 tests and the CLI.
 
-Specifier grammar (case-sensitive):
+The builtin names are the keys of ``_FAMILIES`` and ``_BANKS``, the one list
+of them (case-sensitive):
 
-  * ``haar``          -- the indicator of (0, 1]
-  * ``bspline:m``     -- the cardinal B-spline of order m (exact piecewise poly)
-  * ``daubechies:k``  -- the orthonormal scaling function with k mask zeros at pi
+  * ``bspline:m``     -- the cardinal B-spline of order m = 1..9 (exact piecewise poly)
+  * ``daubechies:k``  -- the orthonormal scaling function with k = 1..3 mask zeros at pi
+  * ``haar``          -- ``bspline:1``, the indicator of (0, 1]
 
 Bank specifiers: ``haar``, ``bspline2-tight``, ``daubechies:3``, ``mixed13``.
 """
@@ -76,84 +77,78 @@ def cdf13_mask() -> MatrixSeq:
     return MatrixSeq.scalar(-2, np.array([-1.0, 1.0, 8.0, 8.0, 1.0, -1.0]) / 16.0)
 
 
-def _shift_by_one(s: MatrixSeq) -> MatrixSeq:
-    return MatrixSeq(s.offset + 1, s.entries)
+# family -> its function of an order at a level
+_FAMILIES = {
+    "bspline": lambda m, level: bspline(m),
+    "daubechies": lambda k, level: RefinableFunction(daubechies_mask(k), level=level),
+}
+
+
+def _tight(a: MatrixSeq, b: MatrixSeq) -> FilterBank:
+    """The bank whose dual filters are its primal ones."""
+    return FilterBank(a=a, a_tilde=a, b=b, b_tilde=b)
+
+
+def _hat_tight_bank() -> FilterBank:
+    # hat-function tight frame with two generators
+    r2 = math.sqrt(2.0) / 4.0
+    return _tight(bspline_mask(2), MatrixSeq(0, np.array([[[r2], [-0.25]], [[0.0], [0.5]], [[-r2], [-0.25]]])))
+
+
+def _d3_bank() -> FilterBank:
+    a = daubechies_mask(3)
+    taps = a.entries[:, 0, 0]
+    return _tight(a, MatrixSeq.scalar(0, [(-1.0) ** j * taps[5 - j] for j in range(6)]))
+
+
+def _mixed13_bank() -> FilterBank:
+    # biorthogonal pair: six-tap primal mask against the Haar dual mask;
+    # each high-pass filter is the shifted alternation of the other side's
+    # low-pass, so one wavelet gets one vanishing moment and the other three
+    a, a_tilde = cdf13_mask(), MatrixSeq.scalar(0, [0.5, 0.5])
+    b, b_tilde = (low.modulated().conj_flip() for low in (a_tilde, a))
+    return FilterBank(a, a_tilde, MatrixSeq(b.offset + 1, b.entries), MatrixSeq(b_tilde.offset + 1, b_tilde.entries))
+
+
+# bank name -> (its filters, its (phi, phi_tilde) at a level); ``(f,) * 2``
+# is one object for both sides (all banks have the identity theta)
+_BANKS = {
+    "haar": (
+        lambda: _tight(MatrixSeq.scalar(0, [0.5, 0.5]), MatrixSeq.scalar(0, [0.5, -0.5])),
+        lambda level: (bspline(1),) * 2,
+    ),
+    "bspline2-tight": (_hat_tight_bank, lambda level: (bspline(2),) * 2),
+    "daubechies:3": (_d3_bank, lambda level: (RefinableFunction(daubechies_mask(3), level=level),) * 2),
+    "mixed13": (_mixed13_bank, lambda level: (RefinableFunction(cdf13_mask(), level=level), bspline(1))),
+}
 
 
 def bank_names() -> list[str]:
-    return ["haar", "bspline2-tight", "daubechies:3", "mixed13"]
+    return list(_BANKS)
 
 
 def resolve_bank(spec: str) -> FilterBank:
-    """Named filter banks (all with the identity theta)."""
-    if spec == "haar":
-        half = MatrixSeq.scalar(0, [0.5, 0.5])
-        diff = MatrixSeq.scalar(0, [0.5, -0.5])
-        return FilterBank(a=half, a_tilde=half, b=diff, b_tilde=diff)
-    if spec == "bspline2-tight":
-        # hat-function tight frame with two generators
-        a = bspline_mask(2)
-        r2 = math.sqrt(2.0) / 4.0
-        b = MatrixSeq(
-            0,
-            np.array(
-                [
-                    [[r2], [-0.25]],
-                    [[0.0], [0.5]],
-                    [[-r2], [-0.25]],
-                ]
-            ),
-        )
-        return FilterBank(a=a, a_tilde=a, b=b, b_tilde=b)
-    if spec == "daubechies:3":
-        a = daubechies_mask(3)
-        taps = a.entries[:, 0, 0]
-        b = MatrixSeq.scalar(0, [(-1.0) ** j * taps[5 - j] for j in range(6)])
-        return FilterBank(a=a, a_tilde=a, b=b, b_tilde=b)
-    if spec == "mixed13":
-        # biorthogonal pair: six-tap primal mask against the Haar dual mask;
-        # each high-pass filter is the shifted alternation of the other side's
-        # low-pass, so one wavelet gets one vanishing moment and the other three
-        a = cdf13_mask()
-        a_tilde = MatrixSeq.scalar(0, [0.5, 0.5])
-        b = _shift_by_one(a_tilde.modulated().conj_flip())
-        b_tilde = _shift_by_one(a.modulated().conj_flip())
-        return FilterBank(a=a, a_tilde=a_tilde, b=b, b_tilde=b_tilde)
-    raise PreconditionError(f"unknown bank {spec!r} (have {', '.join(bank_names())})")
+    """The named filter bank."""
+    if spec not in _BANKS:
+        raise PreconditionError(f"unknown bank {spec!r} (have {', '.join(_BANKS)})")
+    return _BANKS[spec][0]()
 
 
 def resolve_framelet(spec: str, level: int = 12) -> DualFramelet:
     """A named bank attached to its scaling functions, wavelets derived."""
-    bank = resolve_bank(spec)
-    if spec == "haar":
-        phi = phi_tilde = bspline(1)
-    elif spec == "bspline2-tight":
-        phi = phi_tilde = bspline(2)
-    elif spec == "daubechies:3":
-        phi = phi_tilde = RefinableFunction(daubechies_mask(3), level=level)
-    else:  # mixed13
-        phi = RefinableFunction(cdf13_mask(), level=level)
-        phi_tilde = bspline(1)
-    return derive_wavelets(bank, phi, phi_tilde)
+    return derive_wavelets(resolve_bank(spec), *_BANKS[spec][1](level))
 
 
 def resolve_function(spec: str, level: int = 12) -> FunctionHandle:
     """Turn a builtin specifier into a concrete function handle."""
-    if spec == "haar":
-        return bspline(1)
-    if spec.startswith("bspline:"):
-        try:
-            m = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise PreconditionError(f"malformed B-spline order in {spec!r}") from None
-        return bspline(m)
-    if spec.startswith("daubechies:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise PreconditionError(f"malformed order in {spec!r}") from None
-        return RefinableFunction(daubechies_mask(k), level=level)
-    raise PreconditionError(f"unknown builtin {spec!r}")
+    family, colon, order = ("bspline:1" if spec == "haar" else spec).partition(":")
+    if not colon or family not in _FAMILIES:
+        raise PreconditionError(f"unknown builtin {spec!r}")
+    try:
+        k = int(order)
+    except ValueError:
+        raise PreconditionError(f"malformed order in {spec!r}") from None
+    return _FAMILIES[family](k, level)
 
 
 def resolve_pair(spec: str, level: int = 12) -> QuasiProjectionPair:

@@ -160,25 +160,36 @@ def _emit(obj) -> None:
 
 def _from_spec(spec: str, from_json, builtin):
     """``from_json`` of the JSON document in the file ``spec`` names, or
-    ``builtin(spec)`` when no such file exists."""
-    if os.path.exists(spec):
+    ``builtin(spec)`` when no such file exists.  A file that cannot be opened,
+    or whose document ``from_json`` cannot read, is a ``PreconditionError``."""
+    if not os.path.exists(spec):
+        return builtin(spec)
+    try:
         with open(spec, encoding="utf-8") as fh:
             return from_json(json.load(fh))
-    return builtin(spec)
+    except (OSError, ValueError, TypeError, AttributeError, KeyError) as exc:
+        raise PreconditionError(f"cannot read {spec}: {type(exc).__name__}: {exc}") from None
 
 
 def _function_from_spec(spec: str, level: int):
     return _from_spec(spec, function_from_json_dict, lambda name: resolve_function(name, level))
 
 
+def _phis_from_args(args, missing: str):
+    """(phi, phi_tilde) from ``--phi`` and ``--phi-tilde``: one object when
+    both name one spec, so one cascade; ``missing`` is the refusal when either
+    flag is absent."""
+    if not (args.phi and args.phi_tilde):
+        raise PreconditionError(missing)
+    phi = _function_from_spec(args.phi, args.level)
+    return phi, phi if args.phi_tilde == args.phi else _function_from_spec(args.phi_tilde, args.level)
+
+
 def _pair_from_args(args) -> QuasiProjectionPair:
     if args.pair:
         return _from_spec(args.pair, QuasiProjectionPair.from_json_dict, lambda name: resolve_pair(name, args.level))
-    if args.phi and args.phi_tilde:
-        phi = _function_from_spec(args.phi, args.level)
-        phi_tilde = phi if args.phi_tilde == args.phi else _function_from_spec(args.phi_tilde, args.level)
-        return QuasiProjectionPair(phi, phi_tilde)  # one object for one spec: one cascade
-    raise PreconditionError("a pair is required: pass --pair SPEC, or both --phi and --phi-tilde")
+    missing = "a pair is required: pass --pair SPEC, or both --phi and --phi-tilde"
+    return QuasiProjectionPair(*_phis_from_args(args, missing))
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -277,17 +288,10 @@ def _cmd_check_oep(args) -> None:
 
 
 def _framelet_from_args(args):
-    def from_json(d):
-        bank = FilterBank.from_json_dict(d)
-        if not (args.phi and args.phi_tilde):
-            raise PreconditionError("bank files need --phi and --phi-tilde to attach functions")
-        return derive_wavelets(
-            bank,
-            _function_from_spec(args.phi, args.level),
-            _function_from_spec(args.phi_tilde, args.level),
-        )
-
-    return _from_spec(args.bank, from_json, lambda name: resolve_framelet(name, args.level))
+    got = _from_spec(args.bank, FilterBank.from_json_dict, lambda name: resolve_framelet(name, args.level))
+    if isinstance(got, FilterBank):  # a bank file: the functions come from --phi and --phi-tilde
+        return derive_wavelets(got, *_phis_from_args(args, "bank files need --phi and --phi-tilde to attach functions"))
+    return got
 
 
 def _cmd_expand(args) -> None:
@@ -425,7 +429,7 @@ def main(argv=None) -> int:
     except (PreconditionError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except FileNotFoundError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     except GibbsLabError as exc:

@@ -301,6 +301,76 @@ def test_bank_file_without_functions_exits_2(tmp_path, capsys):
     assert "--phi" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze-pair --pair adir",
+        "analyze-pair --pair list.json",
+        "analyze-pair --pair three.json",
+        "check-oep list.json",
+        "analyze-pair --phi list.json --phi-tilde list.json",
+    ],
+)
+def test_a_malformed_spec_file_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """A directory, or a JSON document of the wrong shape, is refused on
+    reading; each raised IsADirectoryError, TypeError or AttributeError and
+    exited 1 with "internal error"."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "three.json").write_text('{"phi": 3, "phi_tilde": 3}')
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and "internal error" not in err
+
+
+def test_a_failure_after_a_bank_file_is_read_exits_1(tmp_path, capsys, monkeypatch):
+    """Wavelets are derived after the bank file is read, so a fault there is
+    still an internal error."""
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(resolve_bank("haar").to_json_dict()))
+
+    def broken(*args):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(cli, "derive_wavelets", broken)
+    code, out, err = run_cli(capsys, "expand", "--bank", str(path), "--phi", "haar", "--phi-tilde", "haar")
+    assert (code, out, err) == (1, "", "internal error: TypeError: broken\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze-pair"], "a pair is required: pass --pair SPEC, or both --phi and --phi-tilde"),
+        (["gibbs-point", "--phi", "haar", "--x0", "0"], "a pair is required: pass --pair SPEC, or both --phi and --phi-tilde"),
+        (["expand", "--bank", "BANK", "--phi", "haar"], "bank files need --phi and --phi-tilde to attach functions"),
+        (["expand", "--bank", "BANK", "--phi-tilde", "haar"], "bank files need --phi and --phi-tilde to attach functions"),
+    ],
+)
+def test_missing_function_flags_are_named(tmp_path, capsys, argv, message):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(resolve_bank("haar").to_json_dict()))
+    code, out, err = run_cli(capsys, *[str(path) if a == "BANK" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("files", [False, True])
+def test_a_bank_file_with_one_phi_spec_runs_one_cascade(tmp_path, capsys, monkeypatch, files):
+    """``expand --bank FILE --phi X --phi-tilde X`` builds X once, as the
+    builtin bank does, and prints the builtin bank's bytes."""
+    argv = ["expand", "--bank", "daubechies:3", "--n", "1"]
+    if files:
+        path = tmp_path / "d3bank.json"
+        path.write_text(json.dumps(resolve_bank("daubechies:3").to_json_dict()))
+        argv[2:3] = [str(path), "--phi", "daubechies:3", "--phi-tilde", "daubechies:3"]
+    calls = []
+    real = funcmodel.cascade
+    monkeypatch.setattr(funcmodel, "cascade", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == "d04b028de1b4d2ba81327c1a1241832fdca69b8001df83e3907a8909756d4c2f"
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
