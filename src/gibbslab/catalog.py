@@ -14,6 +14,7 @@ Bank specifiers: ``haar``, ``bspline2-tight``, ``daubechies:3``, ``mixed13``.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 
 import numpy as np
 
@@ -139,16 +140,23 @@ def resolve_framelet(spec: str, level: int = 12) -> DualFramelet:
     return derive_wavelets(resolve_bank(spec), *_BANKS[spec][1](level))
 
 
+def _spec_integer(spec: str, what: str) -> int:
+    """k of ``spec`` = 'name:k', in its one spelling: ASCII digits with no sign,
+    space, underscore or leading zero.  Anything else is a malformed ``what``."""
+    digits = spec.partition(":")[2]
+    if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+        with suppress(ValueError):  # more digits than int() converts
+            return int(digits)
+    raise PreconditionError(f"malformed {what} in {spec!r}")
+
+
 def resolve_function(spec: str, level: int = 12) -> FunctionHandle:
     """Turn a builtin specifier into a concrete function handle."""
-    family, colon, order = ("bspline:1" if spec == "haar" else spec).partition(":")
+    name = "bspline:1" if spec == "haar" else spec
+    family, colon, _ = name.partition(":")
     if not colon or family not in _FAMILIES:
         raise PreconditionError(f"unknown builtin {spec!r}")
-    try:
-        k = int(order)
-    except ValueError:
-        raise PreconditionError(f"malformed order in {spec!r}") from None
-    return _FAMILIES[family](k, level)
+    return _FAMILIES[family](_spec_integer(name, "order"), level)
 
 
 def resolve_pair(spec: str, level: int = 12) -> QuasiProjectionPair:

@@ -10,10 +10,11 @@ as one string; every other JSON value is one ``json.dumps`` call.  Every
 refusal happens before the first byte, so a refused command prints nothing
 to stdout.
 
-Exit codes: 0 success, 2 rejected input or violated precondition, 1 internal
-failure.  Function and pair specifiers are either builtin names (``haar``,
-``bspline:m``, ``daubechies:k``) or paths to JSON files in the schemas the
-library itself writes; a specifier naming an existing file is read as a file.
+Exit codes: 0 success, 2 a failure the input causes (an unwritable ``--out``
+too), 1 any other failure, ``ConvergenceError`` included.  Function and pair
+specifiers are either builtin names (``haar``, ``bspline:m``,
+``daubechies:k``) or paths to JSON files in the schemas the library itself
+writes; a specifier naming an existing file is read as a file.
 
 Each subcommand takes ``--level`` (default 12) and only the flags it reads;
 ``--level`` and the pair flags (``--pair``, ``--phi``, ``--phi-tilde``) are
@@ -35,12 +36,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from contextlib import suppress
 from functools import cache
 
 import numpy as np
 
 from .catalog import (
+    _spec_integer,
     bank_names,
     resolve_bank,
     resolve_framelet,
@@ -48,7 +50,7 @@ from .catalog import (
     resolve_pair,
 )
 from .construct import build_dual, optimality_witness, verify_gibbs_free
-from .errors import DimensionMismatchError, GibbsLabError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .framelet import (
     FilterBank,
     derive_wavelets,
@@ -59,6 +61,7 @@ from .framelet import (
 )
 from .funcmodel import bspline, check_level, function_from_json_dict
 from .gibbs import (
+    _rational,
     bracket_second_deriv,
     gibbs_at_point,
     identity_lhs,
@@ -192,48 +195,38 @@ def _pair_from_args(args) -> QuasiProjectionPair:
     return QuasiProjectionPair(*_phis_from_args(args, missing))
 
 
-def _grid_from_args(args) -> GridSpec:
-    """The ``expand`` grid: ``--level`` over ``--window`` when given."""
-    lo = hi = None
-    window = args.window
-    if window:
-        parts = window.split(",")
-        if len(parts) != 2:
-            raise PreconditionError(f"--window must be 'lo,hi', got {window!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise PreconditionError(f"--window must hold two numbers, got {window!r}") from None
-    return GridSpec(args.level, lo, hi)
-
-
-def _rational_to_float(text: str) -> float:
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"expected an exact rational like 'p/q', got {text!r}") from None
+def _numbers(flag: str, form: str, text: str) -> list[float]:
+    """The numbers of ``text``, the comma list given to ``flag``: one per
+    field of ``form`` ('lo,hi'), or any count when ``form`` ends in '...'
+    ('a,b,...').  Anything else is refused, naming ``form``."""
+    parts = text.split(",")
+    with suppress(ValueError):
+        if form.endswith("...") or len(parts) == len(form.split(",")):
+            return [float(v) for v in parts]
+    raise PreconditionError(f"{flag} must be {form!r}, got {text!r}")
 
 
 def _signal_from_args(args):
     spec = args.f
     if spec == "sgn":
-        return Sgn(_rational_to_float(args.x0))
+        return Sgn(float(_rational(args.x0)))
     if spec == "gauss":
         return lambda x: np.exp(-np.asarray(x) ** 2)
     if spec.startswith("monomial:"):
-        try:
-            return Monomial(int(spec.split(":", 1)[1]))
-        except ValueError:
-            raise PreconditionError(f"malformed monomial degree in {spec!r}") from None
+        return Monomial(_spec_integer(spec, "monomial degree"))
     raise PreconditionError(f"unknown signal {spec!r} (have sgn, gauss, monomial:j)")
 
 
 def _write_csv(path: str, header: str, columns) -> None:
     """``header`` and one line per row of the float64 ``columns``, each value
-    as its ``float.__repr__``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(_text_chunks(columns, "", ",", "\n", ""))
+    as its ``float.__repr__``.  A path that cannot be written is a
+    ``PreconditionError``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(_text_chunks(columns, "", ",", "\n", ""))
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {type(exc).__name__}: {exc}") from None
 
 
 # -- command handlers ----------------------------------------------------------
@@ -269,14 +262,8 @@ def _cmd_gibbs_point(args) -> None:
 
 def _cmd_construct_dual(args) -> None:
     phi = _function_from_spec(args.phi, args.level)
-    knot_rule = None
-    if args.knots:
-        try:
-            vals = np.array([float(v) for v in args.knots.split(",")])
-        except ValueError:
-            raise PreconditionError(f"--knots must be comma-separated numbers") from None
-        knot_rule = lambda N, m: vals
-    construction = build_dual(phi, args.order, knot_rule=knot_rule)
+    knots = np.array(_numbers("--knots", "a,b,...", args.knots)) if args.knots else None
+    construction = build_dual(phi, args.order, knot_rule=None if knots is None else lambda N, m: knots)
     out = construction.to_json_dict()
     out["verification"] = verify_gibbs_free(construction, phi)
     out["witness"] = optimality_witness(construction)
@@ -295,7 +282,8 @@ def _framelet_from_args(args):
 
 
 def _cmd_expand(args) -> None:
-    grid = _grid_from_args(args)
+    lo, hi = _numbers("--window", "lo,hi", args.window) if args.window else (None, None)
+    grid = GridSpec(args.level, lo, hi)
     f = _signal_from_args(args)
     if args.bank:
         df = _framelet_from_args(args)
@@ -429,12 +417,6 @@ def main(argv=None) -> int:
     except (PreconditionError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 2
-    except GibbsLabError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, never crashes
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

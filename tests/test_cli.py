@@ -263,6 +263,34 @@ def test_bad_window_exits_2(capsys):
         assert "window" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("expand --pair haar --window 1", "--window must be 'lo,hi', got '1'"),
+        ("expand --pair haar --window a,b", "--window must be 'lo,hi', got 'a,b'"),
+        ("construct-dual --phi bspline:3 --order 3 --knots a", "--knots must be 'a,b,...', got 'a'"),
+        ("expand --pair haar --f monomial:x", "malformed monomial degree in 'monomial:x'"),
+        ("expand --pair haar --f monomial:+1", "malformed monomial degree in 'monomial:+1'"),
+        ("expand --pair haar --x0 abc", "malformed rational point 'abc'"),
+        ("gibbs-point --pair haar --x0 abc", "malformed rational point 'abc'"),
+    ],
+)
+def test_malformed_flag_text_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    expected = f"FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}"
+    assert run_cli(capsys, "expand", "--pair", "haar", "--out", str(missing)) == (
+        2, "", f"error: cannot write {missing}: {expected}\n"
+    )
+    expected = f"IsADirectoryError: [Errno 21] Is a directory: {str(tmp_path)!r}"
+    assert run_cli(capsys, "expand", "--pair", "haar", "--out", str(tmp_path)) == (
+        2, "", f"error: cannot write {tmp_path}: {expected}\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--window=-1e308,1e308", "--n=1024"])
 def test_a_window_or_level_that_overflows_exits_2(capsys, flag):
     """Both raised OverflowError inside ``apply`` and exited 1 with "internal

@@ -496,6 +496,19 @@ def test_cluster_set_known_cycles():
     assert set(cluster_set(Fraction(7, 12))) == {Fraction(1, 3), Fraction(2, 3)}
 
 
+@pytest.mark.parametrize("x0", ["abc", math.nan, "1/0"])
+def test_cluster_set_refuses_what_is_not_a_rational(x0):
+    with pytest.raises(PreconditionError, match="malformed rational point"):
+        cluster_set(x0)
+
+
+def test_gibbs_at_point_reads_x0_before_checking_the_pair():
+    pair = resolve_pair("bspline:2")
+    with pytest.raises(PreconditionError, match="malformed rational point '3/x'"):
+        gibbs_at_point(pair, "3/x")
+    assert "_qp1_residuals" not in vars(pair)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(min_value=0, max_value=10**6), q=st.integers(min_value=1, max_value=997))
 def test_cluster_set_is_doubling_invariant(p, q):

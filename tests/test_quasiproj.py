@@ -792,6 +792,14 @@ def test_piecewise_moments_are_computed_once_per_order(monkeypatch):
         assert h.moment(j) is h.moment(j) and not h.moment(j).flags.writeable
 
 
+@pytest.mark.parametrize("spec", ["haar", *(f"bspline:{m}" for m in range(1, 10)), "daubechies:1", "daubechies:2", "daubechies:3"])
+def test_cubes_on_a_level_12_window_are_products(spec):
+    """On the window ``accuracy_order`` samples, ``x * x * x`` equals libm's
+    ``x ** 3`` bit for bit, and ``Monomial(3)`` gives those bits."""
+    xs = apply(resolve_pair(spec), Monomial(0), 0, 0.0, GridSpec()).xs()
+    assert (xs * xs * xs).tobytes() == (xs**3).tobytes() == Monomial(3)(xs).tobytes()
+
+
 def test_builtin_signals_evaluate_like_their_formulas():
     xs = np.array([-1.5, -0.0, 0.0, 0.25, 1.0 / 3.0, 2.0])
     assert Sgn(0.0)(xs).tolist() == [-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
