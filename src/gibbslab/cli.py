@@ -11,7 +11,8 @@ refusal happens before the first byte, so a refused command prints nothing
 to stdout.
 
 Exit codes: 0 success, 2 a failure the input causes (an unwritable ``--out``
-too), 1 any other failure, ``ConvergenceError`` included.  Function and pair
+too), 1 any other failure, ``ConvergenceError`` included, and 141, with
+nothing on stderr, when the reader closes stdout early.  Function and pair
 specifiers are either builtin names (``haar``, ``bspline:m``,
 ``daubechies:k``) or paths to JSON files in the schemas the library itself
 writes; a specifier naming an existing file is read as a file.
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     try:
         check_level(args.level)
         _HANDLERS[args.command](args)
+    except BrokenPipeError:  # the reader closed stdout: end quietly, as a process ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit writes nowhere
+        return 141
     except (PreconditionError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ from .funcmodel import (
     fhat_deriv0,
     function_to_json_dict,
 )
-from .gibbs import _overshoot_both, nonneg_sufficient
+from .gibbs import _verdict, nonneg_sufficient
 from .quasiproj import QuasiProjectionPair, _sample_table, _synthesis
 
 __all__ = [
@@ -164,7 +164,8 @@ def build_dual(phi: FunctionHandle, m: int, knot_rule=None) -> DualConstruction:
 
 def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> dict:
     """Check the two half-line integrals that drive the no-overshoot proof,
-    then measure the actual overshoot of the constructed pair."""
+    then measure the actual overshoot of the constructed pair (R0, L0 and the
+    :func:`~gibbslab.gibbs._verdict` at shift 0, level 12, tol 1e-9)."""
     pt = construction.phi_tilde
     N = construction.N
     right = float(pt.integral(float(N), float(N + 1))[0])
@@ -177,7 +178,7 @@ def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> di
         in_range = in_range and abs(right - expected) < 1e-9
     pair = QuasiProjectionPair(phi, pt)
     cond = nonneg_sufficient(pair)
-    R0, L0 = _overshoot_both(pair, 0.0, level=12)
+    R0, L0, _, verdict = _verdict(pair, [0.0], tol, 12, False)
     return {
         "integral_right": right,
         "integral_left": left,
@@ -185,9 +186,7 @@ def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> di
         "item_i": cond["item_i"],
         "R0": R0,
         "L0": L0,
-        "gibbs_free": bool(
-            in_range and cond["item_i"] and R0 <= 1.0 + 1e-9 and L0 >= -1.0 - 1e-9
-        ),
+        "gibbs_free": bool(in_range and cond["item_i"] and verdict == "no-gibbs"),
     }
 
 

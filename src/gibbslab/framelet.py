@@ -36,14 +36,13 @@ from .funcmodel import (
     PiecewisePoly,
     SampledFunction,
     _grid_level,
-    _grid_nonneg,
     _sample_jump,
     _support_samples,
     _tap_sum,
     dyadic_bounds,
     fhat_deriv0,
 )
-from .gibbs import bracket_second_deriv, overshoot
+from .gibbs import bracket_second_deriv, nonneg_sufficient, overshoot
 from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
 from .sequences import MatrixSeq, convolve, fourier_deriv
 
@@ -323,7 +322,7 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
             )
         report.update(verdict="gibbs-everywhere", bracket=res.value)
         return report
-    if _grid_nonneg(df.phi) and _grid_nonneg(df.mathring_pair.phi_tilde):
+    if nonneg_sufficient(df.mathring_pair)["item_ii"]:
         report.update(
             verdict="no-gibbs-at-origin",
             single_moment_pair=bool(vmo_psi == 1 and vmo_psi_tilde == 1),

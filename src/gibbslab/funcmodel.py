@@ -1028,11 +1028,6 @@ def _grid_min(f: FunctionHandle) -> float:
     return float(np.min(_support_samples(f, 10)[1]))
 
 
-def _grid_nonneg(f: FunctionHandle) -> bool:
-    """True when :func:`_grid_min` of ``f`` is at least -1e-9: ``f`` reads as nonnegative."""
-    return _grid_min(f) >= -1e-9
-
-
 _MAX_SAMPLE_JUMP = 0.05  # a larger _continuity_defect reads as a jump: not continuous
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .funcmodel import (
     FunctionHandle,
-    _grid_nonneg,
+    _grid_min,
     _sample_jump,
     check_level,
     fhat_deriv0,
@@ -380,8 +380,8 @@ class GibbsReport:
     L_x0: float
     cluster_set: object  # list of Fraction, or the FULL_INTERVAL marker
     verdict: str
-    tol: float = 1e-3
-    worst_shift: float = 0.0
+    tol: float
+    worst_shift: float
 
     @property
     def overshoot_right(self) -> float:
@@ -456,25 +456,19 @@ def gibbs_at_point(
                 f"primal function; sample jump {jump:.3g} found"
             )
 
+    R, L, worst, verdict = _verdict(pair, shifts, tol, level, irrational)
+    return GibbsReport(point=x0, R_x0=R, L_x0=L, cluster_set=cs, verdict=verdict, tol=tol, worst_shift=worst)
+
+
+def _verdict(pair: QuasiProjectionPair, shifts, tol: float, level: int, sampled: bool) -> tuple[float, float, float, str]:
+    """(R, L, worst shift, verdict) of one :func:`_sweep`, R and L the extremes
+    over ``shifts``: "gibbs" when R > 1 + tol or L < -1 - tol, else
+    "inconclusive" when the shifts only sample the cluster set, else
+    "no-gibbs".  The one comparison of R and L with 1 +- tol."""
     Rs, Ls = _sweep(pair, shifts, level)
     R, L = float(np.max(Rs)), float(np.min(Ls))
-    worst = shifts[_worst(Rs, Ls)]
-    has_gibbs = R > 1.0 + tol or L < -1.0 - tol
-    if has_gibbs:
-        verdict = "gibbs"
-    elif irrational:
-        verdict = "inconclusive"
-    else:
-        verdict = "no-gibbs"
-    return GibbsReport(
-        point=x0,
-        R_x0=R,
-        L_x0=L,
-        cluster_set=cs,
-        verdict=verdict,
-        tol=tol,
-        worst_shift=float(worst),
-    )
+    verdict = "gibbs" if R > 1.0 + tol or L < -1.0 - tol else "inconclusive" if sampled else "no-gibbs"
+    return R, L, float(shifts[_worst(Rs, Ls)]), verdict
 
 
 def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
@@ -486,7 +480,7 @@ def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
     "nonnegative" allows values down to -1e-9.
     """
     tol = 1e-9
-    phi_nonneg = _grid_nonneg(pair.phi)
+    phi_nonneg = _grid_min(pair.phi) >= -tol
     tlo, thi = pair.phi_tilde.support
     splits = range(int(math.floor(tlo)), int(math.ceil(thi)) + 1)
     halves_ok = all(
@@ -495,5 +489,5 @@ def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
         for side in ("left", "right")
     )
     item_i = phi_nonneg and halves_ok
-    item_ii = phi_nonneg and _grid_nonneg(pair.phi_tilde)
+    item_ii = phi_nonneg and _grid_min(pair.phi_tilde) >= -tol
     return {"item_i": bool(item_i), "item_ii": bool(item_ii)}

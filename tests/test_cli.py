@@ -611,6 +611,22 @@ def test_reruns_are_byte_identical(tmp_path):
     assert first.stdout == second.stdout
 
 
+def test_a_closed_stdout_exits_141_quietly():
+    """A reader that stops early ends the command as SIGPIPE would, with the
+    exit code 141 a shell shows for it and nothing on stderr.  The curve's
+    155,761 bytes overfill a 64 KiB pipe buffer, so a write meets the closed pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gibbslab.cli", "overshoot-curve", "--pair", "haar", "--num-t", "4096"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")
+
+
 # -- JSON writer ------------------------------------------------------------------
 
 _any_float = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-5, 1e16]) | st.floats()

@@ -21,8 +21,8 @@ from gibbslab.construct import (
 )
 from gibbslab.errors import PreconditionError
 from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, function_from_json_dict
-from gibbslab.catalog import daubechies_mask
-from gibbslab.gibbs import overshoot
+from gibbslab.catalog import daubechies_mask, resolve_function
+from gibbslab.gibbs import gibbs_at_point, overshoot
 from gibbslab.quasiproj import GridSpec, QuasiProjectionPair, accuracy_order, poly_reproduction
 
 
@@ -129,6 +129,25 @@ def test_verify_report_quadratic_boundary_case():
     assert rep["integral_right"] == pytest.approx(0.0, abs=1e-12)
     assert rep["integral_left"] == pytest.approx(1.0, abs=1e-12)
     assert rep["integrals_in_range"] and rep["gibbs_free"]
+
+
+def test_verify_report_for_a_primal_the_dual_was_not_built_for():
+    """The hat function's order-2 dual against daubechies:2: the integrals stay
+    in range, but item_i fails and the overshoot at shift 0 reads "gibbs"."""
+    con = build_dual(bspline(2), 2)
+    d2 = resolve_function("daubechies:2")
+    rep = verify_gibbs_free(con, d2)
+    assert (rep["gibbs_free"], rep["item_i"], rep["integrals_in_range"]) == (False, False, True)
+    assert (rep["R0"], rep["L0"]) == (1.3660254037844373, -1.0)
+    assert gibbs_at_point(QuasiProjectionPair(d2, con.phi_tilde), 0, tol=1e-9).verdict == "gibbs"
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_verify_report_agrees_with_gibbs_at_point(m, order):
+    con = build_dual(bspline(m), order)
+    assert verify_gibbs_free(con, bspline(m))["gibbs_free"]
+    assert gibbs_at_point(QuasiProjectionPair(bspline(m), con.phi_tilde), 0, tol=1e-9).verdict == "no-gibbs"
 
 
 def test_construction_rejects_sign_changing_primal():

@@ -756,3 +756,14 @@ def test_nonneg_sufficient_conditions(b2, d3):
     rep = nonneg_sufficient(flat)
     assert rep["item_i"] and rep["item_ii"]
     assert nonneg_sufficient(d3) == {"item_i": False, "item_ii": False}
+
+
+@pytest.mark.parametrize("dip,nonneg", [(-1e-9, True), (-2e-9, False)])
+def test_nonneg_sufficient_allows_a_dip_down_to_1e_9(dip, nonneg):
+    """item_ii reads a level-10 grid sample down to -1e-9 as nonnegative."""
+    phi = bspline(2)
+    i0, xs = dyadic_grid(*phi.support, 10)
+    values = phi.evaluate(xs)
+    values[5, 0] = dip
+    rep = nonneg_sufficient(QuasiProjectionPair(phi, SampledFunction(10, i0, values)))
+    assert rep == {"item_i": True, "item_ii": nonneg}
