@@ -32,7 +32,7 @@ from .funcmodel import (
     fhat_deriv0,
     function_to_json_dict,
 )
-from .gibbs import _verdict, nonneg_sufficient
+from .gibbs import _item_i, _verdict
 from .quasiproj import QuasiProjectionPair, _sample_table, _synthesis
 
 __all__ = [
@@ -177,16 +177,16 @@ def verify_gibbs_free(construction: DualConstruction, phi: FunctionHandle) -> di
         expected = float(construction.d[1]) - N + 0.5
         in_range = in_range and abs(right - expected) < 1e-9
     pair = QuasiProjectionPair(phi, pt)
-    cond = nonneg_sufficient(pair)
+    item_i = _item_i(pair)
     R0, L0, _, verdict = _verdict(pair, [0.0], tol, 12, False)
     return {
         "integral_right": right,
         "integral_left": left,
         "integrals_in_range": bool(in_range),
-        "item_i": cond["item_i"],
+        "item_i": item_i,
         "R0": R0,
         "L0": L0,
-        "gibbs_free": bool(in_range and cond["item_i"] and verdict == "no-gibbs"),
+        "gibbs_free": bool(in_range and item_i and verdict == "no-gibbs"),
     }
 
 

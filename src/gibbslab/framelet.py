@@ -42,7 +42,7 @@ from .funcmodel import (
     dyadic_bounds,
     fhat_deriv0,
 )
-from .gibbs import bracket_second_deriv, nonneg_sufficient, overshoot
+from .gibbs import _item_ii, bracket_second_deriv, overshoot
 from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
 from .sequences import MatrixSeq, convolve, fourier_deriv
 
@@ -139,10 +139,14 @@ def oep_check(bank: FilterBank, tol: float = 1e-12) -> dict:
 def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, factor: float):
     """factor * sum_k coeffs(k) f(dilate . - k), exact for piecewise polys.
 
-    A sampled ``f`` is read once on the grid over its support at its own level
+    ``f`` itself when that is the identity: ``dilate`` 1, ``factor`` 1 and
+    ``coeffs`` the Dirac filter to within ``MatrixSeq.allclose``.  Otherwise a
+    sampled ``f`` is read once on the grid over its support at its own level
     (``funcmodel._support_samples``), and the filter's matrices are the taps of
     one :func:`_tap_sum`.
     """
+    if dilate == 1 and factor == 1.0 and coeffs.allclose(MatrixSeq.dirac(f.ncomponents)):
+        return f
     klo, n = coeffs.offset, coeffs.entries.shape[0]
     if np.max(np.abs(coeffs.entries.imag)) > 1e-14:
         raise PreconditionError("complex filters are not supported for time-domain synthesis")
@@ -195,26 +199,15 @@ def derive_wavelets(bank: FilterBank, phi: FunctionHandle, phi_tilde: FunctionHa
 
     psi = _filter_combination(bank.b, phi, 2, 2.0)
     psi_tilde = _filter_combination(bank.b_tilde, phi_tilde, 2, 2.0)
-    eta = phi if bank.theta.allclose(MatrixSeq.dirac(r)) else _filter_combination(bank.theta, phi, 1, 1.0)
-    eta_tilde = (
-        phi_tilde
-        if bank.theta_tilde.allclose(MatrixSeq.dirac(r))
-        else _filter_combination(bank.theta_tilde, phi_tilde, 1, 1.0)
-    )
-    mathring_dual = (
-        phi_tilde
-        if Theta.allclose(MatrixSeq.dirac(r))
-        else _filter_combination(Theta.transposed(), phi_tilde, 1, 1.0)
-    )
     return DualFramelet(
         phi=phi,
         phi_tilde=phi_tilde,
         psi=psi,
         psi_tilde=psi_tilde,
         bank=bank,
-        eta=eta,
-        eta_tilde=eta_tilde,
-        mathring_pair=QuasiProjectionPair(phi, mathring_dual),
+        eta=_filter_combination(bank.theta, phi, 1, 1.0),
+        eta_tilde=_filter_combination(bank.theta_tilde, phi_tilde, 1, 1.0),
+        mathring_pair=QuasiProjectionPair(phi, _filter_combination(Theta.transposed(), phi_tilde, 1, 1.0)),
     )
 
 
@@ -322,7 +315,7 @@ def framelet_gibbs_verdict(df: DualFramelet) -> dict:
             )
         report.update(verdict="gibbs-everywhere", bracket=res.value)
         return report
-    if nonneg_sufficient(df.mathring_pair)["item_ii"]:
+    if _item_ii(df.mathring_pair):
         report.update(
             verdict="no-gibbs-at-origin",
             single_moment_pair=bool(vmo_psi == 1 and vmo_psi_tilde == 1),

@@ -749,6 +749,18 @@ def _fixed_part(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return R @ np.linalg.solve(G, L.conj().T @ v)
 
 
+def _two_scale(mask: MatrixSeq) -> np.ndarray:
+    """``T[j, :, t, :] = a(kmin + 2j - t)`` for ``j, t = 0..W`` (zero where no
+    tap), the two-scale relation at the integers: :func:`cascade` reads phi
+    there off ``2 T``, ``RefinableFunction._integer_cumulative`` F off ``T``."""
+    kmin, kmax = mask.support
+    W = kmax - kmin
+    taps = np.zeros((3 * W + 1,) + mask.shape)
+    taps[W : 2 * W + 1] = mask.entries.real  # taps[W + i] = a(kmin + i)
+    j = np.arange(W + 1)
+    return taps[W + 2 * j[:, None] - j].transpose(0, 2, 1, 3)
+
+
 def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunction:
     """Exact samples of the two-scale solution on the grid ``2^-level Z``.
 
@@ -770,11 +782,7 @@ def cascade(mask: MatrixSeq, normalization=None, level: int = 12) -> SampledFunc
     kmin, kmax, norm = _check_mask(mask, normalization)
     W = kmax - kmin
     r = mask.shape[0]
-    ents = mask.entries.real
-    M = np.zeros((W + 1, r, W + 1, r))
-    for j in range(W + 1):
-        for k in range(max(0, 2 * j - W), min(W, 2 * j) + 1):
-            M[j, :, k, :] = 2.0 * ents[2 * j - k]
+    M = 2.0 * _two_scale(mask)
     v0 = np.zeros((W + 1, r))
     v0[0] = norm
     ints = _fixed_part(M.reshape(-1, (W + 1) * r), v0.reshape(-1)).reshape(W + 1, r)
@@ -891,7 +899,8 @@ class RefinableFunction:
 
     @cached_property
     def _integer_cumulative(self) -> np.ndarray:
-        """F at the integers kmin..kmax (shape (W+1, r)), exactly."""
+        """F at the integers kmin..kmax (shape (W+1, r)), exactly: the interior
+        values solve ``(I - T) F = b`` on rows and columns 1..W-1 of :func:`_two_scale`."""
         kmin, kmax = self.mask.support
         W = kmax - kmin
         r = self.ncomponents
@@ -900,21 +909,10 @@ class RefinableFunction:
         F[W] = m0
         if W > 1:
             n = (W - 1) * r
-            A = np.zeros((n, n))
-            b = np.zeros(n)
-            taps = [(k, self.mask[k].real) for k in self.mask.indices()]
-            for row_j, j in enumerate(range(kmin + 1, kmax)):
-                blk = slice(row_j * r, (row_j + 1) * r)
-                A[blk, blk] += np.eye(r)
-                for k, a in taps:
-                    t = 2 * j - k
-                    if t <= kmin:
-                        continue
-                    if t >= kmax:
-                        b[blk] += a @ m0
-                    else:
-                        col = slice((t - kmin - 1) * r, (t - kmin) * r)
-                        A[blk, col] -= a
+            A = np.eye(n) - _two_scale(self.mask)[1:W, :, 1:W, :].reshape(n, n)
+            # row j reads F = m0 through the taps k <= 2j - kmax, added k ascending from +0
+            past = np.concatenate([np.zeros((W + 1, r)), self.mask.entries.real @ m0])
+            b = np.cumsum(past, axis=0)[3 : 2 * W : 2].reshape(n)
             try:
                 sol = np.linalg.solve(A, b)
             except np.linalg.LinAlgError as exc:

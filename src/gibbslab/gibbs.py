@@ -243,8 +243,10 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     """(R, L) at shifts ``|t| < 1`` on the ``2^-level`` grid from one batched
     synthesis, term for term the sums of :func:`_overshoot_both`.
 
-    One ``cumulative`` call gives the sgn coefficients of every (shift, k) over
-    the window ``apply`` takes for that shift.  One
+    One ``cumulative`` call gives the sgn coefficients of every (shift, k) that
+    the shift's rows ``-V .. V`` read (``V`` the largest window), so the k-range
+    is the rows' own; only the window ``W`` of :func:`_sgn_expansion` is shared
+    with the direct route, which cuts its rows ``+-W`` where this one does.  One
     :func:`~gibbslab.quasiproj._window_sums` call lays the rows of all shifts
     side by side, counted from the row ``v = 0`` that holds x = 0, dedupes
     them (the constant rows far from 0 are one window for every shift) and
@@ -256,20 +258,15 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     reversed row, read off a running min or max.
     """
     m0, P = pair.phi_table(level)
-    width = 2**level
-    h = 2.0**-level
-    # the arithmetic of apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W)), one entry per shift
-    W = 2 * pair.support_bound + 3 + np.ceil(np.abs(ts)).astype(np.int64)
+    width, rows = 2**level, P.shape[0]
+    W = 2 * pair.support_bound + 3 + np.ceil(np.abs(ts)).astype(np.int64)  # _sgn_expansion's window
     qz, j0 = np.divmod((ts * width).astype(np.int64) - m0, width)  # table row and column of x = 0
-    plo, phi_hi = pair.phi.support
-    klo = np.floor(-W * width * h + ts - phi_hi).astype(np.int64)
-    khi = np.ceil(W * width * h + ts - plo).astype(np.int64)
-    ks = np.minimum(klo[:, None] + np.arange(np.max(khi - klo) + 1), khi[:, None])
-    coeff = _sgn_coefficients(pair.phi_tilde, ((0.0 + ts)[:, None] - ks).reshape(-1))
     V = int(np.max(W))
     v = np.arange(-V, V + 1)[:, None]
-    # rows -V .. V of every shift; past its own +-W a shift repeats its end row
-    rel = qz - klo + np.clip(v, -W, W)
+    # rows -V .. V of every shift, past its own +-W repeating its end row; row v reads k = qz + v - a
+    ks = qz[:, None] + np.arange(-V - rows + 1, V + 1)
+    coeff = _sgn_coefficients(pair.phi_tilde, ((0.0 + ts)[:, None] - ks).reshape(-1))
+    rel = V + rows - 1 + np.clip(v, -W, W)
     run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel, 2 * int(np.min(W)))
 
     # the pieces of rows v = -W, 0 (twice) and W: row, columns kept counted from
@@ -472,22 +469,29 @@ def _verdict(pair: QuasiProjectionPair, shifts, tol: float, level: int, sampled:
 
 
 def nonneg_sufficient(pair: QuasiProjectionPair) -> dict:
-    """The two checkable sufficient conditions for no overshoot at the origin.
+    """The two checkable sufficient conditions for no overshoot at the origin,
+    :func:`_item_i` and :func:`_item_ii`; a verdict calls the one it reads."""
+    return {"item_i": _item_i(pair), "item_ii": _item_ii(pair)}
 
-    item_i : primal nonnegative and every integer-split half-line integral of
-             the dual nonnegative (both sides, all integer split points);
-    item_ii: both functions nonnegative pointwise;
-    "nonnegative" allows values down to -1e-9.
-    """
-    tol = 1e-9
-    phi_nonneg = _grid_min(pair.phi) >= -tol
+
+def _nonneg(f: FunctionHandle) -> bool:
+    """``f`` down to -1e-9 at least on the level-10 grid over its support."""
+    return _grid_min(f) >= -1e-9
+
+
+def _item_i(pair: QuasiProjectionPair) -> bool:
+    """Primal nonnegative and every integer-split half-line integral of the dual
+    down to -1e-9 at least (both sides), the integrals only for a nonnegative primal."""
+    if not _nonneg(pair.phi):
+        return False
     tlo, thi = pair.phi_tilde.support
-    splits = range(int(math.floor(tlo)), int(math.ceil(thi)) + 1)
-    halves_ok = all(
-        float(np.min(halfline_integral(pair.phi_tilde, k, side))) >= -tol
-        for k in splits
+    return all(
+        float(np.min(halfline_integral(pair.phi_tilde, k, side))) >= -1e-9
+        for k in range(int(math.floor(tlo)), int(math.ceil(thi)) + 1)
         for side in ("left", "right")
     )
-    item_i = phi_nonneg and halves_ok
-    item_ii = phi_nonneg and _grid_min(pair.phi_tilde) >= -tol
-    return {"item_i": bool(item_i), "item_ii": bool(item_ii)}
+
+
+def _item_ii(pair: QuasiProjectionPair) -> bool:
+    """Both functions nonnegative (:func:`_nonneg`)."""
+    return _nonneg(pair.phi) and _nonneg(pair.phi_tilde)

@@ -220,6 +220,16 @@ def test_dilation_one_combination_matches_hand_written_sum():
     assert np.array_equal(out.values[:, 0], acc)
 
 
+def test_only_the_identity_combination_returns_its_input():
+    """The Dirac filter at dilation 1 and factor 1 is the identity, so the
+    input itself comes back; at dilation 2 and factor 2 it is 2 f(2x)."""
+    phi = RefinableFunction(daubechies_mask(3))
+    assert _filter_combination(MatrixSeq.dirac(1), phi, 1, 1.0) is phi
+    out = _filter_combination(MatrixSeq.dirac(1), phi, 2, 2.0)
+    assert out.support == (0.0, 2.5)
+    assert np.array_equal(out.values[:, 0], 2.0 * phi.evaluate(2.0 * out.xs())[:, 0])
+
+
 def test_vector_combination_matches_hand_written_sum():
     """Two components: the kernel adds the r-sum in einsum order where a
     matmul may fuse it, so the hand-written sum agrees to rounding."""

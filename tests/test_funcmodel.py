@@ -545,6 +545,113 @@ def test_cascade_level_bounds():
         gl.GridSpec(17)
 
 
+# ---------------------------------------------------------------------------
+# the two-scale array at the integers: phi there (cascade) and F there
+# (_integer_cumulative) against the loops they replaced
+
+
+def _loop_cascade_matrix(mask):
+    """Reference for ``2 _two_scale(mask)``: ``M[j, :, k, :] = 2 a(kmin + 2j - k)``
+    filled tap by tap."""
+    kmin, kmax = mask.support
+    W = kmax - kmin
+    r = mask.shape[0]
+    ents = mask.entries.real
+    M = np.zeros((W + 1, r, W + 1, r))
+    for j in range(W + 1):
+        for k in range(max(0, 2 * j - W), min(W, 2 * j) + 1):
+            M[j, :, k, :] = 2.0 * ents[2 * j - k]
+    return M
+
+
+def _loop_integer_cumulative(f):
+    """Reference for ``_integer_cumulative``: ``F(j) - sum_k a(k) F(2j - k)``
+    assembled row by row and tap by tap, ``F = phihat(0)`` past kmax entering
+    the right-hand side k ascending."""
+    kmin, kmax = f.mask.support
+    W = kmax - kmin
+    r = f.ncomponents
+    m0 = f.moment(0)
+    F = np.zeros((W + 1, r))
+    F[W] = m0
+    if W > 1:
+        n = (W - 1) * r
+        A = np.zeros((n, n))
+        b = np.zeros(n)
+        taps = [(k, f.mask[k].real) for k in f.mask.indices()]
+        for row_j, j in enumerate(range(kmin + 1, kmax)):
+            blk = slice(row_j * r, (row_j + 1) * r)
+            A[blk, blk] += np.eye(r)
+            for k, a in taps:
+                t = 2 * j - k
+                if t <= kmin:
+                    continue
+                if t >= kmax:
+                    b[blk] += a @ m0
+                else:
+                    col = slice((t - kmin - 1) * r, (t - kmin) * r)
+                    A[blk, col] -= a
+        try:
+            sol = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise PreconditionError("cumulative-integral system is singular") from exc
+        F[1:W] = sol.reshape(W - 1, r)
+    return F
+
+
+def _assert_two_scale_matches_loops(f):
+    """``2 _two_scale``, F at the integers and phi at the integers are the
+    bytes of the loops; phi's reference is ``_fixed_part`` of the loop matrix."""
+    mask = f.mask
+    W = mask.support[1] - mask.support[0]
+    r = f.ncomponents
+    want_M = _loop_cascade_matrix(mask)
+    got_M = 2.0 * funcmodel._two_scale(mask)
+    assert got_M.shape == want_M.shape and got_M.tobytes() == want_M.tobytes()
+    try:
+        want_F = _loop_integer_cumulative(f)
+    except PreconditionError:
+        with pytest.raises(PreconditionError, match="cumulative-integral system is singular"):
+            f._integer_cumulative
+    else:
+        assert f._integer_cumulative.tobytes() == want_F.tobytes()
+    v0 = np.zeros((W + 1, r))
+    v0[0] = f.normalization
+    try:
+        ints = f.samples().values[:: 2**f.level]
+    except (ConvergenceError, PreconditionError):
+        return False
+    want = funcmodel._fixed_part(want_M.reshape(-1, (W + 1) * r), v0.reshape(-1)).reshape(W + 1, r)
+    assert ints.tobytes() == want.tobytes()
+    return True
+
+
+@pytest.mark.parametrize(
+    "mask,norm",
+    [(bspline_mask(m), None) for m in range(1, 10)]
+    + [(daubechies_mask(k), None) for k in (1, 2, 3)]
+    + [(cdf13_mask(), None), (_ghm(3).mask, _ghm(3).normalization)],
+    ids=[f"bspline:{m}" for m in range(1, 10)] + [f"daubechies:{k}" for k in (1, 2, 3)] + ["cdf13", "ghm"],
+)
+def test_two_scale_array_matches_the_loops_bitwise(mask, norm):
+    assert _assert_two_scale_matches_loops(RefinableFunction(mask, norm, level=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([1, 2]), data=st.data())
+def test_two_scale_array_matches_the_loops_on_spline_like_masks(r, data):
+    mask, norm = data.draw(spline_like_mask(r))
+    _assert_two_scale_matches_loops(RefinableFunction(mask, norm, level=3))
+
+
+def test_cumulative_of_the_cdf31_dual_is_refused_as_singular():
+    """The CDF (3,1) dual mask: ``I - T`` on the interior integers is singular,
+    so F at the integers has no unique solution and is refused."""
+    f = RefinableFunction(MatrixSeq.scalar(-1, [-0.25, 0.75, 0.75, -0.25]))
+    with pytest.raises(PreconditionError, match="cumulative-integral system is singular"):
+        f.cumulative([0.0])
+
+
 def _left_to_right(a, v):
     """``a . v`` per row of ``v``, each output's component products added left
     to right from +0.  For r >= 3 it is einsum's own sum, whose order depends

@@ -20,9 +20,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gibbslab import gibbs, quasiproj
-from gibbslab.catalog import pair_fleet, resolve_pair
-from gibbslab.construct import build_dual
+from gibbslab.catalog import pair_fleet, resolve_framelet, resolve_pair
+from gibbslab.construct import build_dual, verify_gibbs_free
 from gibbslab.errors import ConvergenceError, PreconditionError
+from gibbslab.framelet import framelet_gibbs_verdict
 from gibbslab.funcmodel import (
     PiecewisePoly,
     RefinableFunction,
@@ -767,3 +768,31 @@ def test_nonneg_sufficient_allows_a_dip_down_to_1e_9(dip, nonneg):
     values[5, 0] = dip
     rep = nonneg_sufficient(QuasiProjectionPair(phi, SampledFunction(10, i0, values)))
     assert rep == {"item_i": True, "item_ii": nonneg}
+
+
+def test_each_verdict_computes_only_the_certificate_it_reads(monkeypatch):
+    """``framelet_gibbs_verdict`` reads item_ii alone and takes no half-line
+    integral; ``verify_gibbs_free`` reads item_i alone and takes one grid
+    minimum, phi's (the parent took 4, 6 and 4 integrals and 2 minima)."""
+    calls = {"halfline_integral": 0, "_grid_min": 0}
+
+    def counted(name):
+        real = getattr(gibbs, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gibbs, "halfline_integral", counted("halfline_integral"))
+    monkeypatch.setattr(gibbs, "_grid_min", counted("_grid_min"))
+    for name in ("haar", "bspline2-tight", "mixed13"):
+        df = resolve_framelet(name)
+        calls["halfline_integral"] = 0
+        framelet_gibbs_verdict(df)
+        assert calls["halfline_integral"] == 0, name
+    con = build_dual(bspline(3), 3)
+    calls["_grid_min"] = 0
+    assert verify_gibbs_free(con, bspline(3))["item_i"]
+    assert calls["_grid_min"] == 1
