@@ -29,11 +29,13 @@ from .funcmodel import (
     FunctionHandle,
     PiecewisePoly,
     _grid_min,
+    _sample_table,
+    _synthesis,
     fhat_deriv0,
     function_to_json_dict,
 )
 from .gibbs import _item_i, _verdict
-from .quasiproj import QuasiProjectionPair, _sample_table, _synthesis
+from .quasiproj import QuasiProjectionPair
 
 __all__ = [
     "DualConstruction",

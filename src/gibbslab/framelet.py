@@ -36,9 +36,9 @@ from .funcmodel import (
     PiecewisePoly,
     SampledFunction,
     _grid_level,
+    _matrix_synthesis,
     _sample_jump,
-    _support_samples,
-    _tap_sum,
+    _sample_table,
     dyadic_bounds,
     fhat_deriv0,
 )
@@ -142,8 +142,8 @@ def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, facto
     ``f`` itself when that is the identity: ``dilate`` 1, ``factor`` 1 and
     ``coeffs`` the Dirac filter to within ``MatrixSeq.allclose``.  Otherwise a
     sampled ``f`` is read once on the grid over its support at its own level
-    (``funcmodel._support_samples``), and the filter's matrices are the taps of
-    one :func:`_tap_sum`.
+    (``funcmodel._sample_table``), and the filter's matrices are the taps of
+    one ``funcmodel._matrix_synthesis`` at stride ``dilate``.
     """
     if dilate == 1 and factor == 1.0 and coeffs.allclose(MatrixSeq.dirac(f.ncomponents)):
         return f
@@ -158,10 +158,8 @@ def _filter_combination(coeffs: MatrixSeq, f: FunctionHandle, dilate: int, facto
     level = _grid_level(f)
     flo, fhi = f.support
     i0, i1 = dyadic_bounds((flo + klo) / dilate, (fhi + klo + n - 1) / dilate, level)
-    m0, fvals = _support_samples(f, level)
     # x = (i0 + i) 2^-level gives dilate x - k = (dilate (i0 + i) - k 2^level) 2^-level
-    taps = [(klo + i, mats[i]) for i in range(n)]
-    vals = _tap_sum(taps, fvals, i1 - i0 + 1, dilate, dilate * i0 - m0, 2**level)
+    vals = _matrix_synthesis(_sample_table(f, level), dilate * i0, i1 - i0 + 1, dilate, klo, mats)
     return SampledFunction(level, i0, vals)
 
 

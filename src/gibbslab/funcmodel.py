@@ -596,33 +596,6 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
     return kmin, kmax, norm.real.copy()
 
 
-def _tap_sum(taps, vals: np.ndarray, n: int, dilate: int, s0: int, step: int, beyond=None):
-    """``out[i] = sum_k a . vals[dilate i + s0 - k step]`` for ``i < n`` over the
-    ``(k, a)`` in ``taps`` (consecutive ``k``): the two-scale sum ``sum_k a(k)
-    f(dilate x - k)`` over the samples ``vals`` of ``f``, which is zero left of
-    them and ``beyond`` (None: zero) right.
-
-    One padded copy of ``vals`` covers every index read, and one read-only
-    window view ``view[k, i] = vals[dilate i + s0 - k step]`` feeds one einsum.
-    For each ``i`` it adds each tap's component sum to a running sum from +0,
-    ``k`` ascending; a tap reading the padding adds ``+-0`` (or its product
-    with ``beyond``).  Summing the components first keeps einsum's inner loop
-    on them, so for r >= 2 the kernel is several times slower than a per-tap
-    loop.
-    """
-    k0, K = taps[0][0], len(taps)
-    lo = s0 - (k0 + K - 1) * step  # first index read (row 0, last tap)
-    span = dilate * (n - 1) + (K - 1) * step + 1  # indices read, from lo on
-    left = max(0, -lo)
-    padded = np.empty((left + max(len(vals), lo + span), vals.shape[1]))
-    padded[:left] = 0.0
-    padded[left : left + len(vals)] = vals
-    padded[left + len(vals) :] = 0.0 if beyond is None else beyond
-    win = np.lib.stride_tricks.sliding_window_view(padded, (K - 1) * step + 1, axis=0)
-    view = np.moveaxis(win[lo + left :: dilate][:n, :, ::-step], -1, 0)
-    return np.einsum("kab,knb->na", np.stack([a for _, a in taps]), view)
-
-
 def _refine(
     taps, kmin: int, W: int, level: int, v0: np.ndarray, gain: float, beyond: np.ndarray | None
 ) -> np.ndarray:
@@ -634,8 +607,9 @@ def _refine(
     Each level keeps the previous samples at its even points and fills its
     ``W 2^(lev-1)`` odd points ``x`` from ``f(2x - k)``, which lie on the
     previous grid; ``f`` is zero left of that grid and ``beyond`` (None: zero)
-    right of it.  Level 1 reads the integers ``v0`` through one
-    :func:`_tap_sum`.  At level ``lev >= 2`` odd point ``i`` reads only odd
+    right of it.  Level 1 is one :func:`_matrix_synthesis` at stride 2 on the
+    level-0 table ``v0``, then ``W - 1`` rows of ``beyond`` if given, through
+    the last integer read.  At level ``lev >= 2`` odd point ``i`` reads only odd
     points of level ``lev - 1``, namely odd point ``i - j q`` with ``q =
     2^(lev-2)`` and ``j = k - kmin``.  Cut into blocks of ``q`` points, the
     ``W`` input blocks give ``2W`` output blocks, and output block ``c`` is
@@ -649,7 +623,7 @@ def _refine(
     A_(c-W) . beyond``, the taps that read past the samples, which are the
     smallest ``k``; then ``T[c, W - b]`` meets data block ``b`` and holds
     ``A_(c-b)``, so ``k`` ascends.  Each output thus adds the terms of
-    :func:`_tap_sum` in its order.  Where ``T`` is zero the einsum adds
+    :func:`_synthesis` in its order.  Where ``T`` is zero the einsum adds
     ``+-0`` to a running sum that starts at +0 and so is never -0, which
     changes no bit (nor does the sign of a zero ``s_c``).  Each level's odd
     points are kept contiguous and copied once into the output at stride
@@ -658,8 +632,7 @@ def _refine(
     """
     if level == 0:
         return v0
-    taps = [(k, gain * a) for k, a in taps]
-    A = np.stack([a for _, a in taps])  # A[j] = gain a(kmin + j)
+    A = gain * np.stack([a for _, a in taps])  # A[j] = gain a(kmin + j)
     r = v0.shape[1]
     T = np.zeros((2 * W, W + 1, r, r))
     b = np.arange(W)
@@ -669,8 +642,9 @@ def _refine(
         T[W:, 0, range(r), range(r)] = np.cumsum(np.einsum("jab,b->ja", A[:W], beyond), axis=0)
     out = np.empty((W * 2**level + 1, r))
     out[:: 2**level] = v0
+    ints = v0 if beyond is None else np.concatenate([v0, np.broadcast_to(beyond, (W - 1, r))])
     buf = np.empty((W + 1, r))
-    buf[:W] = _tap_sum(taps, v0, W, 2, 1 + kmin, 1, beyond)
+    buf[:W] = _matrix_synthesis((kmin, ints[:, None]), 2 * kmin + 1, W, 2, kmin, A)
     for lev in range(2, level + 1):
         q = 2 ** (lev - 2)
         buf[W * q :] = 1.0
@@ -800,10 +774,11 @@ def refinement_residual(sf: SampledFunction, mask: MatrixSeq) -> float:
     """sup-norm of phi(x) - 2 sum_k a(k) phi(2x - k) over the sample grid.
 
     ``2 x_i - k`` is the grid point of index ``2 i + start - k 2^level``, so
-    the sum is one :func:`_tap_sum` with taps ``2 a(k)``.
+    the sum is one :func:`_matrix_synthesis` at stride 2 with taps ``2 a(k)``
+    on the samples' own table.
     """
-    taps = [(k, 2.0 * mask[k].real) for k in mask.indices()]
-    acc = _tap_sum(taps, sf.values, sf.values.shape[0], 2, sf.start, 2**sf.level)
+    n = sf.values.shape[0]
+    acc = _matrix_synthesis(_sample_table(sf, sf.level), 2 * sf.start, n, 2, mask.offset, 2.0 * mask.entries.real)
     np.subtract(sf.values, acc, out=acc)
     return float(np.max(np.abs(acc, out=acc)))
 
@@ -1011,13 +986,107 @@ def _support_samples(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple
     """``f`` at ``(i0 + i) 2^-level + phase`` over ``dyadic_grid(*f.support, level)``:
     ``i0`` and the values, shape ``(n, r)``.  At phase 0 a refinable function
     carrying ``level`` or a finer level hands over its cached cascade samples
-    at stride ``2^(f.level - level)``.  The refinement is nested and
-    ``np.interp`` returns a sample itself at a grid point, so these are the
-    bits ``evaluate`` gives; any other ``f``, level or phase is evaluated."""
+    at stride ``2^(f.level - level)``, and sampled values at their own level
+    are handed over as they are.  The refinement is nested and
+    ``np.interp`` returns a sample itself at a grid point (-0.0 too), so these
+    are the bits ``evaluate`` gives; any other ``f``, level or phase is evaluated."""
     if not phase and isinstance(f, RefinableFunction) and level <= f.level:
         return dyadic_bounds(*f.support, level)[0], f.samples().values[:: 2 ** (f.level - level)]
+    if not phase and isinstance(f, SampledFunction) and level == f.level:
+        return f.start, f.values
     i0, xs = dyadic_grid(*f.support, level)
     return i0, f.evaluate(xs + phase)
+
+
+def _sample_table(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
+    """``f`` on the ``2^-level`` grid over its support, shifted by ``0 <= phase
+    < 2^-level``, one row per unit step: ``(m0, P)`` with ``P[a, j] = f((m0 + a
+    2^level + j) 2^-level + phase)``, shape ``(rows, 2^level, r)``, zero past
+    the support; from one :func:`_support_samples` call."""
+    m0, vals = _support_samples(f, level, phase)
+    width = 2**level
+    table = np.zeros((-(-len(vals) // width) * width, f.ncomponents))
+    table[: len(vals)] = vals
+    table = table.reshape(-1, width, f.ncomponents)
+    table.flags.writeable = False
+    return m0, table
+
+
+def _synthesis(
+    table: tuple[int, np.ndarray], g0: int, count: int, stride: int, klo: int, coeff: np.ndarray
+) -> np.ndarray:
+    """``sum_k coeff[k - klo] . f(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
+    ``i < count``, from the :func:`_sample_table` ``(m0, P)`` of ``f`` at
+    ``level`` (polyphase; at phase ``delta``, ``f(g_i 2^-level + delta - k)``),
+    with real ``coeff`` of shape ``(len, r)``.  The one sum of translates, at
+    any stride: ``quasiproj`` and ``construct.build_dual`` call it, the
+    two-scale sums take it through :func:`_matrix_synthesis`, and the sweep of
+    ``gibbs`` reduces the rows of its core :func:`_window_sums`; only
+    :func:`_refine` from level 2 on sums on its own.
+
+    With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
+    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, the
+    sum of the window ``coeff(q - a)``.  Coefficients outside ``klo .. klo +
+    len(coeff) - 1`` repeat the nearest one, so a caller passes every ``k``
+    whose translate meets a point, or one row for a constant sequence.
+    """
+    m0, P = table
+    width = P.shape[1]
+    q0, j0 = divmod(g0 - m0, width)
+    phase = j0 % stride
+    cols = P[:, phase::stride]  # a stride beyond 2^level keeps one column ...
+    skip = (j0 - phase) // stride
+    nq = -(-(skip + count) // cols.shape[1])
+    qs = q0 + max(1, stride // width) * np.arange(nq)  # ... of every (stride / 2^level)-th row
+    run, sums = _window_sums(cols, coeff[None], (qs - klo)[:, None])
+    return next(sums)[1][run[:, 0]].reshape(-1)[skip : skip + count]
+
+
+def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: int | None = None):
+    """The window sums of :func:`_synthesis` for ``m`` coefficient sequences at
+    once: row ``u`` of sequence ``i`` is ``sum_a coeff[i, rel[u, i] - a] .
+    cols[a]`` (an index past either end of ``coeff[i]`` repeats the nearest
+    one), for ``coeff`` of shape ``(m, K, r)``, ``rel`` of shape ``(nq, m)`` and
+    the table columns ``cols`` of shape ``(rows, width, r)``.
+
+    The windows are taken in the order of ``rel``'s elements, row by row, and
+    equal windows next to each other (the constant ends of a sequence, the
+    repeats past its edges, the same row of sequences that agree there) are
+    compared by bits (0.0 and -0.0 differ) and summed once.  Returns the index
+    of each ``(u, i)``'s sum among these distinct sums, shape ``(nq, m)``, and
+    an iterator of ``(lo, sums)``: the distinct sums ``lo, lo + 1, ...`` as rows
+    of ``width`` values, at most ``chunk`` of them per item (all at once
+    without ``chunk``).  Each is one einsum row, which adds its component sum
+    from +0 with ``a`` descending (``k`` ascending); terms on zero samples add
+    +-0, which moves no bit, so a row's bits do not depend on how many rows
+    share the call.  einsum, not np.dot: BLAS may add the terms in another
+    order and move the last bit.
+    """
+    m, K, r = coeff.shape
+    rows = cols.shape[0]
+    idx = np.minimum(np.maximum(rel[:, :, None] + np.arange(1 - rows, 1), 0), K - 1)
+    idx += K * np.arange(m)[:, None]
+    windows = coeff.reshape(-1, r)[idx.reshape(-1, rows)]  # k ascending
+    bits = windows.reshape(len(windows), -1).view(np.int64)
+    first = np.ones(len(windows), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
+    distinct = windows[first]
+    chunk = chunk or len(distinct)
+    sums = (
+        (lo, np.einsum("uar,ajr->uj", distinct[lo : lo + chunk], cols[::-1]))
+        for lo in range(0, len(distinct), chunk)
+    )
+    return (np.cumsum(first) - 1).reshape(rel.shape), sums
+
+
+def _matrix_synthesis(table: tuple, g0: int, count: int, stride: int, klo: int, mats: np.ndarray) -> np.ndarray:
+    """:func:`_synthesis` with real ``(s, r)`` tap matrices ``mats``, zero past
+    them; shape ``(count, s)``.  Each output component is one call on its rows,
+    padded with a zero row at both ends (past its ends ``_synthesis`` repeats
+    the end coefficient); a padding term adds +-0, which moves no bit."""
+    padded = np.zeros((len(mats) + 2,) + mats.shape[1:])
+    padded[1:-1] = mats
+    return np.stack([_synthesis(table, g0, count, stride, klo - 1, padded[:, c]) for c in range(mats.shape[1])], -1)
 
 
 def _grid_min(f: FunctionHandle) -> float:

@@ -33,6 +33,7 @@ from .funcmodel import (
     FunctionHandle,
     _grid_min,
     _sample_jump,
+    _window_sums,
     check_level,
     fhat_deriv0,
     halfline_integral,
@@ -43,7 +44,6 @@ from .quasiproj import (
     QuasiProjectionPair,
     Sgn,
     _sgn_coefficients,
-    _window_sums,
     apply,
     check_qp1,
     poly_reproduction,
@@ -171,12 +171,18 @@ def bracket_second_deriv(pair: QuasiProjectionPair) -> BracketResult:
 # -- overshoot functions ---------------------------------------------------------
 
 
+def _sgn_window(pair: QuasiProjectionPair, t):
+    """Half-width ``2 N + 3 + ceil|t|`` (a float) of the window that holds all
+    of ``Q_{0,t} sgn``'s interaction zone, for finite ``t``, float or array."""
+    return 2 * pair.support_bound + 3 + np.ceil(np.abs(t))
+
+
 def _sgn_expansion(pair: QuasiProjectionPair, t: float, level: int):
     """[Q_{0,t} sgn] sampled at ``level`` on a window holding its whole
     interaction zone; a non-finite ``t`` is refused before the window is sized."""
     if not math.isfinite(t):
         raise PreconditionError(f"shift t must be finite, got {t!r}")
-    W = 2 * pair.support_bound + 3 + int(math.ceil(abs(t)))
+    W = _sgn_window(pair, t)
     return apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
 
 
@@ -245,9 +251,9 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
 
     One ``cumulative`` call gives the sgn coefficients of every (shift, k) that
     the shift's rows ``-V .. V`` read (``V`` the largest window), so the k-range
-    is the rows' own; only the window ``W`` of :func:`_sgn_expansion` is shared
+    is the rows' own; only the window ``W`` (:func:`_sgn_window`) is shared
     with the direct route, which cuts its rows ``+-W`` where this one does.  One
-    :func:`~gibbslab.quasiproj._window_sums` call lays the rows of all shifts
+    :func:`~gibbslab.funcmodel._window_sums` call lays the rows of all shifts
     side by side, counted from the row ``v = 0`` that holds x = 0, dedupes
     them (the constant rows far from 0 are one window for every shift) and
     sums the distinct ones in chunks, each chunk's output no larger than one
@@ -259,7 +265,7 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     """
     m0, P = pair.phi_table(level)
     width, rows = 2**level, P.shape[0]
-    W = 2 * pair.support_bound + 3 + np.ceil(np.abs(ts)).astype(np.int64)  # _sgn_expansion's window
+    W = _sgn_window(pair, ts).astype(np.int64)
     qz, j0 = np.divmod((ts * width).astype(np.int64) - m0, width)  # table row and column of x = 0
     V = int(np.max(W))
     v = np.arange(-V, V + 1)[:, None]

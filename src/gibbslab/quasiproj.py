@@ -35,7 +35,8 @@ from .funcmodel import (
     SampledFunction,
     _grid_level,
     _is_real,
-    _support_samples,
+    _sample_table,
+    _synthesis,
     check_level,
     dyadic_bounds,
     dyadic_grid,
@@ -247,85 +248,11 @@ def _dual_pairings(
     return out
 
 
-def _sample_table(f: FunctionHandle, level: int, phase: float = 0.0) -> tuple[int, np.ndarray]:
-    """``f`` on the ``2^-level`` grid over its support, shifted by ``0 <= phase
-    < 2^-level``, one row per unit step: ``(m0, P)`` with ``P[a, j] = f((m0 + a
-    2^level + j) 2^-level + phase)``, shape ``(rows, 2^level, r)``, zero past
-    the support; from one ``funcmodel._support_samples`` call."""
-    m0, vals = _support_samples(f, level, phase)
-    width = 2**level
-    table = np.zeros((-(-len(vals) // width) * width, f.ncomponents))
-    table[: len(vals)] = vals
-    table = table.reshape(-1, width, f.ncomponents)
-    table.flags.writeable = False
-    return m0, table
-
-
-def _synthesis(
-    table: tuple[int, np.ndarray], g0: int, count: int, stride: int, klo: int, coeff: np.ndarray
-) -> np.ndarray:
-    """``sum_k coeff[k - klo] . f(g_i 2^-level - k)`` at ``g_i = g0 + stride i``,
-    ``i < count``, from the :func:`_sample_table` ``(m0, P)`` of ``f`` at
-    ``level`` (polyphase; at phase ``delta``, ``f(g_i 2^-level + delta - k)``),
-    with real ``coeff`` of shape ``(len, r)``.  The one sum of translates at one
-    scale: ``apply``, ``check_qp1``'s residuals, ``kernel_criterion`` and
-    ``construct.build_dual`` call it, and the shift sweep of ``gibbs`` reduces
-    the rows of its core :func:`_window_sums` instead of gathering them.
-    Two-scale sums ``sum_k a(k) f(2x - k)`` live in ``funcmodel`` (``_tap_sum``, ``_refine``).
-
-    With ``g - m0 = q 2^level + j`` the term ``k`` reads row ``q - k`` at column
-    ``j``, so the output at ``(q, j)`` is ``sum_a coeff(q - a) . P[a, j]``, the
-    sum of the window ``coeff(q - a)``.  Coefficients outside ``klo .. klo +
-    len(coeff) - 1`` repeat the nearest one, so a caller passes every ``k``
-    whose translate meets a point, or one row for a constant sequence.
-    """
-    m0, P = table
-    width = P.shape[1]
-    q0, j0 = divmod(g0 - m0, width)
-    phase = j0 % stride
-    cols = P[:, phase::stride]  # a stride beyond 2^level keeps one column ...
-    skip = (j0 - phase) // stride
-    nq = -(-(skip + count) // cols.shape[1])
-    qs = q0 + max(1, stride // width) * np.arange(nq)  # ... of every (stride / 2^level)-th row
-    run, sums = _window_sums(cols, coeff[None], (qs - klo)[:, None])
-    return next(sums)[1][run[:, 0]].reshape(-1)[skip : skip + count]
-
-
-def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: int | None = None):
-    """The window sums of :func:`_synthesis` for ``m`` coefficient sequences at
-    once: row ``u`` of sequence ``i`` is ``sum_a coeff[i, rel[u, i] - a] .
-    cols[a]`` (an index past either end of ``coeff[i]`` repeats the nearest
-    one), for ``coeff`` of shape ``(m, K, r)``, ``rel`` of shape ``(nq, m)`` and
-    the table columns ``cols`` of shape ``(rows, width, r)``.
-
-    The windows are taken in the order of ``rel``'s elements, row by row, and
-    equal windows next to each other (the constant ends of a sequence, the
-    repeats past its edges, the same row of sequences that agree there) are
-    compared by bits (0.0 and -0.0 differ) and summed once.  Returns the index
-    of each ``(u, i)``'s sum among these distinct sums, shape ``(nq, m)``, and
-    an iterator of ``(lo, sums)``: the distinct sums ``lo, lo + 1, ...`` as rows
-    of ``width`` values, at most ``chunk`` of them per item (all at once
-    without ``chunk``).  Each is one einsum row, which adds its component sum
-    from +0 with ``a`` descending (``k`` ascending); terms on zero samples add
-    +-0, which moves no bit, so a row's bits do not depend on how many rows
-    share the call.  einsum, not np.dot: BLAS may add the terms in another
-    order and move the last bit.
-    """
-    m, K, r = coeff.shape
-    rows = cols.shape[0]
-    idx = np.minimum(np.maximum(rel[:, :, None] + np.arange(1 - rows, 1), 0), K - 1)
-    idx += K * np.arange(m)[:, None]
-    windows = coeff.reshape(-1, r)[idx.reshape(-1, rows)]  # k ascending
-    bits = windows.reshape(len(windows), -1).view(np.int64)
-    first = np.ones(len(windows), dtype=bool)
-    np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
-    distinct = windows[first]
-    chunk = chunk or len(distinct)
-    sums = (
-        (lo, np.einsum("uar,ajr->uj", distinct[lo : lo + chunk], cols[::-1]))
-        for lo in range(0, len(distinct), chunk)
-    )
-    return (np.cumsum(first) - 1).reshape(rel.shape), sums
+def _meeting_ks(phi: FunctionHandle, lo: float, hi: float) -> np.ndarray:
+    """Every integer ``k`` whose translate ``phi(. - k)`` meets ``[lo, hi]``:
+    ``floor(lo - sup) .. ceil(hi - inf)`` over the support of ``phi``."""
+    plo, phi_hi = phi.support
+    return np.arange(math.floor(lo - phi_hi), math.ceil(hi - plo) + 1)
 
 
 def apply(
@@ -379,13 +306,11 @@ def apply(
     zlo, zhi = ((2.0**n) * (i0 * h) + t, (2.0**n) * (i1 * h) + t) if n < 1024 else (-math.inf, math.inf)
     if max(-zlo, zhi) >= limit:
         raise PreconditionError(f"window reaches 2^{53 - grid.level}, beyond exact grid points")
-    plo, phi_hi = pair.phi.support
-    klo = int(math.floor(zlo - phi_hi))
-    khi = int(math.ceil(zhi - plo))
-    coeff = _coefficients(pair, f, n, t, np.arange(klo, khi + 1))
+    ks = _meeting_ks(pair.phi, zlo, zhi)
+    coeff = _coefficients(pair, f, n, t, ks)
     s = math.floor(t * 2.0**grid.level)
     delta = t - s * h  # exact: the bits of t below 2^-level
-    acc = _synthesis(pair.phi_table(grid.level, delta), 2**n * i0 + s, i1 - i0 + 1, 2**n, klo, coeff)
+    acc = _synthesis(pair.phi_table(grid.level, delta), 2**n * i0 + s, i1 - i0 + 1, 2**n, int(ks[0]), coeff)
     return SampledFunction(grid.level, i0, acc[:, None])
 
 
@@ -425,12 +350,10 @@ def kernel_criterion(
     if not (math.isfinite(W) and W > 0.0):
         raise PreconditionError(f"kernel window must be finite and positive, got {window}")
     i0, xs = dyadic_grid(-W, W, level)
-    plo, phi_hi = pair.phi.support
     mass = pair.phi_tilde.moment(0)
-    klo = int(math.floor(xs[0] - phi_hi))
-    ks = np.arange(klo, int(math.ceil(xs[-1] - plo)) + 1)
+    ks = _meeting_ks(pair.phi, xs[0], xs[-1])
     tails = mass[None, :] - pair.phi_tilde.cumulative(-ks.astype(np.float64))
-    G = _synthesis(pair.phi_table(level), i0, xs.size, 1, klo, tails)
+    G = _synthesis(pair.phi_table(level), i0, xs.size, 1, int(ks[0]), tails)
     xs, G = np.delete(xs, -i0), np.delete(G, -i0)  # x = 0 belongs to neither side
     pos = xs > 0
     viol_pos = float(np.max(G[pos] - 1.0))

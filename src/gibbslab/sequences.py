@@ -324,16 +324,13 @@ def tail_convolve_sums(c: SignLikeSeq, d: MatrixSeq) -> TailSums:
         nlo, nhi = min(dlo, dlo + flo), max(dhi - 1, dhi + fhi)
     else:
         nlo, nhi = dlo, dhi - 1
-    rows = []
-    for n in range(nlo, nhi + 1):
-        acc = np.zeros((pc, sd), dtype=np.complex128)
-        for k in range(dlo, dhi + 1):
-            acc += c.at(n - k) @ d[k]
-        rows.append(acc)
-    product = MatrixSeq(nlo, np.stack(rows)) if rows else MatrixSeq.zero(pc, sd)
+    # rows nlo..nhi of c * d read c at nlo - dhi .. nhi - dlo only
+    window = np.array([c.at(k) for k in range(nlo - dhi, nhi - dlo + 1)], dtype=np.complex128)
+    full = convolve(MatrixSeq(nlo - dhi, window.reshape(-1, pc, rc)), d)
+    stacked = np.array([full[n] for n in range(nlo, nhi + 1)], dtype=np.complex128).reshape(-1, pc, sd)
+    product = MatrixSeq(nlo, stacked)
 
     ks = np.arange(nlo, nhi + 1, dtype=np.float64)
-    stacked = np.stack(rows) if rows else np.zeros((0, pc, sd), dtype=np.complex128)
     sum0 = stacked.sum(axis=0)
     sum1 = np.einsum("n,nab->ab", ks, stacked)
 

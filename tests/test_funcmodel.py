@@ -721,23 +721,37 @@ def test_refine_matches_interleaving_reference_bitwise(r, ntaps, kmin, level, ga
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _table(m0, vals, width):
+    """The sample table ``(m0, P)`` of ``vals`` at grid indices ``m0, m0 + 1,
+    ...``, rows of ``width`` zero-padded at the end."""
+    P = np.zeros((-(-len(vals) // width) * width, vals.shape[1]))
+    P[: len(vals)] = vals
+    return m0, P.reshape(-1, width, vals.shape[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     r=st.sampled_from([1, 2]),
+    s=st.sampled_from([1, 2]),
     ntaps=st.integers(1, 6),
     k0=st.integers(-4, 4),
     n=st.integers(1, 40),
     dilate=st.sampled_from([1, 2]),
-    step=st.integers(1, 8),
+    level=st.integers(0, 3),
+    m0=st.integers(-20, 20),
     place=st.sampled_from(["left", "right", "across", "inside"]),
     with_beyond=st.booleans(),
     data=st.data(),
 )
-def test_tap_sum_matches_interleaving_reference_bitwise(r, ntaps, k0, n, dilate, step, place, with_beyond, data):
-    """``_tap_sum`` gives the bytes of the per-tap reference at every dilate
-    its callers use, with the read range wholly left of the samples, wholly
-    right of them, across them or inside them, with zero and -0.0 taps and
-    samples, and with and without ``beyond``."""
+def test_matrix_synthesis_matches_interleaving_reference_bitwise(
+    r, s, ntaps, k0, n, dilate, level, m0, place, with_beyond, data
+):
+    """``_matrix_synthesis`` gives the bytes of the per-tap reference for
+    ``(s, r)`` taps at every stride its callers use, on tables of step
+    ``2^level``, with the read range wholly left of the samples, wholly right
+    of them, across them or inside them, with zero and -0.0 taps and samples,
+    and with and without ``beyond`` (table rows through the last index read)."""
+    step = 2**level
     span = dilate * (n - 1) + (ntaps - 1) * step + 1  # indices read
     if place == "left":
         m = data.draw(st.integers(1, 20))
@@ -754,15 +768,16 @@ def test_tap_sum_matches_interleaving_reference_bitwise(r, ntaps, k0, n, dilate,
         lo = -data.draw(st.integers(1, span - 1 - m))
     s0 = lo + (k0 + ntaps - 1) * step
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    ents = rng.uniform(-1.0, 1.0, (ntaps, r, r))
+    ents = rng.uniform(-1.0, 1.0, (ntaps, s, r))
     ents[rng.random(ents.shape) < 0.15] = 0.0
     ents[rng.random(ents.shape) < 0.1] = -0.0
     vals = rng.standard_normal((m, r))
     vals[rng.random(vals.shape) < 0.2] = -0.0
     beyond = rng.standard_normal(r) if with_beyond else None
-    taps = [(k0 + i, ents[i]) for i in range(ntaps)]
-    want = _interleaving_tap_sum(taps, vals, n, dilate, s0, step, beyond)
-    got = funcmodel._tap_sum(taps, vals, n, dilate, s0, step, beyond)
+    want = _interleaving_tap_sum([(k0 + i, ents[i]) for i in range(ntaps)], vals, n, dilate, s0, step, beyond)
+    if with_beyond:
+        vals = np.concatenate([vals, np.tile(beyond, (max(0, lo + span - m), 1))])
+    got = funcmodel._matrix_synthesis(_table(m0, vals, step), m0 + s0, n, dilate, k0, ents)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -936,11 +951,29 @@ def test_refinable_residual_reads_the_integers_only(r, level, data):
         sf = f.samples()
     except (ConvergenceError, PreconditionError):
         assume(False)
-    taps = [(k, 2.0 * mask[k].real) for k in mask.indices()]
     n = sf.values.shape[0]
-    rows = sf.values - funcmodel._tap_sum(taps, sf.values, n, 2, sf.start, 2**level)
+    table = funcmodel._sample_table(sf, level)
+    rows = sf.values - funcmodel._matrix_synthesis(table, 2 * sf.start, n, 2, mask.offset, 2.0 * mask.entries.real)
     assert np.all(rows[np.arange(n) % 2**level != 0] == 0.0)
     assert repr(f.refinement_residual()) == repr(refinement_residual(sf, mask))
+
+
+@pytest.mark.parametrize("level,start", [(0, -3), (6, -3), (6, 5), (12, 7)])
+def test_sampled_values_at_their_own_level_are_handed_over(monkeypatch, level, start):
+    """A sampled function read at its own level hands over its values, with
+    no ``evaluate`` call: the bytes ``evaluate`` gives on the grid over its
+    support, -0.0 samples included."""
+    vals = np.sin(np.arange(2**level + 9) * 2.0**-level * 7.0)[:, None] * np.array([1.0, -2.0])
+    vals[::5] = -0.0
+    f = SampledFunction(level, start, vals)
+    want = f.evaluate(funcmodel.dyadic_grid(*f.support, f.level)[1])
+    assert np.signbit(want[::5]).all()
+    calls = []
+    real = SampledFunction.evaluate
+    monkeypatch.setattr(SampledFunction, "evaluate", lambda self, x: calls.append(x) or real(self, x))
+    i0, got = funcmodel._support_samples(f, f.level)
+    assert (i0, got.tobytes()) == (start, want.tobytes())
+    assert calls == []
 
 
 def test_one_cascade_per_refinable_function(monkeypatch):
