@@ -597,12 +597,12 @@ def _check_mask(mask: MatrixSeq, normalization) -> tuple[int, int, np.ndarray]:
 
 
 def _refine(
-    taps, kmin: int, W: int, level: int, v0: np.ndarray, gain: float, beyond: np.ndarray | None
+    taps: np.ndarray, kmin: int, level: int, v0: np.ndarray, gain: float, beyond: np.ndarray | None
 ) -> np.ndarray:
     """Samples of a solution of ``f(x) = gain sum_k a(k) f(2x - k)`` on the
     grid ``kmin + i 2^-level`` over ``[kmin, kmin + W]``, from its values
-    ``v0`` (shape (W+1, r)) at the integers; ``taps`` are the ``W + 1`` pairs
-    ``(k, a(k))``, ``k = kmin..kmin + W``.
+    ``v0`` (shape (W+1, r)) at the integers; ``taps`` is the real ``(W + 1, r,
+    r)`` array of ``a(k)``, ``k = kmin..kmin + W``.
 
     Each level keeps the previous samples at its even points and fills its
     ``W 2^(lev-1)`` odd points ``x`` from ``f(2x - k)``, which lie on the
@@ -632,7 +632,8 @@ def _refine(
     """
     if level == 0:
         return v0
-    A = gain * np.stack([a for _, a in taps])  # A[j] = gain a(kmin + j)
+    W = len(taps) - 1
+    A = gain * taps  # A[j] = gain a(kmin + j)
     r = v0.shape[1]
     T = np.zeros((2 * W, W + 1, r, r))
     b = np.arange(W)
@@ -673,9 +674,8 @@ def _refined(mask: MatrixSeq, ints: np.ndarray, level: int, gain: float, beyond,
     them.  :func:`_refine` runs to level 10 at least, so acceptance does not
     depend on ``level``; raises :class:`ConvergenceError` ending in ``what``
     when the largest odd-point increment grows from level 6 to level 10."""
-    kmin, kmax = mask.support
     depth = max(level, _GROWTH_LEVELS[1])
-    vals = _refine(list(zip(mask.indices(), mask.entries.real)), kmin, kmax - kmin, depth, ints, gain, beyond)
+    vals = _refine(mask.entries.real, mask.offset, depth, ints, gain, beyond)
     coarse, fine = (_max_increment(vals[:: 2 ** (depth - j)]) for j in _GROWTH_LEVELS)
     if fine > coarse * (1.0 + 1e-9) and fine > 1e-12 * float(np.max(np.abs(ints))):
         raise ConvergenceError(
@@ -683,7 +683,7 @@ def _refined(mask: MatrixSeq, ints: np.ndarray, level: int, gain: float, beyond,
             f"{fine:.3e} at level {_GROWTH_LEVELS[1]}: {what}",
             residual=fine / coarse if coarse > 0 else np.inf,
         )
-    return SampledFunction(level, kmin * 2**level, vals[:: 2 ** (depth - level)])
+    return SampledFunction(level, mask.offset * 2**level, vals[:: 2 ** (depth - level)])
 
 
 def _fixed_part(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -1044,10 +1044,11 @@ def _synthesis(
 
 def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: int | None = None):
     """The window sums of :func:`_synthesis` for ``m`` coefficient sequences at
-    once: row ``u`` of sequence ``i`` is ``sum_a coeff[i, rel[u, i] - a] .
+    once: row ``u`` of sequence ``i`` is ``sum_a coeff[i, rel[u] - a] .
     cols[a]`` (an index past either end of ``coeff[i]`` repeats the nearest
-    one), for ``coeff`` of shape ``(m, K, r)``, ``rel`` of shape ``(nq, m)`` and
-    the table columns ``cols`` of shape ``(rows, width, r)``.
+    one), for ``coeff`` of shape ``(m, K, r)``, one column ``rel`` of shape
+    ``(nq, 1)`` that serves every sequence, and the table columns ``cols`` of
+    shape ``(rows, width, r)``.
 
     The windows are taken in the order of ``rel``'s elements, row by row, and
     equal windows next to each other (the constant ends of a sequence, the
@@ -1065,7 +1066,7 @@ def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: in
     m, K, r = coeff.shape
     rows = cols.shape[0]
     idx = np.minimum(np.maximum(rel[:, :, None] + np.arange(1 - rows, 1), 0), K - 1)
-    idx += K * np.arange(m)[:, None]
+    idx = idx + K * np.arange(m)[:, None]  # shape (nq, m, rows): rel serves every sequence
     windows = coeff.reshape(-1, r)[idx.reshape(-1, rows)]  # k ascending
     bits = windows.reshape(len(windows), -1).view(np.int64)
     first = np.ones(len(windows), dtype=bool)
@@ -1076,7 +1077,7 @@ def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: in
         (lo, np.einsum("uar,ajr->uj", distinct[lo : lo + chunk], cols[::-1]))
         for lo in range(0, len(distinct), chunk)
     )
-    return (np.cumsum(first) - 1).reshape(rel.shape), sums
+    return (np.cumsum(first) - 1).reshape(idx.shape[:2]), sums
 
 
 def _matrix_synthesis(table: tuple, g0: int, count: int, stride: int, klo: int, mats: np.ndarray) -> np.ndarray:

@@ -90,8 +90,7 @@ def kappa(phi_tilde: FunctionHandle, j: int) -> np.ndarray:
     ns = np.arange(int(math.floor(-hi)), int(math.ceil(1 - lo)) + 1)
     upper = phi_tilde.cumulative(1.0 - ns.astype(np.float64))
     lower = phi_tilde.cumulative(-ns.astype(np.float64))
-    weights = ns.astype(np.float64) ** j if j > 0 else np.ones(ns.size)
-    return weights @ (upper - lower)
+    return ns.astype(np.float64) ** j @ (upper - lower)
 
 
 def identity_rhs(pair: QuasiProjectionPair) -> complex:
@@ -125,11 +124,15 @@ def identity_lhs(pair: QuasiProjectionPair, level: int = 12, t: float = 0.0) -> 
 
     The integrand vanishes identically outside the support-interaction window
     once constants are reproduced, so the integral over the window is the
-    whole integral.  The integrand is built in one work array: ``-Q sgn``,
-    then -1 left of x = 0 and +1 from it on (``Sgn(0.0)`` is 1 at 0), then
-    times x, itself one array scaled in place.
+    whole integral.  The window is its own, ``W = window_radius + ceil|t|``:
+    past :func:`apply`'s default it integrates the rounding residue too, and
+    the pinned bytes are its sums; :func:`apply` refuses a non-finite ``t``.
+    The integrand is built in one work array: ``-Q sgn``, then -1 left of
+    x = 0 and +1 from it on (``Sgn(0.0)`` is 1 at 0), then times x, itself one
+    array scaled in place.
     """
-    sf = _sgn_expansion(pair, t, level)
+    W = pair.window_radius + np.ceil(abs(t))  # not math.ceil, which raises on an infinite t before apply refuses it
+    sf = apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
     zero = -sf.start  # the window [-W, W] holds x = 0 at this index
     work = np.negative(sf.values[:, 0])
     del sf  # freed now, so the grid and the quadrature reuse its pages instead of faulting in new ones
@@ -171,24 +174,11 @@ def bracket_second_deriv(pair: QuasiProjectionPair) -> BracketResult:
 # -- overshoot functions ---------------------------------------------------------
 
 
-def _sgn_window(pair: QuasiProjectionPair, t):
-    """Half-width ``2 N + 3 + ceil|t|`` (a float) of the window that holds all
-    of ``Q_{0,t} sgn``'s interaction zone, for finite ``t``, float or array."""
-    return 2 * pair.support_bound + 3 + np.ceil(np.abs(t))
-
-
-def _sgn_expansion(pair: QuasiProjectionPair, t: float, level: int):
-    """[Q_{0,t} sgn] sampled at ``level`` on a window holding its whole
-    interaction zone; a non-finite ``t`` is refused before the window is sized."""
-    if not math.isfinite(t):
-        raise PreconditionError(f"shift t must be finite, got {t!r}")
-    W = _sgn_window(pair, t)
-    return apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
-
-
 def _overshoot_both(pair: QuasiProjectionPair, t: float, level: int) -> tuple[float, float]:
-    """(R(t), L(t)) from one expansion of sgn."""
-    sf = _sgn_expansion(pair, t, level)
+    """(R(t), L(t)) from one expansion of sgn on :func:`apply`'s default
+    window ``[-W, W]``, ``W`` the pair's ``window_radius``, which holds the
+    whole interaction zone for every shift."""
+    sf = apply(pair, Sgn(0.0), 0, t, GridSpec(level))
     zero = -sf.start  # the window starts at an integer, so x = 0 is a sample
     v = sf.values[:, 0]
     right = float(max(np.max(v[zero + 1 :]), 1.0))
@@ -214,19 +204,20 @@ def overshoot(
 def _sweep(pair: QuasiProjectionPair, shifts, level: int) -> tuple[np.ndarray, np.ndarray]:
     """(R, L) at each shift.
 
-    Two or more shifts of one period on the ``2^-level`` grid (every curve
-    shift, the irrational sweep) are summed together by
-    :func:`_sweep_on_grid`.  The shift that :func:`_worst` names among them is
-    then re-derived by the direct route :func:`_overshoot_both`, and the two
-    must agree bit for bit, as both sum the same terms in the same order; a
-    disagreement raises ``ConvergenceError``.  Every other shift, such as 1/3
-    with its own phase table, and a lone on-grid shift (the cluster set {0}
-    of a dyadic point) take the direct route.
+    Two or more shifts on the ``2^-level`` grid (every curve shift, the
+    irrational sweep, grid shifts however far from 0: all read one window)
+    are summed together by :func:`_sweep_on_grid`.  The shift that
+    :func:`_worst` names among them is then re-derived by the direct route
+    :func:`_overshoot_both`, and the two must agree bit for bit, as both sum
+    the same terms in the same order; a disagreement raises
+    ``ConvergenceError``.  Every other shift, such as 1/3 with its own phase
+    table, and a lone on-grid shift (the cluster set {0} of a dyadic point)
+    take the direct route.
     """
     ts = np.asarray(shifts, dtype=np.float64)
     R, L = np.empty(ts.size), np.empty(ts.size)
     u = ts * 2.0**level
-    grid = np.isfinite(u) & (u == np.floor(u)) & (np.abs(ts) < 1.0)
+    grid = np.isfinite(u) & (u == np.floor(u))
     if np.count_nonzero(grid) < 2:
         grid[:] = False
     for i in np.flatnonzero(~grid):
@@ -246,40 +237,38 @@ def _sweep(pair: QuasiProjectionPair, shifts, level: int) -> tuple[np.ndarray, n
 
 
 def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, L) at shifts ``|t| < 1`` on the ``2^-level`` grid from one batched
-    synthesis, term for term the sums of :func:`_overshoot_both`.
+    """(R, L) at shifts on the ``2^-level`` grid from one batched synthesis,
+    term for term the sums of :func:`_overshoot_both`.
 
-    One ``cumulative`` call gives the sgn coefficients of every (shift, k) that
-    the shift's rows ``-V .. V`` read (``V`` the largest window), so the k-range
-    is the rows' own; only the window ``W`` (:func:`_sgn_window`) is shared
-    with the direct route, which cuts its rows ``+-W`` where this one does.  One
+    Every shift reads rows ``-W .. W`` of the one window, ``W`` the pair's
+    ``window_radius``, and the direct route cuts its rows ``+-W`` where this
+    one does.  One ``cumulative`` call gives the sgn coefficients of every
+    (shift, k) that these rows read, so the k-range is the rows' own.  One
     :func:`~gibbslab.funcmodel._window_sums` call lays the rows of all shifts
     side by side, counted from the row ``v = 0`` that holds x = 0, dedupes
     them (the constant rows far from 0 are one window for every shift) and
-    sums the distinct ones in chunks, each chunk's output no larger than one
-    shift's expansion.  Rows ``0 < |v| < W`` lie wholly on one side of 0 and
-    reduce by row min or max.  Only rows ``v = -W`` and ``v = W``, which reach
-    past the window, and ``v = 0``, whose x = 0 belongs to neither side, are
-    cut at x's column ``j0``: each piece is a prefix of the row or of the
-    reversed row, read off a running min or max.
+    sums the distinct ones in chunks of ``2 W`` rows, each chunk's output no
+    larger than one shift's expansion.  Rows ``0 < |v| < W`` lie wholly on one
+    side of 0 and reduce by row min or max.  Only rows ``v = -W`` and ``v =
+    W``, which reach past the window, and ``v = 0``, whose x = 0 belongs to
+    neither side, are cut at x's column ``j0``: each piece is a prefix of the
+    row or of the reversed row, read off a running min or max.
     """
     m0, P = pair.phi_table(level)
     width, rows = 2**level, P.shape[0]
-    W = _sgn_window(pair, ts).astype(np.int64)
+    W = pair.window_radius
     qz, j0 = np.divmod((ts * width).astype(np.int64) - m0, width)  # table row and column of x = 0
-    V = int(np.max(W))
-    v = np.arange(-V, V + 1)[:, None]
-    # rows -V .. V of every shift, past its own +-W repeating its end row; row v reads k = qz + v - a
-    ks = qz[:, None] + np.arange(-V - rows + 1, V + 1)
+    # rows -W .. W of every shift; row v reads k = qz + v - a
+    ks = qz[:, None] + np.arange(-W - rows + 1, W + 1)
     coeff = _sgn_coefficients(pair.phi_tilde, ((0.0 + ts)[:, None] - ks).reshape(-1))
-    rel = V + rows - 1 + np.clip(v, -W, W)
-    run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel, 2 * int(np.min(W)))
+    rel = np.arange(rows - 1, 2 * W + rows)[:, None]  # row v of every shift is rel[W + v]
+    run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel, 2 * W)
 
     # the pieces of rows v = -W, 0 (twice) and W: row, columns kept counted from
     # the row's start or end, from the end or not, and +1 for a min (x < 0) or
     # -1 for a max (x > 0), which is minus the min of minus the row
-    n, at = ts.size, np.arange(ts.size)
-    rows = np.concatenate([run[V - W, at], run[V], run[V], run[V + W, at]])
+    n = ts.size
+    rows = np.concatenate([run[0], run[W], run[W], run[2 * W]])
     kept = np.concatenate([width - j0, j0, width - 1 - j0, j0 + 1])
     from_end = np.repeat([1, 0, 1, 0], n)
     side = np.repeat([0, 0, 1, 1], n)
@@ -303,9 +292,8 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
             n_kept = kept[part]
             cut[part] = np.where(n_kept > 0, running[inv, n_kept - 1], np.inf) * np.where(side[part], -1.0, 1.0)
         del out  # before the next chunk is summed: one chunk's output alive at a time
-    v_left, v_right = (v > -W) & (v < 0), (v > 0) & (v < W)
-    L = np.min(np.where(v_left, ext[0, run], np.inf), axis=0)
-    R = np.max(np.where(v_right, ext[1, run], -np.inf), axis=0)
+    L = np.min(ext[0, run[1:W]], axis=0)
+    R = np.max(ext[1, run[W + 1 : 2 * W]], axis=0)
     L = np.minimum(np.minimum(L, np.minimum(cut[:n], cut[n : 2 * n])), -1.0)
     R = np.maximum(np.maximum(R, np.maximum(cut[2 * n : 3 * n], cut[3 * n :])), 1.0)
     return R, L

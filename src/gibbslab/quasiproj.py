@@ -115,7 +115,8 @@ class QuasiProjectionPair:
 
     ``support_bound`` is the smallest integer N with both supports inside
     [-N, N]; the operator applied to a jump signal differs from the signal
-    only inside [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n].
+    only inside [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n] for every shift t, which
+    the half-width ``window_radius`` 2N + 3 of :func:`apply`'s window holds.
     """
 
     def __init__(self, phi: FunctionHandle, phi_tilde: FunctionHandle):
@@ -128,6 +129,12 @@ class QuasiProjectionPair:
         radius = max(abs(v) for f in (phi, phi_tilde) for v in f.support)
         self.support_bound = max(1, int(math.ceil(radius - 1e-12)))
         self._tables = {}
+
+    @property
+    def window_radius(self) -> int:
+        """2N + 3: the one expansion window ``[-R, R]`` (scaled by 2^-n about a
+        jump); read from ``support_bound`` each time, which may be set by hand."""
+        return 2 * self.support_bound + 3
 
     @property
     def ncomponents(self) -> int:
@@ -264,6 +271,8 @@ def apply(
 ) -> SampledFunction:
     """Samples of [Q_{n,t} f] on the grid; the k-sum is support-exact.
 
+    The default window is ``x0 -+ R 2^-n`` for ``Sgn(x0)`` and ``-+R``
+    otherwise, ``R`` the pair's ``window_radius``, whatever the shift ``t``.
     For ``Sgn`` inputs the grid window must contain the full interaction zone
     [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n]; outside it the output provably
     equals the sign itself, and overshoot scans rely on seeing all of it.
@@ -281,12 +290,12 @@ def apply(
     if not math.isfinite(t) or (isinstance(f, Sgn) and not math.isfinite(f.x0)):
         raise PreconditionError(f"shift t and jump x0 must be finite, got t={t!r}, f={f!r}")
     grid = grid or GridSpec()
-    N = pair.support_bound
+    N, R = pair.support_bound, pair.window_radius
     if isinstance(f, Sgn):
-        margin = (2 * N + 3) * 2.0**-n
+        margin = R * 2.0**-n
         lo_default, hi_default = f.x0 - margin, f.x0 + margin
     else:
-        lo_default, hi_default = -(2 * N + 3), 2 * N + 3
+        lo_default, hi_default = -R, R
     lo, hi = grid.window(lo_default, hi_default)
     limit = 2.0 ** (53 - grid.level)
     # before any window arithmetic, which a huge t or a window end with an infinite grid index overflows

@@ -716,7 +716,7 @@ def test_refine_matches_interleaving_reference_bitwise(r, ntaps, kmin, level, ga
     v0[rng.random(v0.shape) < 0.2] = -0.0
     beyond = rng.standard_normal(r) if with_beyond else None
     taps = [(kmin + i, ents[i]) for i in range(ntaps)]
-    got = _refine(taps, kmin, ntaps - 1, level, v0, gain, beyond)
+    got = _refine(ents, kmin, level, v0, gain, beyond)
     want = _interleaving_refine(taps, kmin, ntaps - 1, level, v0, gain, beyond)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

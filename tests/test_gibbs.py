@@ -469,6 +469,68 @@ def test_a_sweep_expands_one_shift_directly(monkeypatch, d3):
     assert calls == [0.0]
 
 
+def test_grid_shifts_a_period_or_more_from_zero_are_batched(monkeypatch, d3):
+    """Every shift reads the one window, so on-grid shifts with |t| >= 1 join
+    the batch: the worst one alone is expanded directly, and every shift has
+    the bits of its own expansion."""
+    shifts = [-1.25, 1.0, 1.5, 2.0]
+    calls = []
+    real = gibbs._overshoot_both
+    monkeypatch.setattr(gibbs, "_overshoot_both", lambda pair, t, level: calls.append(t) or real(pair, t, level))
+    R, L = gibbs._sweep(d3, shifts, 12)
+    assert calls == [shifts[gibbs._worst(R, L)]]
+    direct = np.array([real(d3, t, 12) for t in shifts])
+    assert np.array([R, L]).tobytes() == direct.T.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.sampled_from(["b3+dual3", "b3+sampled-dual3", "daubechies:3", "mask-r1", "mask-r2"]),
+    level=st.integers(4, 10),
+    t=st.sampled_from([0.0, 0.25, 1 / 3, 2 / 3, -0.4, 1.0, 1.5, -1.25]),
+    data=st.data(),
+)
+def test_overshoot_does_not_depend_on_how_far_the_window_reaches(source, level, t, data):
+    """R(t) and L(t) read on windows 1 and 2 past ``window_radius`` 2N + 3
+    have the bits of ``_overshoot_both`` on the default window: past the
+    interaction zone every row repeats one already inside it, whatever the
+    shift."""
+    if source.startswith("mask"):
+        mask, norm = data.draw(spline_like_mask(int(source[-1])))
+        f = RefinableFunction(mask, norm, level)
+        try:
+            f.samples()
+        except (ConvergenceError, PreconditionError):
+            assume(False)
+        pair = QuasiProjectionPair(f, f)
+    else:
+        pair = _sweep_pair(source)
+    want = np.array(gibbs._overshoot_both(pair, t, level)).tobytes()
+    for margin in (1, 2):
+        W = 2 * pair.support_bound + 3 + margin
+        sf = apply(pair, Sgn(0.0), 0, t, GridSpec(level, -W, W))
+        zero = -sf.start
+        v = sf.values[:, 0]
+        got = np.array([max(np.max(v[zero + 1 :]), 1.0), min(np.min(v[:zero]), -1.0)])
+        assert got.tobytes() == want, (t, margin)
+
+
+def test_window_radius_is_read_from_the_support_bound(b3):
+    """``2 N + 3``, computed on each read, so a bound set by hand moves it."""
+    pair = QuasiProjectionPair(b3.phi, b3.phi_tilde)
+    assert pair.window_radius == 2 * 3 + 3
+    pair.support_bound = 4
+    assert pair.window_radius == 11
+    assert apply(pair, Sgn(0.0), 0, 0.5, GridSpec(4)).start == -11 * 2**4
+
+
+def test_a_non_finite_shift_gets_the_refusal_of_apply(b2):
+    """``overshoot`` and ``identity_lhs`` check no shift of their own."""
+    for call in (lambda: overshoot(b2, math.nan), lambda: identity_lhs(b2, 12, math.nan)):
+        with pytest.raises(PreconditionError, match="shift t and jump x0 must be finite"):
+            call()
+
+
 def test_a_batched_sweep_that_disagrees_with_the_direct_route_raises(monkeypatch, d3):
     real = gibbs._sweep_on_grid
     monkeypatch.setattr(gibbs, "_sweep_on_grid", lambda *args: (np.nextafter(real(*args)[0], 2.0), real(*args)[1]))
