@@ -43,6 +43,7 @@ from .quasiproj import (
     GridSpec,
     QuasiProjectionPair,
     Sgn,
+    _meeting_ks,
     _sgn_coefficients,
     apply,
     check_qp1,
@@ -86,8 +87,7 @@ def kappa(phi_tilde: FunctionHandle, j: int) -> np.ndarray:
     """
     if j < 0:
         raise PreconditionError("kappa order must be nonnegative")
-    lo, hi = phi_tilde.support
-    ns = np.arange(int(math.floor(-hi)), int(math.ceil(1 - lo)) + 1)
+    ns = _meeting_ks(phi_tilde, 0.0, 1.0)
     upper = phi_tilde.cumulative(1.0 - ns.astype(np.float64))
     lower = phi_tilde.cumulative(-ns.astype(np.float64))
     return ns.astype(np.float64) ** j @ (upper - lower)
@@ -241,17 +241,17 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     term for term the sums of :func:`_overshoot_both`.
 
     Every shift reads rows ``-W .. W`` of the one window, ``W`` the pair's
-    ``window_radius``, and the direct route cuts its rows ``+-W`` where this
-    one does.  One ``cumulative`` call gives the sgn coefficients of every
-    (shift, k) that these rows read, so the k-range is the rows' own.  One
-    :func:`~gibbslab.funcmodel._window_sums` call lays the rows of all shifts
-    side by side, counted from the row ``v = 0`` that holds x = 0, dedupes
-    them (the constant rows far from 0 are one window for every shift) and
-    sums the distinct ones in chunks of ``2 W`` rows, each chunk's output no
-    larger than one shift's expansion.  Rows ``0 < |v| < W`` lie wholly on one
-    side of 0 and reduce by row min or max.  Only rows ``v = -W`` and ``v =
-    W``, which reach past the window, and ``v = 0``, whose x = 0 belongs to
-    neither side, are cut at x's column ``j0``: each piece is a prefix of the
+    ``window_radius``.  One ``cumulative`` call gives the sgn coefficients of
+    every (shift, k) that these rows read, so the k-range is the rows' own.
+    One :func:`~gibbslab.funcmodel._window_sums` call lays the rows of all
+    shifts side by side, counted from the row ``v = 0`` that holds x = 0,
+    dedupes them (the constant rows far from 0 are one window for every
+    shift) and sums the distinct ones in chunks of ``2 W`` rows, each chunk's
+    output no larger than one shift's expansion.  Rows ``v != 0`` lie wholly
+    on one side of 0 and reduce by row min or max; rows ``+-W`` reach past the
+    direct route's window, but past ``|x| >= 2N`` a row reads only +-mass, so
+    they repeat rows ``+-(W - 1)``.  Only row ``v = 0``, whose x = 0 belongs to
+    neither side, is cut at x's column ``j0``: each piece is a prefix of the
     row or of the reversed row, read off a running min or max.
     """
     m0, P = pair.phi_table(level)
@@ -264,15 +264,13 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     rel = np.arange(rows - 1, 2 * W + rows)[:, None]  # row v of every shift is rel[W + v]
     run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel, 2 * W)
 
-    # the pieces of rows v = -W, 0 (twice) and W: row, columns kept counted from
-    # the row's start or end, from the end or not, and +1 for a min (x < 0) or
-    # -1 for a max (x > 0), which is minus the min of minus the row
+    # the pieces of row v = 0: columns kept from its start (side 0: x < 0, a min)
+    # or its end (side 1: x > 0, a max, minus the min of minus the row reversed)
     n = ts.size
-    rows = np.concatenate([run[0], run[W], run[W], run[2 * W]])
-    kept = np.concatenate([width - j0, j0, width - 1 - j0, j0 + 1])
-    from_end = np.repeat([1, 0, 1, 0], n)
-    side = np.repeat([0, 0, 1, 1], n)
-    cut = np.empty(4 * n)
+    rows = np.concatenate([run[W], run[W]])
+    kept = np.concatenate([j0, width - 1 - j0])
+    side = np.repeat([0, 1], n)
+    cut = np.empty(2 * n)
     arg = np.empty((2, run.max() + 1), dtype=np.int64)  # first min and first max (or NaN) of each row
     ext = np.empty((2, run.max() + 1))
     for lo, out in sums:
@@ -281,21 +279,19 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
         ext[0, lo:hi], ext[1, lo:hi] = out[here, arg[0, lo:hi]], out[here, arg[1, lo:hi]]
         sel = np.flatnonzero((rows >= lo) & (rows < hi))
         a = arg[side[sel], rows[sel]]
-        whole = np.where(from_end[sel], width - 1 - a, a) < kept[sel]  # the piece holds its row's extreme
+        whole = np.where(side[sel], width - 1 - a, a) < kept[sel]  # the piece holds its row's extreme
         cut[sel[whole]] = ext[side[sel[whole]], rows[sel[whole]]]
         part = sel[~whole]
-        if part.size:  # a running min over each distinct (row, side, end) of the others
-            key, inv = np.unique(4 * rows[part] + 2 * side[part] + from_end[part], return_inverse=True)
-            vals = out[key // 4 - lo] * np.where(key & 2, -1.0, 1.0)[:, None]
+        if part.size:  # a running min over each distinct (row, side) of the others
+            key, inv = np.unique(2 * rows[part] + side[part], return_inverse=True)
+            vals = out[key // 2 - lo] * np.where(key & 1, -1.0, 1.0)[:, None]
             vals[key & 1 == 1] = vals[key & 1 == 1, ::-1]
             running = np.minimum.accumulate(vals, axis=1)
             n_kept = kept[part]
             cut[part] = np.where(n_kept > 0, running[inv, n_kept - 1], np.inf) * np.where(side[part], -1.0, 1.0)
         del out  # before the next chunk is summed: one chunk's output alive at a time
-    L = np.min(ext[0, run[1:W]], axis=0)
-    R = np.max(ext[1, run[W + 1 : 2 * W]], axis=0)
-    L = np.minimum(np.minimum(L, np.minimum(cut[:n], cut[n : 2 * n])), -1.0)
-    R = np.maximum(np.maximum(R, np.maximum(cut[2 * n : 3 * n], cut[3 * n :])), 1.0)
+    L = np.minimum(np.minimum(np.min(ext[0, run[:W]], axis=0), cut[:n]), -1.0)
+    R = np.maximum(np.maximum(np.max(ext[1, run[W + 1 :]], axis=0), cut[n:]), 1.0)
     return R, L
 
 

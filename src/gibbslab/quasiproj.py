@@ -36,6 +36,7 @@ from .funcmodel import (
     _grid_level,
     _is_real,
     _sample_table,
+    _support_samples,
     _synthesis,
     check_level,
     dyadic_bounds,
@@ -109,6 +110,7 @@ class GridSpec:
         return lo, hi
 
 
+@dataclass(frozen=True, eq=False)
 class QuasiProjectionPair:
     """Immutable primal/dual pair with cached phi tables, QP1 residuals and
     support bookkeeping; each member owns its moments and Fourier transform.
@@ -117,24 +119,22 @@ class QuasiProjectionPair:
     [-N, N]; the operator applied to a jump signal differs from the signal
     only inside [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n] for every shift t, which
     the half-width ``window_radius`` 2N + 3 of :func:`apply`'s window holds.
+    Both follow from ``phi`` and ``phi_tilde``; assigning to any attribute
+    raises ``dataclasses.FrozenInstanceError``.
     """
 
-    def __init__(self, phi: FunctionHandle, phi_tilde: FunctionHandle):
-        if phi.ncomponents != phi_tilde.ncomponents:
-            raise DimensionMismatchError(
-                f"component mismatch: phi has {phi.ncomponents}, phi_tilde has {phi_tilde.ncomponents}"
-            )
-        self.phi = phi
-        self.phi_tilde = phi_tilde
-        radius = max(abs(v) for f in (phi, phi_tilde) for v in f.support)
-        self.support_bound = max(1, int(math.ceil(radius - 1e-12)))
-        self._tables = {}
+    phi: FunctionHandle
+    phi_tilde: FunctionHandle
 
-    @property
-    def window_radius(self) -> int:
-        """2N + 3: the one expansion window ``[-R, R]`` (scaled by 2^-n about a
-        jump); read from ``support_bound`` each time, which may be set by hand."""
-        return 2 * self.support_bound + 3
+    def __post_init__(self):
+        if self.phi.ncomponents != self.phi_tilde.ncomponents:
+            raise DimensionMismatchError(
+                f"component mismatch: phi has {self.phi.ncomponents}, phi_tilde has {self.phi_tilde.ncomponents}"
+            )
+        radius = max(abs(v) for f in (self.phi, self.phi_tilde) for v in f.support)
+        object.__setattr__(self, "support_bound", max(1, int(math.ceil(radius - 1e-12))))
+        object.__setattr__(self, "window_radius", 2 * self.support_bound + 3)
+        object.__setattr__(self, "_tables", {})  # phi_table per level at phase 0
 
     @property
     def ncomponents(self) -> int:
@@ -228,8 +228,8 @@ def _dual_pairings(
     """Rows <f, 2^n pt(2^n . - k + t)> for a general scalar signal f.
 
     Exact when f and pt are both piecewise polynomials; otherwise Simpson
-    quadrature over the support of pt in the substituted variable, on the
-    dyadic grid at ``level`` (default: the level pt carries, else 12).
+    quadrature over the support of pt in the substituted variable, on its
+    ``_support_samples`` at ``level`` (default: the level pt carries, else 12).
     """
     out = np.zeros((ks.size, pt.ncomponents))
     if isinstance(f, PiecewisePoly) and isinstance(pt, PiecewisePoly):
@@ -247,8 +247,8 @@ def _dual_pairings(
         for i, k in enumerate(ks):
             out[i] = _signal_values(f, (us + k - t) * 2.0**-n) @ wvals
         return out
-    _, us = dyadic_grid(*pt.support, level)
-    tvals = pt.evaluate(us)
+    i0, tvals = _support_samples(pt, level)
+    us = np.arange(i0, i0 + len(tvals)) * 2.0**-level
     for i, k in enumerate(ks):
         fv = _signal_values(f, (us + k - t) * 2.0**-n)
         out[i] = simpson_sum(fv[:, None] * tvals, 2.0**-level)
@@ -272,7 +272,7 @@ def apply(
     """Samples of [Q_{n,t} f] on the grid; the k-sum is support-exact.
 
     The default window is ``x0 -+ R 2^-n`` for ``Sgn(x0)`` and ``-+R``
-    otherwise, ``R`` the pair's ``window_radius``, whatever the shift ``t``.
+    otherwise, ``R`` the pair's ``window_radius`` (its supports fix it), whatever ``t``.
     For ``Sgn`` inputs the grid window must contain the full interaction zone
     [x0 - (2N+1) 2^-n, x0 + (2N+1) 2^-n]; outside it the output provably
     equals the sign itself, and overshoot scans rely on seeing all of it.

@@ -8,6 +8,7 @@ independent code paths: moments/kappa vs direct quadrature of the expansion
 error, so their agreement is a strong end-to-end check.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -369,27 +370,6 @@ SWEEP_PAIRS = {
 }
 
 
-def _edge_pair(lo, values):
-    """A hat primal with a dual of two unit pieces from ``lo``, told a support
-    bound of 4: the window [-11, 11] (at t = 0) then ends inside the
-    interaction zone, and the extreme of the whole expansion sits on the node
-    x = +-11 at the window's end (``edge``) or on x = +-12 past it (``past``)."""
-    dual = PiecewisePoly([lo, lo + 1.0, lo + 2.0], [[[v]] for v in values])
-    pair = QuasiProjectionPair(bspline(2), dual)
-    pair.support_bound = 4
-    return pair
-
-
-SWEEP_PAIRS.update(
-    {
-        "edge-right": lambda: _edge_pair(-11.0, [-1.0, 2.0]),  # R(0) = 3 at x = 11
-        "edge-left": lambda: _edge_pair(11.0, [3.0, -2.0]),  # L(0) = -5 at x = -11
-        "past-right": lambda: _edge_pair(-12.0, [-1.0, 2.0]),
-        "past-left": lambda: _edge_pair(12.0, [3.0, -2.0]),
-    }
-)
-
-
 @functools.cache
 def _sweep_pair(name):
     return SWEEP_PAIRS[name]()
@@ -398,8 +378,8 @@ def _sweep_pair(name):
 @st.composite
 def _sweep_shifts(draw, level):
     """Distinct shifts on the 2^-level grid within one period either side of 0,
-    maybe 0 itself (its window is narrower) and maybe shifts for the direct
-    route: off the grid, or a period or more away."""
+    maybe 0 itself, maybe shifts off the grid for the direct route and maybe
+    grid shifts a period or more away, which join the batch."""
     n = 2**level
     on = draw(st.lists(st.integers(1 - n, n - 1).filter(bool), min_size=2, max_size=24, unique=True))
     shifts = [j / n for j in on] + ([0.0] if draw(st.booleans()) else [])
@@ -437,17 +417,6 @@ def test_x0_belongs_to_neither_side():
     _, R, _ = overshoot_curve(up, 4, 12)
     _, _, L = overshoot_curve(down, 4, 12)
     assert R[0] == 3.0 - 2.0**-11 and L[0] == -5.0 + 2.0**-10
-
-
-@pytest.mark.parametrize("name", ["edge-right", "edge-left", "past-right", "past-left"])
-def test_window_ends_are_cut_where_the_direct_route_cuts(name):
-    """Above all at t = 0, where the window is narrower: the extreme on the
-    window's last (first) sample counts, and the samples past it do not."""
-    pair = SWEEP_PAIRS[name]()
-    ts, R, L = overshoot_curve(pair, 4, 12)
-    direct = np.array([gibbs._overshoot_both(pair, t, 12) for t in ts])
-    assert np.array([R, L]).tobytes() == direct.T.tobytes()
-    assert {"edge-right": R[0] == 3.0, "edge-left": L[0] == -5.0}.get(name, True)
 
 
 def test_a_sweep_expands_one_shift_directly(monkeypatch, d3):
@@ -515,13 +484,14 @@ def test_overshoot_does_not_depend_on_how_far_the_window_reaches(source, level, 
         assert got.tobytes() == want, (t, margin)
 
 
-def test_window_radius_is_read_from_the_support_bound(b3):
-    """``2 N + 3``, computed on each read, so a bound set by hand moves it."""
+def test_a_pair_refuses_assignment(b3):
+    """The support bound and the window follow from the pair's members and
+    cannot be set, nor can a member."""
     pair = QuasiProjectionPair(b3.phi, b3.phi_tilde)
-    assert pair.window_radius == 2 * 3 + 3
-    pair.support_bound = 4
-    assert pair.window_radius == 11
-    assert apply(pair, Sgn(0.0), 0, 0.5, GridSpec(4)).start == -11 * 2**4
+    for name, value in (("support_bound", 4), ("window_radius", 11), ("phi", b3.phi_tilde)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pair, name, value)
+    assert (pair.support_bound, pair.window_radius, pair.phi) == (3, 9, b3.phi)
 
 
 def test_a_non_finite_shift_gets_the_refusal_of_apply(b2):
@@ -741,8 +711,7 @@ def test_gibbs_at_point_answers_for_a_convergent_refinable_dual(x0, R):
     ids=["overshoot", "identity_lhs"],
 )
 def test_sign_expansions_refuse_a_non_finite_shift(b2, call, t):
-    """Refused before the window is sized from ceil(|t|), which raised
-    ValueError for NaN and OverflowError for an infinite t."""
+    """``apply`` refuses a non-finite shift before it reads the window."""
     with pytest.raises(PreconditionError, match="finite"):
         call(b2, t)
 

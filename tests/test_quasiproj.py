@@ -473,6 +473,16 @@ def test_refinable_phi_table_reads_the_cached_samples(monkeypatch, spec, carried
     assert len(calls) == 1
 
 
+def test_dual_pairings_read_a_refinable_dual_from_its_cascade(monkeypatch, d3):
+    """At the level the dual carries, the quadrature grid's samples are the
+    cached cascade: no ``evaluate`` call."""
+    calls = []
+    orig = RefinableFunction.evaluate
+    monkeypatch.setattr(RefinableFunction, "evaluate", lambda self, x: calls.append(np.size(x)) or orig(self, x))
+    quasiproj._dual_pairings(lambda x: np.exp(-(x**2)), d3.phi_tilde, 0, 0.0, np.arange(-3, 4))
+    assert calls == []
+
+
 def test_overshoot_curve_evaluates_phi_once_per_level(monkeypatch):
     pair = QuasiProjectionPair(bspline(3), bspline(3))
     calls = []
