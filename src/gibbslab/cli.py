@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("analyze-pair", parents=[pair], help="first-moment identity, bracket, accuracy order")
 
     sp = sub.add_parser("gibbs-point", parents=[pair], help="overshoot verdict at a jump location")
-    sp.add_argument("--x0", required=True, help="exact rational 'p/q' or 'irrational'")
+    sp.add_argument("--x0", required=True, help="exact rational 'p/q', or 'irrational': a point whose doubling orbit is dense")
     sp.add_argument("--tol", type=float, default=1e-3, help="R above 1 + tol or L below -1 - tol is Gibbs")
 
     sp = sub.add_parser("construct-dual", parents=[level], help="build a nonnegative dual of prescribed order")

@@ -196,7 +196,8 @@ def derive_wavelets(bank: FilterBank, phi: FunctionHandle, phi_tilde: FunctionHa
         raise PreconditionError(f"bank/function normalization is {complex(norm):.6g}, expected 1")
 
     psi = _filter_combination(bank.b, phi, 2, 2.0)
-    psi_tilde = _filter_combination(bank.b_tilde, phi_tilde, 2, 2.0)
+    tight = bank.b_tilde is bank.b and phi_tilde is phi  # one object for both sides, as phi is
+    psi_tilde = psi if tight else _filter_combination(bank.b_tilde, phi_tilde, 2, 2.0)
     return DualFramelet(
         phi=phi,
         phi_tilde=phi_tilde,

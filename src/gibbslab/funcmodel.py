@@ -1042,7 +1042,7 @@ def _synthesis(
     return next(sums)[1][run[:, 0]].reshape(-1)[skip : skip + count]
 
 
-def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: int | None = None):
+def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray):
     """The window sums of :func:`_synthesis` for ``m`` coefficient sequences at
     once: row ``u`` of sequence ``i`` is ``sum_a coeff[i, rel[u] - a] .
     cols[a]`` (an index past either end of ``coeff[i]`` repeats the nearest
@@ -1056,15 +1056,17 @@ def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: in
     compared by bits (0.0 and -0.0 differ) and summed once.  Returns the index
     of each ``(u, i)``'s sum among these distinct sums, shape ``(nq, m)``, and
     an iterator of ``(lo, sums)``: the distinct sums ``lo, lo + 1, ...`` as rows
-    of ``width`` values, at most ``chunk`` of them per item (all at once
-    without ``chunk``).  Each is one einsum row, which adds its component sum
-    from +0 with ``a`` descending (``k`` ascending); terms on zero samples add
-    +-0, which moves no bit, so a row's bits do not depend on how many rows
-    share the call.  einsum, not np.dot: BLAS may add the terms in another
-    order and move the last bit.
+    of ``width`` values, at most ``nq`` of them (one sequence's rows) per item.
+    Each is one einsum row, which adds its component sum from +0 with ``a``
+    descending (``k`` ascending); terms on zero samples add +-0, which moves
+    no bit, so a row's bits do not depend on how many rows share the call,
+    and trailing rows of ``cols`` that hold only +-0 are left out.  einsum,
+    not np.dot: BLAS may add the terms in another order and move the last bit.
     """
     m, K, r = coeff.shape
-    rows = cols.shape[0]
+    nonzero = cols.any(axis=(1, 2))
+    rows = len(cols) - int(np.argmax(nonzero[::-1]))  # all rows if none is nonzero
+    cols = cols[:rows]
     idx = np.minimum(np.maximum(rel[:, :, None] + np.arange(1 - rows, 1), 0), K - 1)
     idx = idx + K * np.arange(m)[:, None]  # shape (nq, m, rows): rel serves every sequence
     windows = coeff.reshape(-1, r)[idx.reshape(-1, rows)]  # k ascending
@@ -1072,10 +1074,9 @@ def _window_sums(cols: np.ndarray, coeff: np.ndarray, rel: np.ndarray, chunk: in
     first = np.ones(len(windows), dtype=bool)
     np.any(bits[1:] != bits[:-1], axis=1, out=first[1:])
     distinct = windows[first]
-    chunk = chunk or len(distinct)
     sums = (
-        (lo, np.einsum("uar,ajr->uj", distinct[lo : lo + chunk], cols[::-1]))
-        for lo in range(0, len(distinct), chunk)
+        (lo, np.einsum("uar,ajr->uj", distinct[lo : lo + len(rel)], cols[::-1]))
+        for lo in range(0, len(distinct), len(rel))
     )
     return (np.cumsum(first) - 1).reshape(idx.shape[:2]), sums
 

@@ -246,13 +246,14 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     One :func:`~gibbslab.funcmodel._window_sums` call lays the rows of all
     shifts side by side, counted from the row ``v = 0`` that holds x = 0,
     dedupes them (the constant rows far from 0 are one window for every
-    shift) and sums the distinct ones in chunks of ``2 W`` rows, each chunk's
-    output no larger than one shift's expansion.  Rows ``v != 0`` lie wholly
+    shift) and sums the distinct ones in chunks of ``2 W + 1`` rows, each
+    chunk's output no larger than one shift's rows.  Rows ``v != 0`` lie wholly
     on one side of 0 and reduce by row min or max; rows ``+-W`` reach past the
     direct route's window, but past ``|x| >= 2N`` a row reads only +-mass, so
     they repeat rows ``+-(W - 1)``.  Only row ``v = 0``, whose x = 0 belongs to
-    neither side, is cut at x's column ``j0``: each piece is a prefix of the
-    row or of the reversed row, read off a running min or max.
+    neither side, is cut at x's column ``j0``: a piece that holds its row's
+    first extreme reads it, any other is a min over its own columns, of minus
+    the row on the x > 0 side.
     """
     m0, P = pair.phi_table(level)
     width, rows = 2**level, P.shape[0]
@@ -262,14 +263,14 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
     ks = qz[:, None] + np.arange(-W - rows + 1, W + 1)
     coeff = _sgn_coefficients(pair.phi_tilde, ((0.0 + ts)[:, None] - ks).reshape(-1))
     rel = np.arange(rows - 1, 2 * W + rows)[:, None]  # row v of every shift is rel[W + v]
-    run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel, 2 * W)
+    run, sums = _window_sums(P, coeff.reshape(ks.shape + (-1,)), rel)
 
-    # the pieces of row v = 0: columns kept from its start (side 0: x < 0, a min)
-    # or its end (side 1: x > 0, a max, minus the min of minus the row reversed)
+    # the pieces of row v = 0: its columns before j0 (side 0: x < 0, a min)
+    # or after j0 (side 1: x > 0, a max, minus the min of minus the row)
     n = ts.size
-    rows = np.concatenate([run[W], run[W]])
-    kept = np.concatenate([j0, width - 1 - j0])
+    rows, zero = np.tile(run[W], 2), np.tile(j0, 2)
     side = np.repeat([0, 1], n)
+    sign, j = np.where(side, -1.0, 1.0), np.arange(width)
     cut = np.empty(2 * n)
     arg = np.empty((2, run.max() + 1), dtype=np.int64)  # first min and first max (or NaN) of each row
     ext = np.empty((2, run.max() + 1))
@@ -279,16 +280,11 @@ def _sweep_on_grid(pair: QuasiProjectionPair, ts: np.ndarray, level: int) -> tup
         ext[0, lo:hi], ext[1, lo:hi] = out[here, arg[0, lo:hi]], out[here, arg[1, lo:hi]]
         sel = np.flatnonzero((rows >= lo) & (rows < hi))
         a = arg[side[sel], rows[sel]]
-        whole = np.where(side[sel], width - 1 - a, a) < kept[sel]  # the piece holds its row's extreme
+        whole = np.where(side[sel], a > zero[sel], a < zero[sel])  # the piece holds its row's extreme
         cut[sel[whole]] = ext[side[sel[whole]], rows[sel[whole]]]
-        part = sel[~whole]
-        if part.size:  # a running min over each distinct (row, side) of the others
-            key, inv = np.unique(2 * rows[part] + side[part], return_inverse=True)
-            vals = out[key // 2 - lo] * np.where(key & 1, -1.0, 1.0)[:, None]
-            vals[key & 1 == 1] = vals[key & 1 == 1, ::-1]
-            running = np.minimum.accumulate(vals, axis=1)
-            n_kept = kept[part]
-            cut[part] = np.where(n_kept > 0, running[inv, n_kept - 1], np.inf) * np.where(side[part], -1.0, 1.0)
+        part = sel[~whole]  # a masked min over each other piece's columns (+-inf for none)
+        mine = np.where(side[part, None], j > zero[part, None], j < zero[part, None])
+        cut[part] = sign[part] * np.min(np.where(mine, sign[part, None] * out[rows[part] - lo], np.inf), axis=1)
         del out  # before the next chunk is summed: one chunk's output alive at a time
     L = np.minimum(np.minimum(np.min(ext[0, run[:W]], axis=0), cut[:n]), -1.0)
     R = np.maximum(np.maximum(np.max(ext[1, run[W + 1 :]], axis=0), cut[n:]), 1.0)
@@ -407,9 +403,11 @@ def gibbs_at_point(
     """Overshoot verdict at a jump placed at x0.
 
     x0 is an exact rational (Fraction/int/str "p/q") or the marker
-    "irrational".  The limiting overshoot is the extreme of R/L over the
-    cluster set of the doubling orbit of x0; for the irrational marker the
-    cluster set is the whole interval and is swept on a uniform grid of
+    "irrational", which stands for a point whose doubling orbit is dense.  The
+    limiting overshoot is the extreme of R/L over the cluster set of the
+    doubling orbit of x0; for the marker that cluster set is the whole
+    interval (as it is for almost every x0, but not for every irrational
+    one) and is swept on a uniform grid of
     ``irrational_density`` shifts (an integer >= 1), which can certify
     overshoot but never its absence (verdict stays one-sided).  A cycle
     longer than the ``2^level`` distinct shifts of the grid at ``level`` is

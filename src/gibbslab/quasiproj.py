@@ -363,20 +363,15 @@ def kernel_criterion(
     ks = _meeting_ks(pair.phi, xs[0], xs[-1])
     tails = mass[None, :] - pair.phi_tilde.cumulative(-ks.astype(np.float64))
     G = _synthesis(pair.phi_table(level), i0, xs.size, 1, int(ks[0]), tails)
-    xs, G = np.delete(xs, -i0), np.delete(G, -i0)  # x = 0 belongs to neither side
-    pos = xs > 0
-    viol_pos = float(np.max(G[pos] - 1.0))
-    viol_neg = float(np.max(-G[~pos]))
-    if viol_pos >= viol_neg:
-        idx = int(np.argmax(G[pos] - 1.0))
-        worst_x, worst_value = float(xs[pos][idx]), float(G[pos][idx])
-    else:
-        idx = int(np.argmax(-G[~pos]))
-        worst_x, worst_value = float(xs[~pos][idx]), float(G[~pos][idx])
+    zero = -i0  # x = 0 belongs to neither side
+    neg, pos = G[:zero], G[zero + 1 :]
+    viol_pos = float(np.max(pos - 1.0))
+    viol_neg = float(np.max(-neg))
+    idx = zero + 1 + int(np.argmax(pos - 1.0)) if viol_pos >= viol_neg else int(np.argmax(-neg))
     return {
         "ok": bool(max(viol_pos, viol_neg) <= 1e-9),
-        "worst_x": worst_x,
-        "worst_value": worst_value,
+        "worst_x": float(xs[idx]),
+        "worst_value": float(G[idx]),
     }
 
 

@@ -44,6 +44,7 @@ def test_builtins_keep_their_bytes():
 def test_a_bank_whose_sides_are_one_function_holds_one_object(name, same):
     df = resolve_framelet(name)
     assert (df.phi is df.phi_tilde) is same
+    assert (df.psi is df.psi_tilde) is same
 
 
 @pytest.mark.parametrize(

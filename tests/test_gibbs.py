@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gibbslab import gibbs, quasiproj
-from gibbslab.catalog import pair_fleet, resolve_framelet, resolve_pair
+from gibbslab.catalog import cdf13_mask, pair_fleet, resolve_framelet, resolve_pair
 from gibbslab.construct import build_dual, verify_gibbs_free
 from gibbslab.errors import ConvergenceError, PreconditionError
 from gibbslab.framelet import framelet_gibbs_verdict
@@ -362,6 +362,9 @@ SWEEP_PAIRS = {
     **{f"b{m}+dual{m}": lambda m=m: QuasiProjectionPair(bspline(m), build_dual(bspline(m), m).phi_tilde) for m in (2, 3, 4)},
     "b3+sampled-dual3": lambda: QuasiProjectionPair(bspline(3), _sampled_json_dual3()),
     "daubechies:3": lambda: resolve_pair("daubechies:3"),
+    # a Haar primal against the cdf13 dual: the row that holds x = 0 rarely
+    # has its extreme on the side of x that a piece keeps
+    "haar+cdf13": lambda: QuasiProjectionPair(bspline(1), RefinableFunction(cdf13_mask())),
     # duals whose c_{-1} = mass - 2 F(1) peaks (3) or dips (-5) at t = 0, so
     # the sample at x = 0, which belongs to neither side, beats every x > 0
     # (every x < 0) next to it
@@ -392,7 +395,8 @@ def _sweep_shifts(draw, level):
 def test_batched_sweep_equals_the_direct_route_bitwise(source, level, data):
     """Every R and L of ``_sweep`` has the bits of the one-shift expansion
     ``_overshoot_both``, for random accepted masks (r = 1, 2), B-spline pairs
-    with constructed duals, a JSON sampled dual and duals that peak at x = 0;
+    with constructed duals, a JSON sampled dual, duals that peak at x = 0 and
+    a Haar primal whose x = 0 row pieces miss their row's extreme;
     sets of up to 28 shifts span many chunks of the batched sum."""
     if source.startswith("mask"):
         mask, norm = data.draw(spline_like_mask(int(source[-1])))

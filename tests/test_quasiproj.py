@@ -423,6 +423,9 @@ _SYNTH_VALUES = st.one_of(
 # +-0.0 windows next to each other, and a flat run at each end
 @example(rows=3, r=2, level=2, log_stride=1, m0=-3, g0=-20, count=40, klo=-2,
          pattern=[0.0, -0.0, -0.0, 0.0, 1.0, -1.0], repeats=1, seed=1)
+# a table whose last three rows hold only zeros: (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0)
+@example(rows=4, r=1, level=1, log_stride=0, m0=-3, g0=-12, count=40, klo=-2,
+         pattern=[0.5, -1.0, 0.25, -0.0, 2.0], repeats=2, seed=5976)
 def test_synthesis_matches_naive_loop_bitwise(rows, r, level, log_stride, m0, g0, count, klo, pattern, repeats, seed):
     """The one-contraction kernel gives the bytes of the loop over points and
     rows, at strides below and above ``2^level``, on constant runs, repeated
@@ -718,6 +721,33 @@ def test_kernel_criterion_flags_oscillating_duals(d2, d3):
     rep3 = kernel_criterion(d3, level=9)
     assert not rep3["ok"]
     assert rep3["worst_value"] > 1.01 or rep3["worst_value"] < -0.01
+
+
+_KERNEL_PINS = {  # (ok, worst_x, worst_value) of the fleet at levels 9 and 12
+    ("b1,b1", 9): (True, 0.001953125, 1.0),
+    ("b1,b1", 12): (True, 0.000244140625, 1.0),
+    ("b2,b2", 9): (True, 1.0, 1.0),
+    ("b2,b2", 12): (True, 1.0, 1.0),
+    ("b3,b3", 9): (True, 2.0, 1.0),
+    ("b3,b3", 12): (True, 2.0, 1.0),
+    ("b2,dual2", 9): (True, 1.0, 1.0),
+    ("b2,dual2", 12): (True, 1.0, 1.0),
+    ("b3,dual3", 9): (True, -1.0, -5.551115123125783e-17),
+    ("b3,dual3", 12): (True, -1.0, -5.551115123125783e-17),
+    ("d2,d2", 9): (False, 1.0, 1.311004233964072),
+    ("d2,d2", 12): (False, 1.0, 1.311004233964072),
+    ("d3,d3", 9): (False, -1.0, -0.12997060578502154),
+    ("d3,d3", 12): (False, -1.0, -0.12997060578502154),
+}
+
+
+def test_kernel_criterion_keeps_its_fleet_answers(fleet):
+    """The verdict, the first worst point and its G on either side of x = 0,
+    which belongs to neither side, are the pinned ones for every fleet pair."""
+    for name, pair in fleet:
+        for level in (9, 12):
+            rep = kernel_criterion(pair, level=level)
+            assert (rep["ok"], rep["worst_x"], rep["worst_value"]) == _KERNEL_PINS[name, level], (name, level)
 
 
 @pytest.mark.parametrize("spec", ["haar", "bspline:2", "bspline:3", "daubechies:2", "daubechies:3", "b3+dual3"])
