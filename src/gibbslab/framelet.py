@@ -43,7 +43,7 @@ from .funcmodel import (
     fhat_deriv0,
 )
 from .gibbs import _item_ii, bracket_second_deriv, overshoot
-from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, apply
+from .quasiproj import GridSpec, QuasiProjectionPair, _dual_pairings, _meeting_ks, apply
 from .sequences import MatrixSeq, convolve, fourier_deriv
 
 __all__ = [
@@ -269,11 +269,8 @@ def cascade_identity_check(df: DualFramelet, f, g, n: int = 1) -> float:
     def layer(hf, ht, j):
         lo_f = min(_support_of(f)[0], _support_of(g)[0])
         hi_f = max(_support_of(f)[1], _support_of(g)[1])
-        tlo, thi = ht.support
-        plo, phi_hi = hf.support
-        klo = int(math.floor(2.0**j * lo_f - max(thi, phi_hi)))
-        khi = int(math.ceil(2.0**j * hi_f - min(tlo, plo)))
-        ks = np.arange(klo, khi + 1)
+        kt, kf = (_meeting_ks(h, 2.0**j * lo_f, 2.0**j * hi_f) for h in (ht, hf))
+        ks = np.arange(min(kt[0], kf[0]), max(kt[-1], kf[-1]) + 1)  # every k that either side meets
         # <f, 2^{j/2} h(2^j . - k)> for every k, one row each
         scale = 2.0 ** (j / 2.0) * 2.0**-j
         cf = scale * _dual_pairings(f, ht, j, 0.0, ks, 10)

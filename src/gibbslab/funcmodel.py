@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, comb, factorial, floor
+from math import ceil, comb, factorial, floor, isfinite, isnan
 from typing import Union
 
 import numpy as np
@@ -61,17 +61,10 @@ MAX_LEVEL = 16
 # ---------------------------------------------------------------------------
 
 
-def _polyval_asc(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k c[..., k] u^k by Horner; broadcasts c over leading axes."""
-    out = np.zeros(c.shape[:-1] + u.shape, dtype=np.result_type(c, u))
-    for k in range(c.shape[-1] - 1, -1, -1):
-        out = out * u + c[..., k, None]
-    return out
-
-
 def _polyval_pieces(c: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_k c[piece[i], :, k] u[i]^k for each point i, in one Horner pass over
-    the gathered coefficients; shape (len(u), r)."""
+    the gathered coefficients; shape (len(u), r).  The one Horner for piece
+    polynomials (``evaluate`` runs the same operation order in place)."""
     acc = np.zeros((u.size, c.shape[1]))
     for k in range(c.shape[-1] - 1, -1, -1):
         acc = acc * u[:, None] + c[piece, :, k]
@@ -86,14 +79,18 @@ def _polyint_asc(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polyshift_asc(c: np.ndarray, delta: float) -> np.ndarray:
-    """Coefficients of p(u + delta) given those of p(u) (last axis ascending)."""
+def _polyshift_asc(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Coefficients of p_i(u + delta[i]) given those of p_i(u) in ``c[i]``,
+    shape ``(m, r, deg+1)`` (last axis ascending).  The factors are Python
+    float products and powers, whose bits numpy's vector power need not give."""
     n = c.shape[-1]
+    fac = [[comb(k, j) * d ** (k - j) if k >= j else 0.0 for j in range(n) for k in range(n)] for d in delta.tolist()]
+    fac = np.array(fac).reshape(-1, n, n, 1)  # fac[i, j, k] = comb(k, j) delta[i]^(k - j)
     out = np.zeros_like(c)
     for j in range(n):
         acc = np.zeros(c.shape[:-1], dtype=c.dtype)
         for k in range(j, n):
-            acc = acc + c[..., k] * (comb(k, j) * delta ** (k - j))
+            acc = acc + c[..., k] * fac[:, j, k]
         out[..., j] = acc
     return out
 
@@ -192,8 +189,9 @@ class PiecewisePoly:
             raise DimensionMismatchError(
                 f"need breakpoints (m+1,) and coeffs (m, r, deg+1); got {bp.shape}, {cf.shape}"
             )
-        if bp.size < 2 or np.any(np.diff(bp) <= 0):
-            raise PreconditionError("breakpoints must be strictly increasing with >= 1 interval")
+        # a NaN difference makes the min NaN, and increasing breakpoints with finite ends are finite
+        if len(bp) < 2 or not (np.diff(bp).min() > 0 and isfinite(bp[0]) and isfinite(bp[-1]) and np.isfinite(cf).all()):
+            raise PreconditionError("need finite coefficients and >= 2 finite, strictly increasing breakpoints")
         # canonical form: drop trailing zero coefficient columns and zero end pieces
         while cf.shape[-1] > 1 and not np.any(cf[..., -1]):
             cf = cf[..., :-1]
@@ -269,11 +267,8 @@ class PiecewisePoly:
     @cached_property
     def _cumulative_at_breaks(self) -> np.ndarray:
         """C[i] = integral of f over (-inf, breakpoints[i]]; shape (m+1, r)."""
-        anti = self._antiderivative
         widths = np.diff(self.breakpoints)
-        piece = np.stack(
-            [_polyval_asc(anti[i], np.array([widths[i]]))[:, 0] for i in range(len(widths))]
-        )
+        piece = _polyval_pieces(self._antiderivative, np.arange(len(widths)), widths)
         return np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(piece, axis=0)])
 
     def cumulative(self, s) -> np.ndarray:
@@ -290,11 +285,8 @@ class PiecewisePoly:
             out[mid] = cum[im] + _polyval_pieces(self._antiderivative, im, s[mid] - bp[im])
         return out
 
-    def integral(self, a: float | None = None, b: float | None = None) -> np.ndarray:
-        if a is None and b is None:
-            return self._cumulative_at_breaks[-1].copy()
-        a = self.breakpoints[0] if a is None else a
-        b = self.breakpoints[-1] if b is None else b
+    def integral(self, a: float, b: float) -> np.ndarray:
+        """integral_a^b f(x) dx per component, exactly."""
         left, right = self.cumulative([a, b])
         return right - left
 
@@ -310,23 +302,24 @@ class PiecewisePoly:
         return self._moments[j]
 
     def moment_on(self, j: int, a: float, b: float) -> np.ndarray:
-        """Exact partial moment ``integral_a^b x^j f(x) dx``."""
+        """Exact partial moment ``integral_a^b x^j f(x) dx``: each piece's
+        antiderivative of ``x^j f`` read at its ends clipped to ``[a, b]``, the
+        differences added from zero in piece order.  A NaN bound is refused."""
+        if isnan(a) or isnan(b):
+            raise PreconditionError(f"moment bounds must not be NaN, got {a}, {b}")
         bp = self.breakpoints
-        a = max(a, bp[0])
-        b = min(b, bp[-1])
-        out = np.zeros(self.ncomponents)
-        if a >= b:
-            return out
-        for i in range(self.coeffs.shape[0]):
-            lo, hi = max(a, bp[i]), min(b, bp[i + 1])
-            if lo >= hi:
-                continue
+        lo, hi = np.maximum(a, bp[:-1]), np.minimum(b, bp[1:])
+        piece = np.flatnonzero(lo < hi)
+        prod = np.zeros((len(piece), self.ncomponents, self.coeffs.shape[-1] + j))
+        for row, i in enumerate(piece):  # x^j f on piece i in u = x - x_i, one convolve per component
             w = _binom_power_asc(float(bp[i]), j)  # (u + x_i)^j in u
-            for c in range(self.ncomponents):
-                prod = np.convolve(self.coeffs[i, c], w)
-                anti = _polyint_asc(prod)
-                vals = _polyval_asc(anti, np.array([lo - bp[i], hi - bp[i]]))
-                out[c] += vals[1] - vals[0]
+            prod[row] = [np.convolve(c, w) for c in self.coeffs[i]]
+        anti = _polyint_asc(prod)
+        rows = np.arange(len(piece))
+        diff = _polyval_pieces(anti, rows, hi[piece] - bp[piece]) - _polyval_pieces(anti, rows, lo[piece] - bp[piece])
+        out = np.zeros(self.ncomponents)
+        for d in diff:
+            out += d
         return out
 
     # -- transforms of the argument -------------------------------------------
@@ -367,17 +360,12 @@ class PiecewisePoly:
         deg = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
         out = np.zeros((bp.size - 1, self.ncomponents, deg))
         for src in (self, other):
-            for i in range(bp.size - 1):
-                mid = (bp[i] + bp[i + 1]) / 2
-                j = np.searchsorted(src.breakpoints, mid, side="right") - 1
-                if 0 <= j < src.coeffs.shape[0]:
-                    shifted = _polyshift_asc(src.coeffs[j], float(bp[i] - src.breakpoints[j]))
-                    out[i, :, : shifted.shape[-1]] += shifted
+            out[..., : src.coeffs.shape[-1]] += _aligned(src, bp)
         return PiecewisePoly(bp, out)
 
     @staticmethod
     def combine(terms) -> "PiecewisePoly":
-        """Sum of (matrix, PiecewisePoly) pairs: sum_i M_i f_i."""
+        """Sum of (matrix, PiecewisePoly) pairs: sum_i M_i f_i, a pairwise left fold of ``+``."""
         acc = None
         for mat, f in terms:
             part = f.apply_matrix(mat)
@@ -1119,6 +1107,16 @@ def _grid_level(*fs) -> int:
     return max(levels) if levels else 12
 
 
+def _aligned(f: PiecewisePoly, bp: np.ndarray) -> np.ndarray:
+    """``f``'s coefficients about the left end of each interval of the partition ``bp``, from the
+    piece that holds the interval's midpoint, zero where ``f`` is; shape ``(len(bp) - 1, r, deg+1)``."""
+    j = np.searchsorted(f.breakpoints, (bp[:-1] + bp[1:]) / 2, side="right") - 1
+    inside = np.flatnonzero((j >= 0) & (j < f.coeffs.shape[0]))
+    out = np.zeros((bp.size - 1,) + f.coeffs.shape[1:])
+    out[inside] = _polyshift_asc(f.coeffs[j[inside]], bp[inside] - f.breakpoints[j[inside]])
+    return out
+
+
 def inner_product(
     f: FunctionHandle, g: FunctionHandle, shift: float = 0.0, level: int | None = None
 ) -> np.ndarray:
@@ -1143,6 +1141,8 @@ def inner_product(
 
 
 def _pp_inner(f: PiecewisePoly, g: PiecewisePoly, shift: float) -> np.ndarray:
+    """The exact pairing of :func:`inner_product`: every component product's
+    antiderivative at each common interval's width, added from zero in order."""
     gs = g.shift(shift)
     lo = max(f.breakpoints[0], gs.breakpoints[0])
     hi = min(f.breakpoints[-1], gs.breakpoints[-1])
@@ -1151,21 +1151,11 @@ def _pp_inner(f: PiecewisePoly, g: PiecewisePoly, shift: float) -> np.ndarray:
         return out
     bp = np.unique(np.concatenate([f.breakpoints, gs.breakpoints]))
     bp = bp[(bp >= lo) & (bp <= hi)]
-    for i in range(bp.size - 1):
-        a, b = bp[i], bp[i + 1]
-        mid = (a + b) / 2
-        jf = np.searchsorted(f.breakpoints, mid, side="right") - 1
-        jg = np.searchsorted(gs.breakpoints, mid, side="right") - 1
-        if not (0 <= jf < f.coeffs.shape[0] and 0 <= jg < gs.coeffs.shape[0]):
-            continue
-        cf = _polyshift_asc(f.coeffs[jf], float(a - f.breakpoints[jf]))
-        cg = _polyshift_asc(gs.coeffs[jg], float(a - gs.breakpoints[jg]))
-        w = b - a
-        for p in range(f.ncomponents):
-            for q in range(g.ncomponents):
-                prod = np.convolve(cf[p], cg[q])
-                anti = _polyint_asc(prod[None, :])
-                out[p, q] += _polyval_asc(anti[0], np.array([w]))[0]
+    cf, cg = _aligned(f, bp), _aligned(gs, bp)
+    prod = np.array([[np.convolve(p, q) for p in cf_i for q in cg_i] for cf_i, cg_i in zip(cf, cg)])
+    vals = _polyval_pieces(_polyint_asc(prod), np.arange(bp.size - 1), np.diff(bp))
+    for v in vals:
+        out += v.reshape(out.shape)
     return out
 
 
@@ -1179,17 +1169,16 @@ def piecewise_quadrature(pp: PiecewisePoly, level: int) -> tuple[np.ndarray, np.
     with no panel ever straddling a discontinuity of ``pp``.
     """
     h = 2.0**-level
-    xs_parts, wv_parts = [], []
+    u_parts, w_parts = [], []
     bp = pp.breakpoints
-    for i in range(bp.size - 1):
-        a, b = float(bp[i]), float(bp[i + 1])
+    for a, b in zip(bp[:-1].tolist(), bp[1:].tolist()):
         npanels = max(2, 2 * int(np.ceil((b - a) / (2 * h))))
-        u = np.linspace(0.0, b - a, npanels + 1)
-        w = _simpson_weights(npanels + 1, (b - a) / npanels)
-        vals = _polyval_asc(pp.coeffs[i], u).T  # (npanels+1, r)
-        xs_parts.append(a + u)
-        wv_parts.append(w[:, None] * vals)
-    return np.concatenate(xs_parts), np.vstack(wv_parts)
+        u_parts.append(np.linspace(0.0, b - a, npanels + 1))
+        w_parts.append(_simpson_weights(npanels + 1, (b - a) / npanels))
+    piece = np.repeat(np.arange(bp.size - 1), [len(u) for u in u_parts])
+    u = np.concatenate(u_parts)
+    # F order: the pairing's matmul in quasiproj._dual_pairings rounds by layout
+    return bp[piece] + u, np.asfortranarray(np.concatenate(w_parts)[:, None] * _polyval_pieces(pp.coeffs, piece, u))
 
 
 def function_to_json_dict(f: FunctionHandle) -> dict:

@@ -310,6 +310,32 @@ def test_non_finite_samples_exit_2(tmp_path, capsys, bad):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "breakpoints,coeffs",
+    [([0.0, math.nan, 2.0], [[[1.0]], [[1.0]]]), ([0.0, 1.0, 2.0], [[[1.0]], [[math.inf]]])],
+    ids=["NaN breakpoint", "Infinity coefficient"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--phi", "bspline:2", "--phi-tilde", "{file}", "--n", "1", "--out", "{out}"],
+        ["construct-dual", "--phi", "{file}", "--order", "2"],
+    ],
+    ids=["expand", "construct-dual"],
+)
+def test_non_finite_piecewise_files_exit_2(tmp_path, capsys, breakpoints, coeffs, argv):
+    """A piecewise_poly file with a NaN breakpoint or an Infinity coefficient
+    is refused on reading: ``expand`` exited 0 with ``"max_value": NaN``, and
+    ``construct-dual`` exited 1 with "internal error"."""
+    pp_file = tmp_path / "pp.json"
+    pp_file.write_text(json.dumps({"kind": "piecewise_poly", "breakpoints": breakpoints, "coeffs": coeffs}))
+    argv = [a.format(file=pp_file, out=tmp_path / "o.csv") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err and "internal error" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("values", [[[0.0], [0.5, 1.0], [0.0]], "abc", {}])
 def test_malformed_sample_values_exit_2(tmp_path, capsys, values):
     """Ragged or non-numeric ``values`` in a sampled function file are refused

@@ -401,6 +401,21 @@ def test_cascade_identity_reads_theta():
         assert cascade_identity_check(unmodified, gaussian, g, n) == pytest.approx(old, abs=1e-4)
 
 
+def test_cascade_identity_bytes_are_pinned():
+    """The residual on every builtin bank at n = 1, 2, 3, for a Gaussian paired
+    with B3 both ways: the exact piecewise pairings, and the piece-aligned
+    Simpson weights, whose matmul rounds by memory layout (C-ordered weights
+    for the two-component psi of ``bspline2-tight`` move these bytes)."""
+    h = hashlib.sha256()
+    for name in bank_names():
+        df = resolve_framelet(name)
+        for n in (1, 2, 3):
+            for f, g in [(gaussian, bspline(3)), (bspline(3), gaussian)]:
+                h.update(np.float64(cascade_identity_check(df, f, g, n)).tobytes())
+    assert bank_names() == ["haar", "bspline2-tight", "daubechies:3", "mixed13"]
+    assert h.hexdigest() == "c7aa23667c23154a25cce11f5d612c90e095a1445bb9906e8ec03068b340f9a5"
+
+
 # -- verdicts ----------------------------------------------------------------------
 
 

@@ -337,6 +337,188 @@ def test_pp_evaluate_matches_gathered_reference_hypothesis(name, data):
     _assert_same_bits(f, x)
 
 
+# Per-interval references for the exact piecewise algebra: one Horner call per
+# piece, one midpoint search and one scalar shift per interval, kept verbatim
+# from the implementation that preceded the shared Horner and alignment.
+
+
+def _ref_polyval_asc(c, u):
+    out = np.zeros(c.shape[:-1] + u.shape, dtype=np.result_type(c, u))
+    for k in range(c.shape[-1] - 1, -1, -1):
+        out = out * u + c[..., k, None]
+    return out
+
+
+def _ref_polyint_asc(c):
+    k = np.arange(1, c.shape[-1] + 1, dtype=np.float64)
+    out = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,), dtype=c.dtype)
+    out[..., 1:] = c / k
+    return out
+
+
+def _ref_polyshift_asc(c, delta):
+    n = c.shape[-1]
+    out = np.zeros_like(c)
+    for j in range(n):
+        acc = np.zeros(c.shape[:-1], dtype=c.dtype)
+        for k in range(j, n):
+            acc = acc + c[..., k] * (math.comb(k, j) * delta ** (k - j))
+        out[..., j] = acc
+    return out
+
+
+def _ref_add(self, other):
+    bp = np.unique(np.concatenate([self.breakpoints, other.breakpoints]))
+    keep = np.concatenate([[True], np.diff(bp) > 1e-12 * max(1.0, np.max(np.abs(bp)))])
+    bp = bp[keep]
+    deg = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+    out = np.zeros((bp.size - 1, self.ncomponents, deg))
+    for src in (self, other):
+        for i in range(bp.size - 1):
+            mid = (bp[i] + bp[i + 1]) / 2
+            j = np.searchsorted(src.breakpoints, mid, side="right") - 1
+            if 0 <= j < src.coeffs.shape[0]:
+                shifted = _ref_polyshift_asc(src.coeffs[j], float(bp[i] - src.breakpoints[j]))
+                out[i, :, : shifted.shape[-1]] += shifted
+    return PiecewisePoly(bp, out)
+
+
+def _ref_pp_inner(f, g, shift):
+    gs = g.shift(shift)
+    lo = max(f.breakpoints[0], gs.breakpoints[0])
+    hi = min(f.breakpoints[-1], gs.breakpoints[-1])
+    out = np.zeros((f.ncomponents, g.ncomponents))
+    if lo >= hi:
+        return out
+    bp = np.unique(np.concatenate([f.breakpoints, gs.breakpoints]))
+    bp = bp[(bp >= lo) & (bp <= hi)]
+    for i in range(bp.size - 1):
+        a, b = bp[i], bp[i + 1]
+        mid = (a + b) / 2
+        jf = np.searchsorted(f.breakpoints, mid, side="right") - 1
+        jg = np.searchsorted(gs.breakpoints, mid, side="right") - 1
+        if not (0 <= jf < f.coeffs.shape[0] and 0 <= jg < gs.coeffs.shape[0]):
+            continue
+        cf = _ref_polyshift_asc(f.coeffs[jf], float(a - f.breakpoints[jf]))
+        cg = _ref_polyshift_asc(gs.coeffs[jg], float(a - gs.breakpoints[jg]))
+        w = b - a
+        for p in range(f.ncomponents):
+            for q in range(g.ncomponents):
+                prod = np.convolve(cf[p], cg[q])
+                anti = _ref_polyint_asc(prod[None, :])
+                out[p, q] += _ref_polyval_asc(anti[0], np.array([w]))[0]
+    return out
+
+
+def _ref_binom_power_asc(base, j):
+    return np.array([math.comb(j, i) * base ** (j - i) for i in range(j + 1)], dtype=np.float64)
+
+
+def _ref_moment_on(self, j, a, b):
+    bp = self.breakpoints
+    a = max(a, bp[0])
+    b = min(b, bp[-1])
+    out = np.zeros(self.ncomponents)
+    if a >= b:
+        return out
+    for i in range(self.coeffs.shape[0]):
+        lo, hi = max(a, bp[i]), min(b, bp[i + 1])
+        if lo >= hi:
+            continue
+        w = _ref_binom_power_asc(float(bp[i]), j)  # (u + x_i)^j in u
+        for c in range(self.ncomponents):
+            prod = np.convolve(self.coeffs[i, c], w)
+            anti = _ref_polyint_asc(prod)
+            vals = _ref_polyval_asc(anti, np.array([lo - bp[i], hi - bp[i]]))
+            out[c] += vals[1] - vals[0]
+    return out
+
+
+def _ref_cumulative_at_breaks(self):
+    anti = _ref_polyint_asc(self.coeffs)
+    widths = np.diff(self.breakpoints)
+    piece = np.stack(
+        [_ref_polyval_asc(anti[i], np.array([widths[i]]))[:, 0] for i in range(len(widths))]
+    )
+    return np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(piece, axis=0)])
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
+
+
+@st.composite
+def _random_pp(draw, r, near=None):
+    """A piecewise polynomial with ``r`` components, 1-5 pieces of off-lattice
+    widths, degree <= 4 and some ±0.0 coefficients; with ``near``, one of its
+    knots lies within 1e-13 of one of ``near``'s, so that ``+`` merges them."""
+    m = draw(st.integers(1, 5), label="pieces")
+    widths = draw(st.lists(st.floats(0.03, 1.7), min_size=m, max_size=m), label="widths")
+    knots = np.concatenate([[0.0], np.cumsum(widths)])
+    if near is None:
+        start = draw(st.floats(-3.0, 3.0), label="start")
+    else:
+        mine, theirs = draw(st.integers(0, m), label="knot"), draw(st.sampled_from(near.breakpoints.tolist()))
+        start = theirs - knots[mine] + draw(st.floats(-1e-13, 1e-13), label="offset")
+    deg = draw(st.integers(0, 4), label="degree")
+    coeff = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]))
+    values = draw(st.lists(coeff, min_size=m * r * (deg + 1), max_size=m * r * (deg + 1)), label="coeffs")
+    return PiecewisePoly(start + knots, np.array(values).reshape(m, r, deg + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pp_algebra_matches_per_interval_reference_bitwise(data):
+    """Sums, combinations, pairings, moments and cumulative breaks read every
+    piece through the one Horner and the one alignment, with the bits of the
+    per-interval loops they replaced."""
+    r = data.draw(st.integers(1, 2), label="r")
+    f = data.draw(_random_pp(r), label="f")
+    g = data.draw(st.one_of(_random_pp(r), _random_pp(r, near=f)), label="g")
+    h = data.draw(_random_pp(r), label="h")
+    for got, want in [(f + g, _ref_add(f, g)), (g + f, _ref_add(g, f))]:
+        _same_bytes(got.breakpoints, want.breakpoints)
+        _same_bytes(got.coeffs, want.coeffs)
+    mats = [np.eye(r), 2.5 * np.eye(r), np.arange(1.0, r * r + 1).reshape(r, r)]
+    combined = PiecewisePoly.combine(list(zip(mats, (f, g, h))))
+    want = _ref_add(_ref_add(f.apply_matrix(mats[0]), g.apply_matrix(mats[1])), h.apply_matrix(mats[2]))
+    _same_bytes(combined.breakpoints, want.breakpoints)
+    _same_bytes(combined.coeffs, want.coeffs)
+    shift = data.draw(st.floats(-4.0, 4.0), label="shift")
+    _same_bytes(gl.inner_product(f, g, shift), _ref_pp_inner(f, g, shift))
+    _same_bytes(gl.inner_product(f, f), _ref_pp_inner(f, f, 0.0))
+    lo, hi = f.support
+    for j in range(5):
+        _same_bytes(f.moment(j), _ref_moment_on(f, j, f.breakpoints[0], f.breakpoints[-1]))
+        a, b = (data.draw(st.floats(lo - 0.5, hi + 0.5), label="bound") for _ in range(2))
+        _same_bytes(f.moment_on(j, a, b), _ref_moment_on(f, j, a, b))
+        _same_bytes(f.moment_on(j, (lo + hi) / 2, b), _ref_moment_on(f, j, (lo + hi) / 2, b))
+    _same_bytes(f._cumulative_at_breaks, _ref_cumulative_at_breaks(f))
+    _same_bytes(combined._cumulative_at_breaks, _ref_cumulative_at_breaks(combined))
+
+
+def test_pp_refuses_non_finite_input():
+    """A NaN breakpoint passed the old increasing test (a NaN difference is
+    not <= 0), and nothing checked the coefficients."""
+    for bp, cf in [
+        ([0.0, math.nan, 1.0], np.ones((2, 1, 1))),
+        ([0.0, 1.0, math.inf], np.ones((2, 1, 1))),
+        ([0.0, 1.0], [[[1.0, math.inf]]]),
+        ([0.0, 1.0], [[[math.nan]]]),
+    ]:
+        with pytest.raises(PreconditionError, match="finite"):
+            PiecewisePoly(np.array(bp), np.array(cf))
+
+
+def test_pp_moment_on_refuses_a_nan_bound():
+    """Clipped to the pieces, a NaN bound would read as an empty range and
+    give 0, a plausible wrong number."""
+    for a, b in [(math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(PreconditionError, match="NaN"):
+            bspline(2).moment_on(1, a, b)
+
+
 # ---------------------------------------------------------------------------
 # sampled functions
 
