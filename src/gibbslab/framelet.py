@@ -238,7 +238,7 @@ def filter_moments(coeffs: MatrixSeq, phi: FunctionHandle, j: int) -> np.ndarray
 # -- expansions -------------------------------------------------------------------
 
 
-def truncated_expansion(df: DualFramelet, f, n: int = 0, grid: GridSpec | None = None) -> SampledFunction:
+def truncated_expansion(df: DualFramelet, f, n: int, grid: GridSpec | None = None) -> SampledFunction:
     """Scaling layer plus the first n wavelet layers, summed directly."""
     if n < 0:
         raise PreconditionError("level n must be nonnegative")

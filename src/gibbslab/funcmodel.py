@@ -199,8 +199,8 @@ class PiecewisePoly:
             raise PreconditionError(
                 f"polynomial degree {cf.shape[-1] - 1} exceeds supported maximum {MAX_DEGREE}"
             )
-        nz = [i for i in range(cf.shape[0]) if np.any(cf[i])]
-        if nz and (nz[0] > 0 or nz[-1] < cf.shape[0] - 1):
+        nz = np.flatnonzero(cf.any(axis=(1, 2)))
+        if nz.size and (nz[0] > 0 or nz[-1] < cf.shape[0] - 1):
             bp = bp[nz[0] : nz[-1] + 2]
             cf = cf[nz[0] : nz[-1] + 1]
         bp = np.ascontiguousarray(bp)

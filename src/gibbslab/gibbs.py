@@ -188,7 +188,7 @@ def _overshoot_both(pair: QuasiProjectionPair, t: float, level: int) -> tuple[fl
 
 def overshoot(
     pair: QuasiProjectionPair,
-    t: float = 0.0,
+    t: float,
     side: str = "right",
     level: int = 12,
 ) -> float:
@@ -302,7 +302,7 @@ def _worst(Rs: np.ndarray, Ls: np.ndarray) -> int:
 
 def overshoot_curve(
     pair: QuasiProjectionPair,
-    num_t: int = 64,
+    num_t: int,
     level: int = 12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample t -> (R(t), L(t)) on ``num_t`` uniform shifts of [0, 1), an

@@ -340,24 +340,18 @@ def check_qp1(pair: QuasiProjectionPair) -> dict:
     }
 
 
-def kernel_criterion(
-    pair: QuasiProjectionPair,
-    window: float | None = None,
-    level: int = 12,
-) -> dict:
+def kernel_criterion(pair: QuasiProjectionPair, level: int) -> dict:
     """Half-line kernel test for absence of overshoot at the origin.
 
     G(x) = integral_0^inf K(x, y) dy = sum_k conj(T(-k))^T phi(x-k) with T the
     right-tail integral of phi_tilde.  No overshoot at 0 iff G <= 1 for x > 0
-    and G >= 0 for x < 0 (the identities are exact beyond the window); "ok"
-    allows each a violation of 1e-9.  Refuses a ``level`` outside
-    ``1..MAX_LEVEL`` and a ``window`` that is not finite and positive.
+    and G >= 0 for x < 0.  G is read on [-(2N + 1), 2N + 1] with N the pair's
+    support bound: beyond that window G is exactly 1 (x > 0) or 0 (x < 0).
+    "ok" allows each a violation of 1e-9.  Refuses a ``level`` outside
+    ``1..MAX_LEVEL``.
     """
     check_level(level)
-    N = pair.support_bound
-    W = float(window) if window is not None else 2.0 * N + 1.0
-    if not (math.isfinite(W) and W > 0.0):
-        raise PreconditionError(f"kernel window must be finite and positive, got {window}")
+    W = 2.0 * pair.support_bound + 1.0
     i0, xs = dyadic_grid(-W, W, level)
     mass = pair.phi_tilde.moment(0)
     ks = _meeting_ks(pair.phi, xs[0], xs[-1])
@@ -410,7 +404,7 @@ def accuracy_order(
 def approximation_rate(
     pair: QuasiProjectionPair,
     f,
-    n_range=range(2, 8),
+    n_range,
     level: int = 12,
 ) -> float:
     """Empirical L2 decay exponent: fit of -log2 ||Q_n f - f|| on [-4, 4]

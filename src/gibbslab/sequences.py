@@ -59,10 +59,10 @@ class MatrixSeq:
     def __post_init__(self):
         arr = _as_entry_array(self.entries)
         offset = int(self.offset)
-        nz = [i for i in range(arr.shape[0]) if np.any(arr[i] != 0)]
-        if nz:
+        nz = np.flatnonzero(arr.any(axis=(1, 2)))
+        if nz.size:
             arr = arr[nz[0] : nz[-1] + 1]
-            offset += nz[0]
+            offset += int(nz[0])
         else:
             arr = arr[:0]
             offset = 0
@@ -114,11 +114,11 @@ class MatrixSeq:
         return cls(offset, np.stack(vals))
 
     @classmethod
-    def dirac(cls, r: int = 1) -> "MatrixSeq":
+    def dirac(cls, r: int) -> "MatrixSeq":
         return cls(0, np.eye(r, dtype=np.complex128)[None, :, :])
 
     @classmethod
-    def zero(cls, r: int = 1, s: int = 1) -> "MatrixSeq":
+    def zero(cls, r: int, s: int) -> "MatrixSeq":
         return cls(0, np.zeros((0, r, s), dtype=np.complex128))
 
     # -- algebra -------------------------------------------------------------
@@ -170,7 +170,7 @@ class MatrixSeq:
         )
         return MatrixSeq(self.offset, self.entries * signs[:, None, None])
 
-    def upsampled(self, factor: int = 2) -> "MatrixSeq":
+    def upsampled(self, factor: int) -> "MatrixSeq":
         """Insert zeros: result at k*factor equals u(k); series is uhat(factor*xi)."""
         n = self.entries.shape[0]
         if n == 0:
@@ -262,7 +262,7 @@ class SignLikeSeq:
     """
 
     limit: np.ndarray
-    finite_part: MatrixSeq = field(default_factory=lambda: MatrixSeq.zero())
+    finite_part: MatrixSeq = field(default_factory=lambda: MatrixSeq.zero(1, 1))
 
     def __post_init__(self):
         lim = _as_limit_matrix(self.limit, self.finite_part.shape)

@@ -498,6 +498,12 @@ def test_pp_algebra_matches_per_interval_reference_bitwise(data):
     _same_bytes(combined._cumulative_at_breaks, _ref_cumulative_at_breaks(combined))
 
 
+def test_pp_trims_signed_zero_end_pieces_only():
+    f = PiecewisePoly(np.arange(6.0), [[-0.0, 0.0], [1.0, 2.0], [0.0, -0.0], [3.0, 0.0], [-0.0, -0.0]])
+    assert f.breakpoints.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert f.coeffs[:, 0, :].tolist() == [[1.0, 2.0], [0.0, -0.0], [3.0, 0.0]]
+
+
 def test_pp_refuses_non_finite_input():
     """A NaN breakpoint passed the old increasing test (a NaN difference is
     not <= 0), and nothing checked the coefficients."""

@@ -47,6 +47,18 @@ def test_scalar_constructor_trims_zero_padding():
     assert np.all(u[5] == 0)  # out of support -> zero matrix
 
 
+def test_end_trim_reads_nan_as_nonzero_and_signed_zero_as_zero():
+    ents = np.zeros((6, 2, 2), dtype=np.complex128)
+    ents[0, 1, 0] = -0.0
+    ents[1, 0, 1] = complex(-0.0, -0.0)
+    ents[2, 0, 0] = complex(np.nan, 0.0)
+    ents[4, 1, 1] = complex(0.0, 2.0)
+    ents[5] = -0.0
+    u = MatrixSeq(-3, ents)
+    assert type(u.offset) is int and u.support == (-1, 1)
+    assert np.isnan(u.entries[0, 0, 0]) and u.entries[2, 1, 1] == 2j
+
+
 def test_zero_sequence_is_canonical():
     z = MatrixSeq.scalar(7, [0.0, 0.0])
     assert z.support is None
