@@ -62,12 +62,15 @@ MAX_LEVEL = 16
 
 
 def _polyval_pieces(c: np.ndarray, piece: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_k c[piece[i], :, k] u[i]^k for each point i, in one Horner pass over
-    the gathered coefficients; shape (len(u), r).  The one Horner for piece
-    polynomials (``evaluate`` runs the same operation order in place)."""
+    """sum_k c[piece[i], :, k] u[i]^k for each point i, in one in-place Horner
+    pass over the coefficients, gathered once; shape (len(u), r).  The one
+    Horner for piece polynomials (``evaluate`` runs the same operation order
+    on its runs)."""
+    cp = c[piece]
     acc = np.zeros((u.size, c.shape[1]))
     for k in range(c.shape[-1] - 1, -1, -1):
-        acc = acc * u[:, None] + c[piece, :, k]
+        acc *= u[:, None]
+        acc += cp[..., k]
     return acc
 
 
@@ -270,6 +273,36 @@ class PiecewisePoly:
         widths = np.diff(self.breakpoints)
         piece = _polyval_pieces(self._antiderivative, np.arange(len(widths)), widths)
         return np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(piece, axis=0)])
+
+    @cached_property
+    def _sum_rules(self) -> np.ndarray | None:
+        """Whether each sum rule ``s = 0..MAX_DEGREE`` holds (None for a vector
+        f): ``Q_s(x) = sum_k (x - k)^s f(x - k)`` is 1-periodic, so it is a
+        polynomial exactly when it is constant.  It is read on one period,
+        ``[0, 1)`` cut at the fractional parts of the knots (merged within
+        1e-12): every cut must hold the first cut's constant and no higher
+        coefficient.  The terms come from one :func:`_aligned` call over every
+        period of the support."""
+        if self.ncomponents != 1:
+            return None
+        bp, n = self.breakpoints, MAX_DEGREE + 1
+        frac = np.unique(np.concatenate([[0.0], bp % 1.0]))
+        y = frac[np.concatenate([[True], np.diff(frac) > 1e-12]) & (frac < 1.0 - 1e-12)]
+        periods = np.arange(floor(bp[0]), ceil(bp[-1]), dtype=np.float64)
+        cuts = np.append((periods[:, None] + y).ravel(), periods[-1] + 1.0)
+        c = _aligned(self, cuts)[:, 0]  # f about each cut, one row per (period, cut)
+        # t^s f(t) = (u + left)^s f(t) about each cut: binom[s, row, i] = C(s, i) left^(s - i)
+        s, i = np.arange(n)[:, None], np.arange(n)
+        coef = np.array([[comb(a, b) for b in range(n)] for a in range(n)], dtype=np.float64)
+        binom = coef[:, None, :] * cuts[None, :-1, None] ** np.maximum(s - i, 0)[:, None, :]
+        terms = np.zeros((n, len(c), c.shape[1] + n - 1))
+        for j in range(n):
+            terms[:, :, j : j + c.shape[1]] += binom[:, :, j, None] * c
+        terms = terms.reshape(n, len(periods), len(y), -1)  # summed over the periods below
+        gap, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        gap[:, :, 0] -= gap[:, :1, 0]
+        scale[:, :, 0] += scale[:, :1, 0]
+        return _negligible(gap, scale).all(axis=(1, 2))
 
     def cumulative(self, s) -> np.ndarray:
         """Integral of f over (-inf, s_i] for each s_i, exactly; shape (n, r)."""
@@ -858,6 +891,18 @@ class RefinableFunction:
             acc = fourier_deriv(self.mask, 0, xi * 2.0**-j) @ acc
         return acc
 
+    @cached_property
+    def _sum_rules(self) -> np.ndarray | None:
+        """Whether each sum rule ``s = 0..MAX_DEGREE`` holds (None for a vector
+        mask): the mask symbol's derivative ``ahat^(s)(pi)`` vanishes."""
+        if self.ncomponents != 1:
+            return None
+        mask = self.mask
+        k = np.abs(np.arange(mask.offset, mask.offset + len(mask.entries), dtype=np.float64))
+        taps = np.abs(mask.entries[:, 0, 0])
+        vals = [fourier_deriv(mask, s, np.pi) for s in range(MAX_DEGREE + 1)]
+        return np.array([_negligible(v, taps @ k**s).item() for s, v in enumerate(vals)])
+
     # -- exact cumulative integral ------------------------------------------
 
     @cached_property
@@ -1115,6 +1160,24 @@ def _aligned(f: PiecewisePoly, bp: np.ndarray) -> np.ndarray:
     out = np.zeros((bp.size - 1,) + f.coeffs.shape[1:])
     out[inside] = _polyshift_asc(f.coeffs[j[inside]], bp[inside] - f.breakpoints[j[inside]])
     return out
+
+
+def _negligible(value, scale) -> np.ndarray:
+    """Elementwise: ``|value|`` is at most 1e-9 of its ``scale``, the absolute
+    sum of the terms that made it, so zero up to rounding."""
+    return np.abs(value) <= 1e-9 * np.asarray(scale)
+
+
+def _sum_rule_order(f: FunctionHandle, m_max: int) -> int | None:
+    """The first ``s < m_max`` at which ``f`` breaks the sum rules, else
+    ``m_max``: ``sum_k p(k) f(x - k)`` is a polynomial for every polynomial
+    ``p`` of degree below the order.  Read off the model's cached
+    ``_sum_rules``; None for a sampled or vector ``f``, which has no exact
+    test."""
+    held = getattr(f, "_sum_rules", None)
+    if held is None:
+        return None
+    return next((s for s in range(min(m_max, len(held))) if not held[s]), m_max)
 
 
 def inner_product(

@@ -45,9 +45,9 @@ from .quasiproj import (
     Sgn,
     _meeting_ks,
     _sgn_coefficients,
+    accuracy_order,
     apply,
     check_qp1,
-    poly_reproduction,
 )
 
 __all__ = [
@@ -158,17 +158,15 @@ class BracketResult:
 def bracket_second_deriv(pair: QuasiProjectionPair) -> BracketResult:
     """[conj(phihat)^T phitildehat]''(0) from exact moments.
 
-    When the swapped pair reproduces degree <= 1 (hypotheses_met: both
-    reproduction residuals below 1e-8 on the level-9 grid), this equals
-    minus the first-moment identity value and a zero bracket is the boundary
-    between overshoot and no overshoot at the origin.
+    When the swapped pair reproduces degree <= 1 (hypotheses_met: its
+    :func:`accuracy_order` is 2), this equals minus the first-moment identity
+    value and a zero bracket is the boundary between overshoot and no
+    overshoot at the origin.
     """
     p0, p1, p2 = (fhat_deriv0(pair.phi, j) for j in range(3))
     t0, t1, t2 = (fhat_deriv0(pair.phi_tilde, j) for j in range(3))
     val = np.conj(p2) @ t0 + 2.0 * (np.conj(p1) @ t1) + np.conj(p0) @ t2
-    swapped = poly_reproduction(pair.swapped(), 2, GridSpec(9))
-    met = all(r < 1e-8 for r in swapped.values())
-    return BracketResult(float(val.real), met)
+    return BracketResult(float(val.real), accuracy_order(pair.swapped(), 2) >= 2)
 
 
 # -- overshoot functions ---------------------------------------------------------

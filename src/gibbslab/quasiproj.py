@@ -35,12 +35,15 @@ from .funcmodel import (
     SampledFunction,
     _grid_level,
     _is_real,
+    _negligible,
     _sample_table,
+    _sum_rule_order,
     _support_samples,
     _synthesis,
     check_level,
     dyadic_bounds,
     dyadic_grid,
+    fhat_deriv0,
     function_from_json_dict,
     function_to_json_dict,
     inner_product,
@@ -384,21 +387,45 @@ def poly_reproduction(pair: QuasiProjectionPair, m: int, grid: GridSpec | None =
     return {j: _reproduction_residual(pair, j, grid) for j in range(m)}
 
 
-def accuracy_order(
-    pair: QuasiProjectionPair,
-    m_max: int = 6,
-    tol: float = 1e-8,
-    grid: GridSpec | None = None,
-) -> int:
-    """Largest m <= m_max with every degree-(< m) reproduction residual < tol.
+def _exact_order(pair: QuasiProjectionPair, m_max: int) -> int | None:
+    """min(sum-rule order of phi, moment order of the pair), capped at
+    ``m_max``; None when phi is sampled or a vector (:func:`_sum_rule_order`).
 
-    Degrees are tried in rising order and the first one that fails ends the
-    search, so an operator of order m pays for min(m + 1, m_max) residuals.
+    The moment order is the first ``l`` at which ``[conj(phihat)^T
+    phitildehat]^(l)(0)``, the Leibniz sum of :func:`fhat_deriv0` on both
+    sides, is not ``1`` (``l = 0``) or ``0``, each up to rounding of its terms;
+    it is read only below the sum-rule order.
+    """
+    order = _sum_rule_order(pair.phi, m_max)
+    if order is None:
+        return None
+    p, t = [], []
+    for l in range(order):
+        p.append(np.conj(fhat_deriv0(pair.phi, l)))
+        t.append(fhat_deriv0(pair.phi_tilde, l))
+        terms = [math.comb(l, i) * complex(p[i] @ t[l - i]) for i in range(l + 1)]
+        if not _negligible(sum(terms) - (l == 0), sum(map(abs, terms))):
+            return l
+    return order
+
+
+def accuracy_order(pair: QuasiProjectionPair, m_max: int = 6) -> int:
+    """Largest m <= m_max such that Q reproduces every polynomial of degree < m.
+
+    Exact for scalar refinable and piecewise phi (Strang-Fix: the sum rules of
+    phi and the moment condition conj(phihat)^T phitildehat = 1 + O(|xi|^m), see
+    :func:`_exact_order`), whatever level the pair carries.  A sampled or
+    vector phi takes the grid route: degrees rising, each the sup residual of
+    Q x^j - x^j on the level-12 window against 1e-8, and the first that fails
+    ends the search, so it pays for min(m + 1, m_max) residuals.
     """
     if m_max < 1:
         raise PreconditionError("m must be a positive integer")
-    grid = grid or GridSpec()
-    return next((j for j in range(m_max) if not _reproduction_residual(pair, j, grid) < tol), m_max)
+    order = _exact_order(pair, m_max)
+    if order is not None:
+        return order
+    grid = GridSpec()
+    return next((j for j in range(m_max) if not _reproduction_residual(pair, j, grid) < 1e-8), m_max)
 
 
 def approximation_rate(

@@ -3,9 +3,17 @@
 The acceptance tests (test_acceptance.py) register one line per criterion via
 the ``acceptance`` fixture; ``pytest_terminal_summary`` reprints the collected
 block after the run so the pass/fail table is visible without ``-s``.
+The ``order_pairs`` fixture is the set of pairs on which the exact accuracy
+order is checked against the grid route.
 """
 
+import numpy as np
 import pytest
+
+from gibbslab.catalog import bank_names, pair_fleet, resolve_framelet, resolve_pair
+from gibbslab.construct import build_dual
+from gibbslab.funcmodel import PiecewisePoly, bspline
+from gibbslab.quasiproj import QuasiProjectionPair
 
 _LINES: list[str] = []
 
@@ -28,3 +36,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def order_pairs():
+    """(name, pair) for the checks of the exact accuracy order against the
+    grid route: the fleet, b1-b4, d2, d3, the nine ``build_dual`` pairs
+    b{2,3,4}+dual{2,3,4}, a custom knot rule, the four banks' mathring
+    pairs, two pairs shifted off the integer knots, a box on [0, 1/3) whose
+    translates cover a third of each period, and each of these swapped."""
+    pairs = pair_fleet(12)
+    pairs += [(spec, resolve_pair(spec)) for spec in ("haar", "bspline:2", "bspline:3", "bspline:4", "daubechies:2", "daubechies:3")]
+    for m in (2, 3, 4):
+        for order in (2, 3, 4):
+            pairs.append((f"b{m}+dual{order}", QuasiProjectionPair(bspline(m), build_dual(bspline(m), order).phi_tilde)))
+    rule = lambda N, m: N + (np.arange(m) / (m - 1)) ** 2
+    pairs.append(("b3+knot-rule", QuasiProjectionPair(bspline(3), build_dual(bspline(3), 3, knot_rule=rule).phi_tilde)))
+    pairs += [(f"mathring:{bank}", resolve_framelet(bank).mathring_pair) for bank in bank_names()]
+    named = dict(pairs)
+    pairs += [(f"{name} shifted by 1/3", named[name].shifted(1.0 / 3.0)) for name in ("bspline:2", "b3+dual3")]
+    pairs.append(("box [0, 1/3)", QuasiProjectionPair(PiecewisePoly([0.0, 1.0 / 3.0], [[3.0]]), bspline(1))))
+    return pairs + [(f"{name} swapped", pair.swapped()) for name, pair in pairs]

@@ -24,7 +24,7 @@ from gibbslab.catalog import resolve_bank, resolve_pair
 from gibbslab.cli import main
 from gibbslab.funcmodel import RefinableFunction, bspline
 from gibbslab.gibbs import overshoot_curve
-from gibbslab.quasiproj import GridSpec, Sgn, apply
+from gibbslab.quasiproj import GridSpec, Sgn, accuracy_order, apply
 from gibbslab.sequences import MatrixSeq
 
 
@@ -125,6 +125,16 @@ def test_analyze_pair_from_phi_flags(capsys):
     )
     assert code == 0
     assert json.loads(out)["accuracy_order"] == 1
+
+
+def test_daubechies3_reads_accuracy_3_at_every_level(capsys):
+    """The exact order does not depend on the level the pair carries; the
+    grid route read 2 at levels 8 and 10."""
+    for level in range(8, 17):
+        assert accuracy_order(resolve_pair("daubechies:3", level)) == 3, level
+    code, out, _ = run_cli(capsys, "analyze-pair", "--pair", "daubechies:3", "--level", "10")
+    assert code == 0
+    assert json.loads(out)["accuracy_order"] == 3
 
 
 def test_phi_flags_naming_one_spec_build_one_function(capsys, monkeypatch):

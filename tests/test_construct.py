@@ -109,7 +109,7 @@ def test_pipeline_reaches_full_order_without_overshoot(m):
     assert max(con.diagnostics["moment_residuals"]) < 1e-10
     res = poly_reproduction(pair, m, GridSpec(10))
     assert all(r < 1e-8 for r in res.values())
-    assert accuracy_order(pair, m_max=m + 1, grid=GridSpec(10)) == m
+    assert accuracy_order(pair, m_max=m + 1) == m
     assert overshoot(pair, 0.0, "right") <= 1.0 + 1e-9
     assert overshoot(pair, 0.0, "left") >= -1.0 - 1e-9
 
@@ -161,7 +161,7 @@ def test_custom_knot_rule():
     con = build_dual(bspline(3), 3, knot_rule=rule)
     pair = QuasiProjectionPair(bspline(3), con.phi_tilde)
     assert max(con.diagnostics["moment_residuals"]) < 1e-10
-    assert accuracy_order(pair, m_max=4, grid=GridSpec(10)) == 3
+    assert accuracy_order(pair, m_max=4) == 3
 
 
 def test_bad_knot_rules_rejected():

@@ -3,7 +3,8 @@
 Each test scans ``src/gibbslab/*.py``, parsed once below, for one rule: a
 budget of settable inputs, frozen value types, and one owner for each of the
 sample-jump test, the R/L sweep, the refinement route, the index rules, the
-sum of translates and the piecewise-polynomial Horner and alignment.  A new
+sum of translates, the piecewise-polynomial Horner and alignment, and the
+accuracy order.  A new
 rule is one more test here.
 """
 
@@ -65,7 +66,7 @@ def test_settable_inputs_do_not_grow():
                 n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
                 n += 1
-    assert n <= 57, f"{n} settable inputs, at most 57"
+    assert n <= 55, f"{n} settable inputs, at most 55"
 
 
 def test_value_types_are_frozen_dataclasses():
@@ -131,3 +132,14 @@ def test_one_horner_and_one_alignment():
     for f in (_fn("funcmodel.py", "PiecewisePoly", "__add__"), _fn("funcmodel.py", "_pp_inner")):
         assert not any("searchsorted" in (getattr(n, "id", None), getattr(n, "attr", None)) for n in ast.walk(f)), f.name
         assert any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_aligned" for n in ast.walk(f)), f.name
+
+
+def test_one_accuracy_route():
+    # the grid residual serves accuracy_order's sampled fallback only; poly_reproduction is for tests
+    bad = [
+        (m, n.lineno, _callee(n))
+        for m, tree in _TREE.items()
+        for n in ast.walk(tree)
+        if (_callee(n) == "_reproduction_residual" and m != "quasiproj.py") or _callee(n) == "poly_reproduction"
+    ]
+    assert not bad, bad

@@ -236,6 +236,15 @@ def test_bracket_frozen_values(haar, b2, d3):
     assert res.hypotheses_met
 
 
+def test_hypotheses_met_equals_the_grid_check(order_pairs):
+    """The exact flag (the swapped pair's accuracy order is 2) reads what the
+    level-9 grid read: both degree-0 and degree-1 residuals of the swapped
+    pair below 1e-8."""
+    for name, pair in order_pairs:
+        grid = quasiproj.poly_reproduction(pair.swapped(), 2, GridSpec(9))
+        assert bracket_second_deriv(pair).hypotheses_met == all(r < 1e-8 for r in grid.values()), name
+
+
 def test_bracket_matches_identity_when_hypotheses_hold(b2, b3, d2):
     for pair in (b2, b3, d2):
         res = bracket_second_deriv(pair)

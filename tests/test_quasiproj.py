@@ -15,15 +15,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from strategies import spline_like_mask
 
 from gibbslab import quasiproj
 from gibbslab.catalog import bspline_mask, pair_fleet, resolve_framelet, resolve_pair
 from gibbslab.construct import build_dual
-from gibbslab.errors import DimensionMismatchError, PreconditionError
+from gibbslab.errors import ConvergenceError, DimensionMismatchError, PreconditionError
 from gibbslab.framelet import truncated_expansion
-from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, dyadic_grid
+from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, cascade, dyadic_grid
 from gibbslab.gibbs import bracket_second_deriv, identity_rhs, overshoot, overshoot_curve
 from gibbslab.quasiproj import (
     GridSpec,
@@ -559,7 +560,7 @@ def test_monomial_rejects_negative_degree(b2):
 )
 def test_accuracy_orders(spec, expected):
     pair = resolve_pair(spec)
-    assert accuracy_order(pair, m_max=4, tol=1e-8, grid=GridSpec(10)) == expected
+    assert accuracy_order(pair, m_max=4) == expected
 
 
 def _first_failure(residuals: dict, tol: float) -> int:
@@ -573,8 +574,10 @@ def fleet():
 
 
 def test_accuracy_order_stops_at_the_first_failing_degree(monkeypatch, fleet):
-    """Degrees are tried 0, 1, 2, ... and the first failure ends the search:
-    order + 1 residuals, or m_max when every degree passes."""
+    """Scalar refinable and piecewise pairs take the exact route and expand
+    no monomial; a sampled pair tries degrees 0, 1, 2, ... and the first
+    failure ends the search: order + 1 residuals, or m_max when every degree
+    passes."""
     seen = []
     residual = quasiproj._reproduction_residual
 
@@ -585,26 +588,37 @@ def test_accuracy_order_stops_at_the_first_failing_degree(monkeypatch, fleet):
     monkeypatch.setattr(quasiproj, "_reproduction_residual", counting)
     for name, pair in fleet:
         for m_max in (1, 2, 6):
-            seen.clear()
-            order = accuracy_order(pair, m_max=m_max)
-            assert seen == list(range(min(order + 1, m_max))), (name, m_max, order)
-    seen.clear()
-    assert accuracy_order(dict(fleet)["b2,b2"], grid=GridSpec(10)) == 2  # degrees 0, 1, 2 only
+            accuracy_order(pair, m_max=m_max)
+            assert seen == [], (name, m_max)
+    hat = cascade(bspline_mask(2), level=12)  # the hat's samples: a sampled pair of order 2
+    pair = QuasiProjectionPair(hat, hat)
+    for m_max in (1, 2, 6):
+        seen.clear()
+        order = accuracy_order(pair, m_max=m_max)
+        assert order == min(2, m_max) and seen == list(range(min(order + 1, m_max))), (m_max, order)
     assert seen == [0, 1, 2]
 
 
-def test_accuracy_order_equals_the_full_residual_scan(fleet):
-    """Same order as scanning poly_reproduction's dict for its first failure,
-    at the default tol and at a tol between two measured residuals."""
-    grid = GridSpec(9)
-    for name, pair in fleet:
-        residuals = poly_reproduction(pair, 6)
-        assert accuracy_order(pair) == _first_failure(residuals, 1e-8), name
-        coarse = poly_reproduction(pair, 6, grid)
-        levels = sorted(set(coarse.values()))
-        for lo, hi in zip(levels, levels[1:]):
-            tol = math.sqrt(lo * hi) if lo > 0 else hi / 2
-            assert accuracy_order(pair, tol=tol, grid=grid) == _first_failure(coarse, tol), (name, tol)
+def test_accuracy_order_equals_the_full_residual_scan(order_pairs):
+    """Every cross-route pair takes the exact route, and its order is the
+    first degree whose level-12 reproduction residual is not below the
+    default tol 1e-8."""
+    for name, pair in order_pairs:
+        order = _first_failure(poly_reproduction(pair, 6), 1e-8)
+        assert accuracy_order(pair) == quasiproj._exact_order(pair, 6) == order, name
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_exact_order_equals_the_grid_scan_on_spline_like_masks(data):
+    mask, norm = data.draw(spline_like_mask(1))
+    f = RefinableFunction(mask, norm)
+    try:
+        f.samples()
+    except (ConvergenceError, PreconditionError):
+        assume(False)
+    pair = QuasiProjectionPair(f, f)
+    assert quasiproj._exact_order(pair, 6) == _first_failure(poly_reproduction(pair, 6), 1e-8)
 
 
 @pytest.mark.parametrize("m_max", [0, -1])
