@@ -104,19 +104,14 @@ def _text_chunks(columns, open_: str, cell_sep: str, close: str, row_sep: str):
     ``open_``, its cells joined by ``cell_sep``, then ``close``, and rows are
     joined by ``row_sep``.  ``float.__repr__`` runs once per distinct bit
     pattern in a piece (so 0.0 and -0.0 stay apart), and a one-cell row's
-    text is built once per distinct value.  The distinct patterns are sorted
-    out of the heads of the runs of equal bits only, and each run repeats
-    its head's index."""
+    text is built once per distinct value."""
     n = len(columns[0])
     step = max(1, _CHUNK // sum(c.shape[1] if c.ndim == 2 else 1 for c in columns))
     for lo in range(0, n, step):
         if lo:
             yield row_sep
         block = np.column_stack([c[lo : lo + step] for c in columns])
-        flat = block.ravel().view(np.int64)
-        heads = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
-        bits, head_index = np.unique(flat[heads], return_inverse=True)
-        inverse = np.repeat(head_index, np.diff(heads, append=len(flat)))
+        bits, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
         reprs = map(float.__repr__, bits.view(np.float64).tolist())
         if block.shape[1] == 1:
             rows = np.array([open_ + r + close for r in reprs], dtype=object)[inverse].tolist()

@@ -893,15 +893,23 @@ class RefinableFunction:
 
     @cached_property
     def _sum_rules(self) -> np.ndarray | None:
-        """Whether each sum rule ``s = 0..MAX_DEGREE`` holds (None for a vector
-        mask): the mask symbol's derivative ``ahat^(s)(pi)`` vanishes."""
+        """Whether each sum rule ``s = 0..MAX_DEGREE`` holds: the mask symbol's
+        derivative ``ahat^(s)(pi)`` vanishes.  Rules that hold give phi that
+        accuracy, but a failed one bounds it only when phihat has no
+        2pi-periodic zero at pi, which holds when the symbol has no symmetric
+        zeros (:func:`_symmetric_zeros`).  None for a vector mask, or for a
+        failed rule with symmetric zeros: ``(1 + z) (1 + z^2)^2 / 8`` breaks
+        rule 1, yet its phi's shifts reproduce quadratics."""
         if self.ncomponents != 1:
             return None
         mask = self.mask
         k = np.abs(np.arange(mask.offset, mask.offset + len(mask.entries), dtype=np.float64))
         taps = np.abs(mask.entries[:, 0, 0])
         vals = [fourier_deriv(mask, s, np.pi) for s in range(MAX_DEGREE + 1)]
-        return np.array([_negligible(v, taps @ k**s).item() for s, v in enumerate(vals)])
+        held = np.array([_negligible(v, taps @ k**s).item() for s, v in enumerate(vals)])
+        if not held.all() and _symmetric_zeros(mask.entries[:, 0, 0].real):
+            return None
+        return held
 
     # -- exact cumulative integral ------------------------------------------
 
@@ -1168,12 +1176,38 @@ def _negligible(value, scale) -> np.ndarray:
     return np.abs(value) <= 1e-9 * np.asarray(scale)
 
 
+def _symmetric_zeros(taps: np.ndarray) -> bool:
+    """Whether the symbol ``sum_k taps[k] z^k`` vanishes at some ``z`` and
+    ``-z`` in C \\ {0}: exactly when its even and odd polyphase parts
+    ``taps[0::2]``, ``taps[1::2]`` (polynomials in ``z^2``) share a nonzero
+    root.  Without such a pair phihat has no 2pi-periodic zero at pi: from
+    ``phihat(xi) = ahat(xi / 2) phihat(xi / 2)``, each periodic zero passes
+    to one at ``xi / 2`` or ``xi / 2 + pi``, so there would be infinitely
+    many, and a compactly supported phi has finitely many (compare Jia and
+    Wang, Proc. AMS 117, 1993).  Read as a singular Sylvester matrix of the
+    two parts with their zero roots and zero top taps trimmed: the smallest
+    singular value at most 1e-10 of the largest, so a near pair counts too."""
+    even, odd = np.trim_zeros(taps[0::2]), np.trim_zeros(taps[1::2])
+    if not (even.size and odd.size):  # one part is zero: the other's roots are all shared
+        return max(even.size, odd.size) > 1
+    m, n = even.size - 1, odd.size - 1
+    if m + n == 0:
+        return False
+    sylvester = np.zeros((m + n, m + n))
+    for i in range(n):
+        sylvester[i, i : i + m + 1] = even
+    for i in range(m):
+        sylvester[n + i, i : i + n + 1] = odd
+    sv = np.linalg.svd(sylvester, compute_uv=False)
+    return bool(sv[-1] <= 1e-10 * sv[0])
+
+
 def _sum_rule_order(f: FunctionHandle, m_max: int) -> int | None:
     """The first ``s < m_max`` at which ``f`` breaks the sum rules, else
     ``m_max``: ``sum_k p(k) f(x - k)`` is a polynomial for every polynomial
     ``p`` of degree below the order.  Read off the model's cached
     ``_sum_rules``; None for a sampled or vector ``f``, which has no exact
-    test."""
+    test, or for a refinable one whose failed rule may not bound its order."""
     held = getattr(f, "_sum_rules", None)
     if held is None:
         return None

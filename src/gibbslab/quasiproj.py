@@ -389,7 +389,9 @@ def poly_reproduction(pair: QuasiProjectionPair, m: int, grid: GridSpec | None =
 
 def _exact_order(pair: QuasiProjectionPair, m_max: int) -> int | None:
     """min(sum-rule order of phi, moment order of the pair), capped at
-    ``m_max``; None when phi is sampled or a vector (:func:`_sum_rule_order`).
+    ``m_max``; None when phi has no exact sum-rule test
+    (:func:`_sum_rule_order`) or phitilde is sampled, whose moments come from
+    a quadrature.
 
     The moment order is the first ``l`` at which ``[conj(phihat)^T
     phitildehat]^(l)(0)``, the Leibniz sum of :func:`fhat_deriv0` on both
@@ -397,7 +399,7 @@ def _exact_order(pair: QuasiProjectionPair, m_max: int) -> int | None:
     it is read only below the sum-rule order.
     """
     order = _sum_rule_order(pair.phi, m_max)
-    if order is None:
+    if order is None or isinstance(pair.phi_tilde, SampledFunction):
         return None
     p, t = [], []
     for l in range(order):
@@ -412,12 +414,14 @@ def _exact_order(pair: QuasiProjectionPair, m_max: int) -> int | None:
 def accuracy_order(pair: QuasiProjectionPair, m_max: int = 6) -> int:
     """Largest m <= m_max such that Q reproduces every polynomial of degree < m.
 
-    Exact for scalar refinable and piecewise phi (Strang-Fix: the sum rules of
-    phi and the moment condition conj(phihat)^T phitildehat = 1 + O(|xi|^m), see
-    :func:`_exact_order`), whatever level the pair carries.  A sampled or
-    vector phi takes the grid route: degrees rising, each the sup residual of
-    Q x^j - x^j on the level-12 window against 1e-8, and the first that fails
-    ends the search, so it pays for min(m + 1, m_max) residuals.
+    Exact for a scalar piecewise phi, or a scalar refinable one whose failed
+    sum rule bounds its order (no symmetric zeros of the symbol), with a dual
+    that is not sampled (Strang-Fix: the sum rules of phi and the moment
+    condition conj(phihat)^T phitildehat = 1 + O(|xi|^m), see
+    :func:`_exact_order`), whatever level the pair carries.  Any other pair
+    takes the grid route: degrees rising, each the sup residual of Q x^j -
+    x^j on the level-12 window against 1e-8, and the first that fails ends
+    the search, so it pays for min(m + 1, m_max) residuals.
     """
     if m_max < 1:
         raise PreconditionError("m must be a positive integer")

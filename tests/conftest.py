@@ -4,16 +4,18 @@ The acceptance tests (test_acceptance.py) register one line per criterion via
 the ``acceptance`` fixture; ``pytest_terminal_summary`` reprints the collected
 block after the run so the pass/fail table is visible without ``-s``.
 The ``order_pairs`` fixture is the set of pairs on which the exact accuracy
-order is checked against the grid route.
+order is checked against the grid route, and ``grid_route_pairs`` the pairs
+whose order only the grid route can read.
 """
 
 import numpy as np
 import pytest
 
-from gibbslab.catalog import bank_names, pair_fleet, resolve_framelet, resolve_pair
+from gibbslab.catalog import bank_names, bspline_mask, pair_fleet, resolve_framelet, resolve_pair
 from gibbslab.construct import build_dual
-from gibbslab.funcmodel import PiecewisePoly, bspline
+from gibbslab.funcmodel import PiecewisePoly, RefinableFunction, bspline, cascade
 from gibbslab.quasiproj import QuasiProjectionPair
+from gibbslab.sequences import MatrixSeq
 
 _LINES: list[str] = []
 
@@ -57,3 +59,23 @@ def order_pairs():
     pairs += [(f"{name} shifted by 1/3", named[name].shifted(1.0 / 3.0)) for name in ("bspline:2", "b3+dual3")]
     pairs.append(("box [0, 1/3)", QuasiProjectionPair(PiecewisePoly([0.0, 1.0 / 3.0], [[3.0]]), bspline(1))))
     return pairs + [(f"{name} swapped", pair.swapped()) for name, pair in pairs]
+
+
+@pytest.fixture(scope="session")
+def grid_route_pairs():
+    """(name, pair, exact) for pairs next to the exact route's limits, with
+    whether the exact route reads them: a refinable phi with mask
+    (1 + z) (1 + z^2)^2 / 8, which breaks the mask's second sum rule while
+    its shifts reproduce quadratics (the symbol vanishes at i and -i), against
+    itself and against the box, and the hat against the hat's level-12
+    samples; and each of these swapped.  Only the box against that phi has
+    a primal whose sum rules settle its order and an exact dual."""
+    stretched = RefinableFunction(MatrixSeq.scalar(0, np.convolve([0.5, 0.5], [0.25, 0.0, 0.5, 0.0, 0.25])))
+    pairs = {
+        "box*stretched hat": QuasiProjectionPair(stretched, stretched),
+        "box*stretched hat+box": QuasiProjectionPair(stretched, bspline(1)),
+        "hat+sampled hat": QuasiProjectionPair(bspline(2), cascade(bspline_mask(2), level=12)),
+    }
+    out = [(name, pair, False) for name, pair in pairs.items()]
+    out += [(f"{name} swapped", pair.swapped(), name == "box*stretched hat+box") for name, pair in pairs.items()]
+    return out

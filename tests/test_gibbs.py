@@ -236,11 +236,11 @@ def test_bracket_frozen_values(haar, b2, d3):
     assert res.hypotheses_met
 
 
-def test_hypotheses_met_equals_the_grid_check(order_pairs):
+def test_hypotheses_met_equals_the_grid_check(order_pairs, grid_route_pairs):
     """The exact flag (the swapped pair's accuracy order is 2) reads what the
     level-9 grid read: both degree-0 and degree-1 residuals of the swapped
     pair below 1e-8."""
-    for name, pair in order_pairs:
+    for name, pair in order_pairs + [(name, pair) for name, pair, _ in grid_route_pairs]:
         grid = quasiproj.poly_reproduction(pair.swapped(), 2, GridSpec(9))
         assert bracket_second_deriv(pair).hypotheses_met == all(r < 1e-8 for r in grid.values()), name
 

@@ -41,6 +41,7 @@ from gibbslab.quasiproj import (
     kernel_criterion,
     poly_reproduction,
 )
+from gibbslab.sequences import MatrixSeq
 
 
 @pytest.fixture(scope="module")
@@ -606,6 +607,26 @@ def test_accuracy_order_equals_the_full_residual_scan(order_pairs):
     for name, pair in order_pairs:
         order = _first_failure(poly_reproduction(pair, 6), 1e-8)
         assert accuracy_order(pair) == quasiproj._exact_order(pair, 6) == order, name
+
+
+def test_the_exact_route_leaves_unsettled_pairs_to_the_grid(grid_route_pairs):
+    """A failed sum rule of a mask whose symbol has symmetric zeros, or a
+    sampled dual, sends the pair to the grid scan, which reads its order."""
+    for name, pair, exact in grid_route_pairs:
+        order = _first_failure(poly_reproduction(pair, 6), 1e-8)
+        assert accuracy_order(pair) == order, name
+        assert quasiproj._exact_order(pair, 6) == (order if exact else None), name
+    assert [accuracy_order(pair) for _, pair, _ in grid_route_pairs[:2]] == [2, 1]
+
+
+def test_a_mask_the_cascade_refuses_has_no_accuracy_order():
+    """The stretched hat's mask (1 + z^2)^2 / 4 breaks the first sum rule at
+    pi, yet its shifts sum to one: its order is not read off the mask, and
+    the grid route refuses it as the cascade does."""
+    f = RefinableFunction(MatrixSeq.scalar(0, [0.25, 0.0, 0.5, 0.0, 0.25]))
+    assert quasiproj._exact_order(QuasiProjectionPair(f, f), 6) is None
+    with pytest.raises(PreconditionError, match="first sum rule"):
+        accuracy_order(QuasiProjectionPair(f, f))
 
 
 @given(data=st.data())
