@@ -340,7 +340,7 @@ def _cmd_bspline_table(args) -> None:
                 "identity_rhs": identity_rhs(pair),
                 "bracket": bracket_second_deriv(pair).value,
                 "accuracy_order": accuracy_order(pair),
-                "R0": overshoot(pair, 0.0, "right"),
+                "R0": overshoot(pair, 0.0, "right", args.level),
                 "dual_shift": construction.N,
                 "dual_knots": construction.knots,
             }

@@ -280,29 +280,21 @@ class PiecewisePoly:
         f): ``Q_s(x) = sum_k (x - k)^s f(x - k)`` is 1-periodic, so it is a
         polynomial exactly when it is constant.  It is read on one period,
         ``[0, 1)`` cut at the fractional parts of the knots (merged within
-        1e-12): every cut must hold the first cut's constant and no higher
-        coefficient.  The terms come from one :func:`_aligned` call over every
-        period of the support."""
+        1e-12): on each cut ``Q_s`` is a polynomial of degree at most deg +
+        MAX_DEGREE, so it is constant when its values at deg + MAX_DEGREE + 1
+        interior points of every cut are the first point's, each up to
+        rounding of the terms at both points.  One :meth:`evaluate` call reads
+        f at those points in every period of the support."""
         if self.ncomponents != 1:
             return None
-        bp, n = self.breakpoints, MAX_DEGREE + 1
+        bp, n = self.breakpoints, self.coeffs.shape[-1] + MAX_DEGREE
         frac = np.unique(np.concatenate([[0.0], bp % 1.0]))
-        y = frac[np.concatenate([[True], np.diff(frac) > 1e-12]) & (frac < 1.0 - 1e-12)]
-        periods = np.arange(floor(bp[0]), ceil(bp[-1]), dtype=np.float64)
-        cuts = np.append((periods[:, None] + y).ravel(), periods[-1] + 1.0)
-        c = _aligned(self, cuts)[:, 0]  # f about each cut, one row per (period, cut)
-        # t^s f(t) = (u + left)^s f(t) about each cut: binom[s, row, i] = C(s, i) left^(s - i)
-        s, i = np.arange(n)[:, None], np.arange(n)
-        coef = np.array([[comb(a, b) for b in range(n)] for a in range(n)], dtype=np.float64)
-        binom = coef[:, None, :] * cuts[None, :-1, None] ** np.maximum(s - i, 0)[:, None, :]
-        terms = np.zeros((n, len(c), c.shape[1] + n - 1))
-        for j in range(n):
-            terms[:, :, j : j + c.shape[1]] += binom[:, :, j, None] * c
-        terms = terms.reshape(n, len(periods), len(y), -1)  # summed over the periods below
-        gap, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
-        gap[:, :, 0] -= gap[:, :1, 0]
-        scale[:, :, 0] += scale[:, :1, 0]
-        return _negligible(gap, scale).all(axis=(1, 2))
+        y = np.append(frac[np.concatenate([[True], np.diff(frac) > 1e-12]) & (frac < 1.0 - 1e-12)], 1.0)
+        x = (y[:-1, None] + np.diff(y)[:, None] * np.arange(1, n + 1) / (n + 1)).ravel()
+        t = np.arange(floor(bp[0]), ceil(bp[-1]), dtype=np.float64)[:, None] + x
+        terms = t ** np.arange(MAX_DEGREE + 1)[:, None, None] * self.evaluate(t.ravel()).reshape(t.shape)
+        q, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)  # Q_s and its rounding scale at each x
+        return _negligible(q - q[:, :1], scale + scale[:, :1]).all(axis=1)
 
     def cumulative(self, s) -> np.ndarray:
         """Integral of f over (-inf, s_i] for each s_i, exactly; shape (n, r)."""
@@ -1200,18 +1192,6 @@ def _symmetric_zeros(taps: np.ndarray) -> bool:
         sylvester[n + i, i : i + n + 1] = odd
     sv = np.linalg.svd(sylvester, compute_uv=False)
     return bool(sv[-1] <= 1e-10 * sv[0])
-
-
-def _sum_rule_order(f: FunctionHandle, m_max: int) -> int | None:
-    """The first ``s < m_max`` at which ``f`` breaks the sum rules, else
-    ``m_max``: ``sum_k p(k) f(x - k)`` is a polynomial for every polynomial
-    ``p`` of degree below the order.  Read off the model's cached
-    ``_sum_rules``; None for a sampled or vector ``f``, which has no exact
-    test, or for a refinable one whose failed rule may not bound its order."""
-    held = getattr(f, "_sum_rules", None)
-    if held is None:
-        return None
-    return next((s for s in range(min(m_max, len(held))) if not held[s]), m_max)
 
 
 def inner_product(

@@ -37,7 +37,6 @@ from .funcmodel import (
     _is_real,
     _negligible,
     _sample_table,
-    _sum_rule_order,
     _support_samples,
     _synthesis,
     check_level,
@@ -77,17 +76,12 @@ class Sgn:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Built-in signal x^degree.  Degree 3 on points i 2^-12 with |x| < 32 is
-    ``x * x * x``: exact there (|i|^3 < 2^51), so equal to libm's ``x ** 3``
-    bit for bit, about 60 times faster."""
+    """Built-in signal x^degree."""
 
     degree: int = 0
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.degree == 3 and np.all((np.abs(x) < 32) & (x * 4096.0 == np.round(x * 4096.0))):
-            return x * x * x
-        return x**self.degree
+        return np.asarray(x, dtype=np.float64) ** self.degree
 
 
 @dataclass(frozen=True)
@@ -389,18 +383,20 @@ def poly_reproduction(pair: QuasiProjectionPair, m: int, grid: GridSpec | None =
 
 def _exact_order(pair: QuasiProjectionPair, m_max: int) -> int | None:
     """min(sum-rule order of phi, moment order of the pair), capped at
-    ``m_max``; None when phi has no exact sum-rule test
-    (:func:`_sum_rule_order`) or phitilde is sampled, whose moments come from
-    a quadrature.
+    ``m_max``.  The sum-rule order is phi's first failed rule in its cached
+    ``_sum_rules``; None when phi has none (a sampled or vector phi, or a
+    refinable one whose failed rule may not bound its order) or phitilde is
+    sampled, whose moments come from a quadrature.
 
     The moment order is the first ``l`` at which ``[conj(phihat)^T
     phitildehat]^(l)(0)``, the Leibniz sum of :func:`fhat_deriv0` on both
     sides, is not ``1`` (``l = 0``) or ``0``, each up to rounding of its terms;
     it is read only below the sum-rule order.
     """
-    order = _sum_rule_order(pair.phi, m_max)
-    if order is None or isinstance(pair.phi_tilde, SampledFunction):
+    held = getattr(pair.phi, "_sum_rules", None)
+    if held is None or isinstance(pair.phi_tilde, SampledFunction):
         return None
+    order = next((s for s in range(min(m_max, len(held))) if not held[s]), m_max)
     p, t = [], []
     for l in range(order):
         p.append(np.conj(fhat_deriv0(pair.phi, l)))

@@ -43,15 +43,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def order_pairs():
     """(name, pair) for the checks of the exact accuracy order against the
-    grid route: the fleet, b1-b4, d2, d3, the nine ``build_dual`` pairs
-    b{2,3,4}+dual{2,3,4}, a custom knot rule, the four banks' mathring
+    grid route: the fleet, every builtin B-spline b1-b9, d2, d3, the ten
+    ``build_dual`` pairs b{2,3,4}+dual{2,3,4} and b5+dual5, a custom knot
+    rule, the four banks' mathring
     pairs, two pairs shifted off the integer knots, a box on [0, 1/3) whose
     translates cover a third of each period, and each of these swapped."""
     pairs = pair_fleet(12)
-    pairs += [(spec, resolve_pair(spec)) for spec in ("haar", "bspline:2", "bspline:3", "bspline:4", "daubechies:2", "daubechies:3")]
-    for m in (2, 3, 4):
-        for order in (2, 3, 4):
-            pairs.append((f"b{m}+dual{order}", QuasiProjectionPair(bspline(m), build_dual(bspline(m), order).phi_tilde)))
+    pairs += [(spec, resolve_pair(spec)) for spec in ["haar"] + [f"bspline:{m}" for m in range(2, 10)] + ["daubechies:2", "daubechies:3"]]
+    for m, order in [(m, order) for m in (2, 3, 4) for order in (2, 3, 4)] + [(5, 5)]:
+        pairs.append((f"b{m}+dual{order}", QuasiProjectionPair(bspline(m), build_dual(bspline(m), order).phi_tilde)))
     rule = lambda N, m: N + (np.arange(m) / (m - 1)) ** 2
     pairs.append(("b3+knot-rule", QuasiProjectionPair(bspline(3), build_dual(bspline(3), 3, knot_rule=rule).phi_tilde)))
     pairs += [(f"mathring:{bank}", resolve_framelet(bank).mathring_pair) for bank in bank_names()]

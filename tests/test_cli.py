@@ -23,8 +23,8 @@ from gibbslab import cli, funcmodel
 from gibbslab.catalog import resolve_bank, resolve_pair
 from gibbslab.cli import main
 from gibbslab.funcmodel import RefinableFunction, bspline
-from gibbslab.gibbs import overshoot_curve
-from gibbslab.quasiproj import GridSpec, Sgn, accuracy_order, apply
+from gibbslab.gibbs import overshoot, overshoot_curve
+from gibbslab.quasiproj import GridSpec, QuasiProjectionPair, Sgn, accuracy_order, apply
 from gibbslab.sequences import MatrixSeq
 
 
@@ -135,6 +135,29 @@ def test_daubechies3_reads_accuracy_3_at_every_level(capsys):
     code, out, _ = run_cli(capsys, "analyze-pair", "--pair", "daubechies:3", "--level", "10")
     assert code == 0
     assert json.loads(out)["accuracy_order"] == 3
+
+
+def test_high_order_bspline_self_pairs_read_accuracy_2(capsys):
+    """B_6 against itself reproduces exactly the linears, so the bracket's
+    hypotheses hold; the table's rows agree for every m from 2 on."""
+    code, out, _ = run_cli(capsys, "analyze-pair", "--pair", "bspline:6")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["accuracy_order"] == 2 and payload["bracket_hypotheses_met"] is True
+    code, out, _ = run_cli(capsys, "bspline-table", "--max-order", "6")
+    assert code == 0
+    assert [row["accuracy_order"] for row in json.loads(out)["rows"]] == [1, 2, 2, 2, 2, 2]
+
+
+def test_bspline_table_reads_R0_at_its_level(capsys):
+    """Each row's R0 is the overshoot at ``--level``: at level 6, B_6 reads
+    1.0 where level 12 reads 1 + 2^-52."""
+    code, out, _ = run_cli(capsys, "bspline-table", "--max-order", "6", "--level", "6")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    pairs = [QuasiProjectionPair(bspline(m), bspline(m)) for m in range(1, 7)]
+    assert [row["R0"] for row in rows] == [overshoot(pair, 0.0, "right", 6) for pair in pairs]
+    assert rows[5]["R0"] == 1.0 != overshoot(pairs[5], 0.0, "right", 12)
 
 
 def test_phi_flags_naming_one_spec_build_one_function(capsys, monkeypatch):

@@ -143,3 +143,14 @@ def test_one_accuracy_route():
         if (_callee(n) == "_reproduction_residual" and m != "quasiproj.py") or _callee(n) == "poly_reproduction"
     ]
     assert not bad, bad
+    # the sum-rule order is read in quasiproj._exact_order alone, with no wrapper of its own
+    assert not _named({"_sum_rule_order"}), _named({"_sum_rule_order"})
+    reads = [
+        (m, n.lineno)
+        for m, tree in _TREE.items()
+        if m != "quasiproj.py"
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "_sum_rules")
+        or (_callee(n) == "getattr" and any(getattr(a, "value", None) == "_sum_rules" for a in n.args))
+    ]
+    assert not reads, reads

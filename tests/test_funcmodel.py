@@ -124,6 +124,14 @@ def test_bspline_partition_of_unity(x, m):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_bspline_m_holds_exactly_its_first_m_sum_rules(m):
+    """B_m reproduces polynomials of degree below m and no higher: rules
+    s < m hold and rule m fails (for m = 9 every rule up to MAX_DEGREE = 8
+    holds).  A per-coefficient rounding test broke rule 1 for m = 6..9."""
+    assert bspline(m)._sum_rules.tolist() == [s < m for s in range(funcmodel.MAX_DEGREE + 1)]
+
+
 def test_bspline_autocorrelation_equals_higher_spline():
     # integral B2(x) B2(x-k) dx = B4(2-k)
     B2, B4 = bspline(2), bspline(4)

@@ -609,6 +609,15 @@ def test_accuracy_order_equals_the_full_residual_scan(order_pairs):
         assert accuracy_order(pair) == quasiproj._exact_order(pair, 6) == order, name
 
 
+def test_the_order_6_dual_of_b6_reads_order_6():
+    """build_dual(b6, 6) reproduces quintics: the exact route reads 6, where
+    the grid route stops at 5, its x^5 residual (3e-8) above the absolute
+    1e-8, so this pair stays out of the equality test."""
+    pair = QuasiProjectionPair(bspline(6), build_dual(bspline(6), 6).phi_tilde)
+    assert accuracy_order(pair) == quasiproj._exact_order(pair, 6) == 6
+    assert _first_failure(poly_reproduction(pair, 6), 1e-8) == 5
+
+
 def test_the_exact_route_leaves_unsettled_pairs_to_the_grid(grid_route_pairs):
     """A failed sum rule of a mask whose symbol has symmetric zeros, or a
     sampled dual, sends the pair to the grid scan, which reads its order."""
