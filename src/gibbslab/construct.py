@@ -157,7 +157,7 @@ def build_dual(phi: FunctionHandle, m: int, knot_rule=None) -> DualConstruction:
         "moment_residuals": moment_residuals,
         "partition_residual": partition_residual,
     }
-    if max(moment_residuals) > 1e-10:
+    if max(moment_residuals) > 1e-10 * max(1.0, float(np.max(np.abs(d)))):
         raise ConvergenceError(
             "constructed dual fails moment matching", residual=max(moment_residuals)
         )

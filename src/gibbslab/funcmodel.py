@@ -274,28 +274,6 @@ class PiecewisePoly:
         piece = _polyval_pieces(self._antiderivative, np.arange(len(widths)), widths)
         return np.vstack([np.zeros((1, self.ncomponents)), np.cumsum(piece, axis=0)])
 
-    @cached_property
-    def _sum_rules(self) -> np.ndarray | None:
-        """Whether each sum rule ``s = 0..MAX_DEGREE`` holds (None for a vector
-        f): ``Q_s(x) = sum_k (x - k)^s f(x - k)`` is 1-periodic, so it is a
-        polynomial exactly when it is constant.  It is read on one period,
-        ``[0, 1)`` cut at the fractional parts of the knots (merged within
-        1e-12): on each cut ``Q_s`` is a polynomial of degree at most deg +
-        MAX_DEGREE, so it is constant when its values at deg + MAX_DEGREE + 1
-        interior points of every cut are the first point's, each up to
-        rounding of the terms at both points.  One :meth:`evaluate` call reads
-        f at those points in every period of the support."""
-        if self.ncomponents != 1:
-            return None
-        bp, n = self.breakpoints, self.coeffs.shape[-1] + MAX_DEGREE
-        frac = np.unique(np.concatenate([[0.0], bp % 1.0]))
-        y = np.append(frac[np.concatenate([[True], np.diff(frac) > 1e-12]) & (frac < 1.0 - 1e-12)], 1.0)
-        x = (y[:-1, None] + np.diff(y)[:, None] * np.arange(1, n + 1) / (n + 1)).ravel()
-        t = np.arange(floor(bp[0]), ceil(bp[-1]), dtype=np.float64)[:, None] + x
-        terms = t ** np.arange(MAX_DEGREE + 1)[:, None, None] * self.evaluate(t.ravel()).reshape(t.shape)
-        q, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)  # Q_s and its rounding scale at each x
-        return _negligible(q - q[:, :1], scale + scale[:, :1]).all(axis=1)
-
     def cumulative(self, s) -> np.ndarray:
         """Integral of f over (-inf, s_i] for each s_i, exactly; shape (n, r)."""
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
@@ -883,26 +861,6 @@ class RefinableFunction:
             acc = fourier_deriv(self.mask, 0, xi * 2.0**-j) @ acc
         return acc
 
-    @cached_property
-    def _sum_rules(self) -> np.ndarray | None:
-        """Whether each sum rule ``s = 0..MAX_DEGREE`` holds: the mask symbol's
-        derivative ``ahat^(s)(pi)`` vanishes.  Rules that hold give phi that
-        accuracy, but a failed one bounds it only when phihat has no
-        2pi-periodic zero at pi, which holds when the symbol has no symmetric
-        zeros (:func:`_symmetric_zeros`).  None for a vector mask, or for a
-        failed rule with symmetric zeros: ``(1 + z) (1 + z^2)^2 / 8`` breaks
-        rule 1, yet its phi's shifts reproduce quadratics."""
-        if self.ncomponents != 1:
-            return None
-        mask = self.mask
-        k = np.abs(np.arange(mask.offset, mask.offset + len(mask.entries), dtype=np.float64))
-        taps = np.abs(mask.entries[:, 0, 0])
-        vals = [fourier_deriv(mask, s, np.pi) for s in range(MAX_DEGREE + 1)]
-        held = np.array([_negligible(v, taps @ k**s).item() for s, v in enumerate(vals)])
-        if not held.all() and _symmetric_zeros(mask.entries[:, 0, 0].real):
-            return None
-        return held
-
     # -- exact cumulative integral ------------------------------------------
 
     @cached_property
@@ -1166,32 +1124,6 @@ def _negligible(value, scale) -> np.ndarray:
     """Elementwise: ``|value|`` is at most 1e-9 of its ``scale``, the absolute
     sum of the terms that made it, so zero up to rounding."""
     return np.abs(value) <= 1e-9 * np.asarray(scale)
-
-
-def _symmetric_zeros(taps: np.ndarray) -> bool:
-    """Whether the symbol ``sum_k taps[k] z^k`` vanishes at some ``z`` and
-    ``-z`` in C \\ {0}: exactly when its even and odd polyphase parts
-    ``taps[0::2]``, ``taps[1::2]`` (polynomials in ``z^2``) share a nonzero
-    root.  Without such a pair phihat has no 2pi-periodic zero at pi: from
-    ``phihat(xi) = ahat(xi / 2) phihat(xi / 2)``, each periodic zero passes
-    to one at ``xi / 2`` or ``xi / 2 + pi``, so there would be infinitely
-    many, and a compactly supported phi has finitely many (compare Jia and
-    Wang, Proc. AMS 117, 1993).  Read as a singular Sylvester matrix of the
-    two parts with their zero roots and zero top taps trimmed: the smallest
-    singular value at most 1e-10 of the largest, so a near pair counts too."""
-    even, odd = np.trim_zeros(taps[0::2]), np.trim_zeros(taps[1::2])
-    if not (even.size and odd.size):  # one part is zero: the other's roots are all shared
-        return max(even.size, odd.size) > 1
-    m, n = even.size - 1, odd.size - 1
-    if m + n == 0:
-        return False
-    sylvester = np.zeros((m + n, m + n))
-    for i in range(n):
-        sylvester[i, i : i + m + 1] = even
-    for i in range(m):
-        sylvester[n + i, i : i + n + 1] = odd
-    sv = np.linalg.svd(sylvester, compute_uv=False)
-    return bool(sv[-1] <= 1e-10 * sv[0])
 
 
 def inner_product(

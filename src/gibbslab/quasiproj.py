@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 from .funcmodel import (
+    MAX_DEGREE,
     FunctionHandle,
     PiecewisePoly,
     SampledFunction,
@@ -42,7 +43,6 @@ from .funcmodel import (
     check_level,
     dyadic_bounds,
     dyadic_grid,
-    fhat_deriv0,
     function_from_json_dict,
     function_to_json_dict,
     inner_product,
@@ -109,8 +109,9 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class QuasiProjectionPair:
-    """Immutable primal/dual pair with cached phi tables, QP1 residuals and
-    support bookkeeping; each member owns its moments and Fourier transform.
+    """Immutable primal/dual pair with cached phi tables, QP1 residuals,
+    accuracy order and support bookkeeping; each member owns its moments and
+    Fourier transform.
 
     ``support_bound`` is the smallest integer N with both supports inside
     [-N, N]; the operator applied to a jump signal differs from the signal
@@ -153,8 +154,50 @@ class QuasiProjectionPair:
         acc = _synthesis(self.phi_table(10), 0, 2**10, 1, 0, mass[None, :])
         return float(norm_residual), float(np.max(np.abs(acc - 1.0)))
 
+    @cached_property
+    def _order(self) -> int:
+        """The first degree ``j <= MAX_DEGREE`` with ``E_j = Q x^j - x^j`` not
+        zero, else ``MAX_DEGREE + 1``.  Q commutes with integer shifts, so
+        ``E_j(x + 1) - E_j(x) = sum_{i < j} C(j, i) E_i(x)`` (Strang-Fix;
+        Plonka for vectors): once the lower degrees vanish, ``E_j`` is
+        1-periodic and one period decides it.  Each ``E_j`` is one
+        :func:`_synthesis` of the exact monomial coefficients (phitilde's
+        moments) on phi's table over the ``2^-L`` grid of ``[0, 1)``, ``L =
+        min(phi's level, 10)``, and is zero when its largest value is
+        negligible against ``sum_k |c_k| max|phi| + 1``, one scale for the
+        whole period.
+
+        Exact for a piecewise phi: on each cut of ``[0, 1)`` at the knots'
+        fractional parts ``E_j`` is a polynomial of degree at most ``max(deg,
+        j)``, so ``max(deg, j) + 1`` grid points in every cut decide it, and a
+        phi with a cut that holds fewer is refused.  A refinable phi is read at
+        its exact cascade values; the read errs only for a nonzero periodic
+        ``E_j`` that vanishes at every point of the period's grid.  A sampled
+        phi is read at its samples."""
+        L = min(_grid_level(self.phi), 10)
+        table = self.phi_table(L)
+        xs = np.arange(2**L) * 2.0**-L
+        ks = _meeting_ks(self.phi, 0.0, xs[-1])
+        peak = np.max(np.abs(table[1]))
+        fewest, deg = math.inf, 0
+        if isinstance(self.phi, PiecewisePoly):  # knot fractions within 1e-12 are one cut end
+            cuts = np.unique(np.concatenate([[0.0, 1.0], self.phi.breakpoints % 1.0]))
+            cuts = cuts[np.concatenate([[True], np.diff(cuts) > 1e-12])]
+            fewest, deg = int(np.diff(np.ceil(cuts * 2**L)).min()), self.phi.coeffs.shape[-1] - 1
+        for j in range(MAX_DEGREE + 1):
+            if fewest <= (d := max(deg, j)):
+                raise PreconditionError(f"a cut of [0, 1) holds {fewest} level-{L} points, too few for degree {d}")
+            coeff = _coefficients(self, Monomial(j), 0, 0.0, ks)
+            residual = _synthesis(table, 0, xs.size, 1, int(ks[0]), coeff) - xs**j
+            if not _negligible(np.max(np.abs(residual)), np.abs(coeff).sum() * peak + 1.0):
+                return j
+        return MAX_DEGREE + 1
+
     def swapped(self) -> "QuasiProjectionPair":
-        """The dual-role pair: primal and dual functions exchanged."""
+        """The dual-role pair: primal and dual functions exchanged; a pair
+        whose members are one function is its own swap."""
+        if self.phi is self.phi_tilde:
+            return self
         return QuasiProjectionPair(self.phi_tilde, self.phi)
 
     def shifted(self, c: float) -> "QuasiProjectionPair":
@@ -366,66 +409,30 @@ def kernel_criterion(pair: QuasiProjectionPair, level: int) -> dict:
     }
 
 
-def _reproduction_residual(pair: QuasiProjectionPair, j: int, grid: GridSpec) -> float:
-    """Sup-norm residual of Q x^j - x^j on the grid window."""
-    f = Monomial(j)
-    sf = apply(pair, f, 0, 0.0, grid)
-    return float(np.max(np.abs(sf.values[:, 0] - _signal_values(f, sf.xs()))))
-
-
 def poly_reproduction(pair: QuasiProjectionPair, m: int, grid: GridSpec | None = None) -> dict:
-    """Sup-norm residuals of Q x^j - x^j on the grid window, for j < m."""
+    """Sup-norm residuals of Q x^j - x^j on the grid window, for j < m: the
+    grid reference that the tests hold :func:`accuracy_order` against."""
     if m < 1:
         raise PreconditionError("m must be a positive integer")
     grid = grid or GridSpec()
-    return {j: _reproduction_residual(pair, j, grid) for j in range(m)}
-
-
-def _exact_order(pair: QuasiProjectionPair, m_max: int) -> int | None:
-    """min(sum-rule order of phi, moment order of the pair), capped at
-    ``m_max``.  The sum-rule order is phi's first failed rule in its cached
-    ``_sum_rules``; None when phi has none (a sampled or vector phi, or a
-    refinable one whose failed rule may not bound its order) or phitilde is
-    sampled, whose moments come from a quadrature.
-
-    The moment order is the first ``l`` at which ``[conj(phihat)^T
-    phitildehat]^(l)(0)``, the Leibniz sum of :func:`fhat_deriv0` on both
-    sides, is not ``1`` (``l = 0``) or ``0``, each up to rounding of its terms;
-    it is read only below the sum-rule order.
-    """
-    held = getattr(pair.phi, "_sum_rules", None)
-    if held is None or isinstance(pair.phi_tilde, SampledFunction):
-        return None
-    order = next((s for s in range(min(m_max, len(held))) if not held[s]), m_max)
-    p, t = [], []
-    for l in range(order):
-        p.append(np.conj(fhat_deriv0(pair.phi, l)))
-        t.append(fhat_deriv0(pair.phi_tilde, l))
-        terms = [math.comb(l, i) * complex(p[i] @ t[l - i]) for i in range(l + 1)]
-        if not _negligible(sum(terms) - (l == 0), sum(map(abs, terms))):
-            return l
-    return order
+    sfs = {j: apply(pair, Monomial(j), 0, 0.0, grid) for j in range(m)}
+    return {j: float(np.max(np.abs(sf.values[:, 0] - sf.xs() ** j))) for j, sf in sfs.items()}
 
 
 def accuracy_order(pair: QuasiProjectionPair, m_max: int = 6) -> int:
     """Largest m <= m_max such that Q reproduces every polynomial of degree < m.
 
-    Exact for a scalar piecewise phi, or a scalar refinable one whose failed
-    sum rule bounds its order (no symmetric zeros of the symbol), with a dual
-    that is not sampled (Strang-Fix: the sum rules of phi and the moment
-    condition conj(phihat)^T phitildehat = 1 + O(|xi|^m), see
-    :func:`_exact_order`), whatever level the pair carries.  Any other pair
-    takes the grid route: degrees rising, each the sup residual of Q x^j -
-    x^j on the level-12 window against 1e-8, and the first that fails ends
-    the search, so it pays for min(m + 1, m_max) residuals.
+    It is ``min(pair._order, m_max)``: the pair reads ``Q x^j - x^j`` on one
+    period once, degrees rising, and keeps the first that does not vanish (see
+    :attr:`QuasiProjectionPair._order`, exact for a piecewise or refinable
+    phi), whatever ``m_max`` asks.  An ``m_max`` above an order past
+    ``MAX_DEGREE`` is refused, as phitilde has no moment of that degree.
     """
     if m_max < 1:
         raise PreconditionError("m must be a positive integer")
-    order = _exact_order(pair, m_max)
-    if order is not None:
-        return order
-    grid = GridSpec()
-    return next((j for j in range(m_max) if not _reproduction_residual(pair, j, grid) < 1e-8), m_max)
+    if m_max > pair._order > MAX_DEGREE:
+        raise PreconditionError(f"the order is at least {MAX_DEGREE + 1}; m_max {m_max} asks past the moments")
+    return min(pair._order, m_max)
 
 
 def approximation_rate(

@@ -3,9 +3,9 @@
 The acceptance tests (test_acceptance.py) register one line per criterion via
 the ``acceptance`` fixture; ``pytest_terminal_summary`` reprints the collected
 block after the run so the pass/fail table is visible without ``-s``.
-The ``order_pairs`` fixture is the set of pairs on which the exact accuracy
-order is checked against the grid route, and ``grid_route_pairs`` the pairs
-whose order only the grid route can read.
+The ``order_pairs`` and ``grid_route_pairs`` fixtures are the pairs on which
+the accuracy order is checked against the level-12 grid scan; the second
+holds the pairs past the mask sum rules' reach.
 """
 
 import numpy as np
@@ -42,8 +42,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def order_pairs():
-    """(name, pair) for the checks of the exact accuracy order against the
-    grid route: the fleet, every builtin B-spline b1-b9, d2, d3, the ten
+    """(name, pair) for the checks of the accuracy order against the grid
+    scan: the fleet, every builtin B-spline b1-b9, d2, d3, the ten
     ``build_dual`` pairs b{2,3,4}+dual{2,3,4} and b5+dual5, a custom knot
     rule, the four banks' mathring
     pairs, two pairs shifted off the integer knots, a box on [0, 1/3) whose
@@ -63,19 +63,15 @@ def order_pairs():
 
 @pytest.fixture(scope="session")
 def grid_route_pairs():
-    """(name, pair, exact) for pairs next to the exact route's limits, with
-    whether the exact route reads them: a refinable phi with mask
-    (1 + z) (1 + z^2)^2 / 8, which breaks the mask's second sum rule while
-    its shifts reproduce quadratics (the symbol vanishes at i and -i), against
-    itself and against the box, and the hat against the hat's level-12
-    samples; and each of these swapped.  Only the box against that phi has
-    a primal whose sum rules settle its order and an exact dual."""
+    """(name, pair) for pairs past the mask sum rules' reach: a refinable phi
+    with mask (1 + z) (1 + z^2)^2 / 8, which breaks the mask's second sum
+    rule while its shifts reproduce quadratics (the symbol vanishes at i and
+    -i), against itself and against the box, and the hat against the hat's
+    level-12 samples; and each of these swapped."""
     stretched = RefinableFunction(MatrixSeq.scalar(0, np.convolve([0.5, 0.5], [0.25, 0.0, 0.5, 0.0, 0.25])))
     pairs = {
         "box*stretched hat": QuasiProjectionPair(stretched, stretched),
         "box*stretched hat+box": QuasiProjectionPair(stretched, bspline(1)),
         "hat+sampled hat": QuasiProjectionPair(bspline(2), cascade(bspline_mask(2), level=12)),
     }
-    out = [(name, pair, False) for name, pair in pairs.items()]
-    out += [(f"{name} swapped", pair.swapped(), name == "box*stretched hat+box") for name, pair in pairs.items()]
-    return out
+    return list(pairs.items()) + [(f"{name} swapped", pair.swapped()) for name, pair in pairs.items()]

@@ -135,22 +135,14 @@ def test_one_horner_and_one_alignment():
 
 
 def test_one_accuracy_route():
-    # the grid residual serves accuracy_order's sampled fallback only; poly_reproduction is for tests
-    bad = [
-        (m, n.lineno, _callee(n))
-        for m, tree in _TREE.items()
-        for n in ast.walk(tree)
-        if (_callee(n) == "_reproduction_residual" and m != "quasiproj.py") or _callee(n) == "poly_reproduction"
-    ]
-    assert not bad, bad
-    # the sum-rule order is read in quasiproj._exact_order alone, with no wrapper of its own
-    assert not _named({"_sum_rule_order"}), _named({"_sum_rule_order"})
-    reads = [
-        (m, n.lineno)
-        for m, tree in _TREE.items()
-        if m != "quasiproj.py"
-        for n in ast.walk(tree)
-        if (isinstance(n, ast.Attribute) and n.attr == "_sum_rules")
-        or (_callee(n) == "getattr" and any(getattr(a, "value", None) == "_sum_rules" for a in n.args))
-    ]
-    assert not reads, reads
+    # the order is the pair's one-period read alone: no sum-rule or moment-order
+    # route beside it, no grid loop in accuracy_order, and the grid scan
+    # poly_reproduction is the tests' reference, which no module calls
+    gone = {"_sum_rules", "_exact_order", "_symmetric_zeros", "_sum_rule_order", "_reproduction_residual"}
+    assert not _named(gone), _named(gone)
+    order = _fn("quasiproj.py", "accuracy_order")
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    assert not any(isinstance(n, loops) for n in ast.walk(order)), "accuracy_order loops"
+    assert any(isinstance(n, ast.Attribute) and n.attr == "_order" for n in ast.walk(order)), "accuracy_order skips _order"
+    calls = [(m, n.lineno) for m, tree in _TREE.items() for n in ast.walk(tree) if _callee(n) == "poly_reproduction"]
+    assert not calls, calls

@@ -126,10 +126,12 @@ def test_bspline_partition_of_unity(x, m):
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_bspline_m_holds_exactly_its_first_m_sum_rules(m):
-    """B_m reproduces polynomials of degree below m and no higher: rules
-    s < m hold and rule m fails (for m = 9 every rule up to MAX_DEGREE = 8
-    holds).  A per-coefficient rounding test broke rule 1 for m = 6..9."""
-    assert bspline(m)._sum_rules.tolist() == [s < m for s in range(funcmodel.MAX_DEGREE + 1)]
+    """B_m reproduces polynomials of degree below m and no higher: against a
+    dual that matches m + 1 moments (9 for m = 9, every degree up to
+    MAX_DEGREE = 8) the pair's order is m, so rules s < m hold and rule m
+    fails.  A per-coefficient rounding test broke rule 1 for m = 6..9."""
+    pair = gl.QuasiProjectionPair(bspline(m), gl.build_dual(bspline(m), min(m + 1, 9)).phi_tilde)
+    assert gl.accuracy_order(pair, m_max=funcmodel.MAX_DEGREE + 1) == m
 
 
 def test_bspline_autocorrelation_equals_higher_spline():
@@ -699,6 +701,17 @@ def test_ghm_vector_mask_cascades():
     assert ints.sum(axis=0) == pytest.approx([0.0, SQ3], abs=1e-12)
     assert f.refinement_residual() < 1e-12
     assert simpson_sum(f.samples().values, f.samples().h) == pytest.approx(f.moment(0), abs=1e-6)
+
+
+def test_ghm_and_d3_read_their_order_at_every_level():
+    """GHM reproduces linears and D3 quadratics, and neither more: read on
+    one period at the exact cascade values, each pair's order is the same at
+    every carried level from 6 to 16, in both directions."""
+    for level in range(6, 17):
+        ghm, d3 = _ghm(level), gl.resolve_pair("daubechies:3", level)
+        pair = gl.QuasiProjectionPair(ghm, ghm)
+        assert [gl.accuracy_order(p, m_max=9) for p in (pair, pair.swapped())] == [2, 2], level
+        assert [gl.accuracy_order(p, m_max=9) for p in (d3, d3.swapped())] == [3, 3], level
 
 
 def test_bspline_bytes_are_pinned():

@@ -116,6 +116,8 @@ def test_swapped_exchanges_roles(b2):
     pair = QuasiProjectionPair(bspline(2), bspline(3))
     sw = pair.swapped()
     assert sw.phi is pair.phi_tilde and sw.phi_tilde is pair.phi
+    # a pair whose members are one function is its own swap, sharing its cached order and tables
+    assert b2.swapped() is b2 and QuasiProjectionPair(b2.phi, bspline(2)).swapped() is not b2
 
 
 def test_pair_json_roundtrip(b2):
@@ -575,72 +577,106 @@ def fleet():
 
 
 def test_accuracy_order_stops_at_the_first_failing_degree(monkeypatch, fleet):
-    """Scalar refinable and piecewise pairs take the exact route and expand
-    no monomial; a sampled pair tries degrees 0, 1, 2, ... and the first
-    failure ends the search: order + 1 residuals, or m_max when every degree
-    passes."""
+    """A pair computes its order once: its first call tries degrees 0, 1,
+    2, ... whatever m_max asks, and the first failure ends the search, so it
+    expands order + 1 monomials (MAX_DEGREE + 1 when every degree passes);
+    later calls, and the swap of a self pair, which is the pair itself,
+    expand none."""
     seen = []
-    residual = quasiproj._reproduction_residual
+    coefficients = quasiproj._coefficients
 
-    def counting(pair, j, grid):
-        seen.append(j)
-        return residual(pair, j, grid)
+    def counting(pair, f, n, t, ks):
+        if isinstance(f, Monomial):
+            seen.append(f.degree)
+        return coefficients(pair, f, n, t, ks)
 
-    monkeypatch.setattr(quasiproj, "_reproduction_residual", counting)
-    for name, pair in fleet:
-        for m_max in (1, 2, 6):
-            accuracy_order(pair, m_max=m_max)
-            assert seen == [], (name, m_max)
+    monkeypatch.setattr(quasiproj, "_coefficients", counting)
     hat = cascade(bspline_mask(2), level=12)  # the hat's samples: a sampled pair of order 2
-    pair = QuasiProjectionPair(hat, hat)
-    for m_max in (1, 2, 6):
+    for name, pair in fleet + [("sampled hat", QuasiProjectionPair(hat, hat))]:
+        pair = QuasiProjectionPair(pair.phi, pair.phi_tilde)  # fresh: no order read yet
         seen.clear()
-        order = accuracy_order(pair, m_max=m_max)
-        assert order == min(2, m_max) and seen == list(range(min(order + 1, m_max))), (m_max, order)
-    assert seen == [0, 1, 2]
+        order = accuracy_order(pair, m_max=1)
+        assert order == 1 and seen == list(range(min(pair._order + 1, 9))), (name, seen)
+        seen.clear()
+        for m_max in (2, 6, 9):
+            assert accuracy_order(pair, m_max=m_max) == min(pair._order, m_max), (name, m_max)
+        if pair.phi is pair.phi_tilde:
+            assert pair.swapped() is pair and accuracy_order(pair.swapped(), 2) == min(pair._order, 2)
+        assert seen == [], (name, seen)
+    assert pair._order == 2
 
 
 def test_accuracy_order_equals_the_full_residual_scan(order_pairs):
-    """Every cross-route pair takes the exact route, and its order is the
-    first degree whose level-12 reproduction residual is not below the
-    default tol 1e-8."""
+    """On every cross-route pair the order read on one period is the first
+    degree whose level-12 reproduction residual is not below 1e-8."""
     for name, pair in order_pairs:
         order = _first_failure(poly_reproduction(pair, 6), 1e-8)
-        assert accuracy_order(pair) == quasiproj._exact_order(pair, 6) == order, name
+        assert accuracy_order(pair) == order, name
 
 
 def test_the_order_6_dual_of_b6_reads_order_6():
-    """build_dual(b6, 6) reproduces quintics: the exact route reads 6, where
-    the grid route stops at 5, its x^5 residual (3e-8) above the absolute
-    1e-8, so this pair stays out of the equality test."""
+    """build_dual(b6, 6) reproduces quintics: the one-period read gives 6,
+    where the level-12 grid scan stops at 5, its x^5 residual (3e-8) above
+    the absolute 1e-8, so this pair stays out of the equality test."""
     pair = QuasiProjectionPair(bspline(6), build_dual(bspline(6), 6).phi_tilde)
-    assert accuracy_order(pair) == quasiproj._exact_order(pair, 6) == 6
+    assert accuracy_order(pair) == 6
     assert _first_failure(poly_reproduction(pair, 6), 1e-8) == 5
 
 
-def test_the_exact_route_leaves_unsettled_pairs_to_the_grid(grid_route_pairs):
-    """A failed sum rule of a mask whose symbol has symmetric zeros, or a
-    sampled dual, sends the pair to the grid scan, which reads its order."""
-    for name, pair, exact in grid_route_pairs:
+@pytest.mark.parametrize("m", range(5, 10))
+def test_the_order_m_dual_of_bm_reads_order_m(m):
+    """build_dual(b_m, m) reproduces degrees below m: the pair reads m when
+    m_max allows 9, and the default m_max = 6 caps it.  The level-12 grid
+    scan reads 5, 5, 4, 3 and 4 for m = 5..9, so these pairs stay out of the
+    equality test."""
+    pair = QuasiProjectionPair(bspline(m), build_dual(bspline(m), m).phi_tilde)
+    assert accuracy_order(pair, m_max=9) == m
+    assert accuracy_order(pair) == min(m, 6)
+
+
+def test_the_whole_period_decides():
+    """Q 1 - 1 for a box dual against steps 1 on [0, 1/2) and 3/2 on [1/2, 1)
+    vanishes on the first half of the period only: the order is 0."""
+    steps = PiecewisePoly([0.0, 0.5, 1.0], [[1.0], [1.5]])
+    assert accuracy_order(QuasiProjectionPair(steps, bspline(1))) == 0
+
+
+def test_a_piecewise_phi_with_too_narrow_a_cut_is_refused():
+    """The period's grid decides a piecewise phi only when each cut of [0, 1)
+    at its knots holds more points than the degree read there: a quadratic
+    piece on [0, 2^-9) leaves that cut two points of the level-10 grid, and
+    on [0, 2^-7) eight, which decide that its shifts miss the constants."""
+    phi = PiecewisePoly([0.0, 2.0**-9, 1.0], [[0.0, 0.0, 2.0**18], [1.0, 0.0, 0.0]])
+    with pytest.raises(PreconditionError, match="too few"):
+        accuracy_order(QuasiProjectionPair(phi, bspline(1)))
+    wide = PiecewisePoly([0.0, 2.0**-7, 1.0], [[0.0, 0.0, 2.0**14], [1.0, 0.0, 0.0]])
+    assert accuracy_order(QuasiProjectionPair(wide, bspline(1))) == 0
+
+
+def test_pairs_past_the_mask_sum_rules_read_the_grid_scans_order(grid_route_pairs):
+    """A mask whose symbol has symmetric zeros breaks a sum rule its phi's
+    shifts keep, and a sampled dual has quadrature moments; the one-period
+    read gives these pairs the grid scan's order."""
+    for name, pair in grid_route_pairs:
         order = _first_failure(poly_reproduction(pair, 6), 1e-8)
         assert accuracy_order(pair) == order, name
-        assert quasiproj._exact_order(pair, 6) == (order if exact else None), name
-    assert [accuracy_order(pair) for _, pair, _ in grid_route_pairs[:2]] == [2, 1]
+    assert [accuracy_order(pair) for _, pair in grid_route_pairs[:2]] == [2, 1]
 
 
 def test_a_mask_the_cascade_refuses_has_no_accuracy_order():
     """The stretched hat's mask (1 + z^2)^2 / 4 breaks the first sum rule at
     pi, yet its shifts sum to one: its order is not read off the mask, and
-    the grid route refuses it as the cascade does."""
+    the one-period read refuses it as the cascade does."""
     f = RefinableFunction(MatrixSeq.scalar(0, [0.25, 0.0, 0.5, 0.0, 0.25]))
-    assert quasiproj._exact_order(QuasiProjectionPair(f, f), 6) is None
     with pytest.raises(PreconditionError, match="first sum rule"):
         accuracy_order(QuasiProjectionPair(f, f))
 
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_exact_order_equals_the_grid_scan_on_spline_like_masks(data):
+def test_accuracy_order_equals_the_grid_scan_on_spline_like_masks(data):
+    """The one-period read of a refinable phi at its dyadic cascade values
+    gives the full-window grid scan's order."""
     mask, norm = data.draw(spline_like_mask(1))
     f = RefinableFunction(mask, norm)
     try:
@@ -648,7 +684,7 @@ def test_exact_order_equals_the_grid_scan_on_spline_like_masks(data):
     except (ConvergenceError, PreconditionError):
         assume(False)
     pair = QuasiProjectionPair(f, f)
-    assert quasiproj._exact_order(pair, 6) == _first_failure(poly_reproduction(pair, 6), 1e-8)
+    assert accuracy_order(pair) == _first_failure(poly_reproduction(pair, 6), 1e-8)
 
 
 @pytest.mark.parametrize("m_max", [0, -1])
@@ -872,7 +908,7 @@ def test_piecewise_moments_are_computed_once_per_order(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["haar", *(f"bspline:{m}" for m in range(1, 10)), "daubechies:1", "daubechies:2", "daubechies:3"])
 def test_cubes_on_a_level_12_window_are_products(spec):
-    """On the window ``accuracy_order`` samples, ``x * x * x`` equals libm's
+    """On the window ``poly_reproduction`` samples, ``x * x * x`` equals libm's
     ``x ** 3`` bit for bit, and ``Monomial(3)`` gives those bits."""
     xs = apply(resolve_pair(spec), Monomial(0), 0, 0.0, GridSpec()).xs()
     assert (xs * xs * xs).tobytes() == (xs**3).tobytes() == Monomial(3)(xs).tobytes()
